@@ -42,7 +42,10 @@ def main() -> int:
         code = cli.run_command(str(cfg_path))
         worst_exit = max(worst_exit, code)
 
-        status = {0: "ok", 1: "BOUND FAILED", 2: "config error", 3: "no convergence"}[code]
+        status = {
+            0: "ok", 1: "BOUND FAILED", 2: "config error", 3: "no convergence",
+            4: "internal error",
+        }[code]
         summary = ""
         reports_path = out_dir / "reports.jsonl"
         if reports_path.exists():

@@ -2,7 +2,9 @@
 bound checkers over an epsilon sweep, and emit reports and plots.
 
 Exit codes: 0 all explicit-constant checks pass, 1 a check failed,
-2 configuration error, 3 solver non-convergence.  Errors also emit one
+2 configuration error, 3 solver non-convergence, 4 internal or numerical
+error (a prox that does not converge, an inconsistent coupling, a geometry
+failure, or any other unexpected exception).  Errors also emit one
 machine-readable JSON record on stderr.
 """
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +43,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_CHECKS = list(verify.BOUND_IDS)
 
@@ -201,6 +205,15 @@ def run_experiment(config: ExperimentConfig, base_dir: Path = Path(".")):
     """Solve the instance across the eps sweep, run the requested checks,
     and return (report records, rate fits, spread-profile CSV text)."""
     inst = build_instance(config.instance, base_dir)
+    if config.rate_fit:
+        # fail a misconfigured rate sweep before any epsilon is solved
+        if not inst.self_transport:
+            raise CliConfigError("rate_fit requires a self-transport instance")
+        if len(inst.mu) < 2:
+            raise CliConfigError("rate_fit needs a spread-resolving grid")
+        verify.check_rate_floor(
+            inst.mu.min_pairwise_distance(), inst.mu.dim, min(config.eps_list)
+        )
     profile_csv = geometry.build_spread(inst.mu, source=inst.name).to_csv()
     exact = None
     if "CostSandwich" in config.checks:
@@ -241,15 +254,7 @@ def run_experiment(config: ExperimentConfig, base_dir: Path = Path(".")):
 
     fits: list[verify.RateFit] = []
     if config.rate_fit:
-        spreads = [spread for _, spread in results]
-        if any(s is None for s in spreads):
-            raise CliConfigError("rate_fit requires a self-transport instance")
-        if len(inst.mu) < 2:
-            raise CliConfigError("rate_fit needs a spread-resolving grid")
-        verify.check_rate_floor(
-            inst.mu.min_pairwise_distance(), inst.mu.dim, min(config.eps_list)
-        )
-        fits.append(verify.fit_rate(config.eps_list, spreads))
+        fits.append(verify.fit_rate(config.eps_list, [spread for _, spread in results]))
     return records, fits, profile_csv
 
 
@@ -359,8 +364,9 @@ def write_rate_svg(fit: verify.RateFit, path: Path) -> None:
         fh.write("\n")
 
 
-def _error_record(kind: str, detail: str) -> None:
-    print(json.dumps({"error": kind, "detail": detail}, sort_keys=True), file=sys.stderr)
+def _error_record(kind: str, detail: str, **fields) -> None:
+    record = {"error": kind, "detail": detail, **fields}
+    print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
 def run_command(config_path: str, eps_override=None, tol_override=None) -> int:
@@ -380,11 +386,22 @@ def run_command(config_path: str, eps_override=None, tol_override=None) -> int:
     try:
         records, fits, profile_csv = run_experiment(config, base_dir)
     except ConvergenceError as exc:
-        _error_record("no-convergence", f"{exc} (residual {exc.residual!r})")
+        # an infinite residual means the self-transport symmetrization never
+        # closed, so no residual was evaluated; JSON has no infinity
+        residual = exc.residual if math.isfinite(exc.residual) else None
+        _error_record("no-convergence", str(exc), sweeps=exc.sweeps, residual=residual)
         return EXIT_NO_CONVERGENCE
     except (CliConfigError, ConfigError, MeasureError, verify.VerifyError, ExactOTError) as exc:
         _error_record("config", str(exc))
         return EXIT_CONFIG
+    except Exception as exc:
+        _error_record(
+            "internal",
+            str(exc),
+            type=type(exc).__name__,
+            traceback=traceback.format_exc(),
+        )
+        return EXIT_INTERNAL
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     _write_reports(records, config.output_dir / "reports.jsonl")

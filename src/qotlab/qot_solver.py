@@ -76,6 +76,7 @@ class DualPotentials:
             "g": [float(v) for v in self.g_values],
             "normalization": self.normalization,
             "residual": float(self.residual),
+            "sweeps": int(self.sweeps),
         }
 
 

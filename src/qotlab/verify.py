@@ -109,7 +109,10 @@ class SolvedInstance:
     monge: Optional[MongeMapSpec] = None
     exact: Optional[exact_ot.ExactOTSolution] = None
     _psi_mu: Optional[np.ndarray] = field(default=None, repr=False)
-    _star_nu: Optional[np.ndarray] = field(default=None, repr=False)
+    # surrogate evaluations keyed on the exact bytes of the point; the
+    # surrogate is fixed per epsilon, so a repeated point is a repeated answer
+    _reflect_memo: dict = field(default_factory=dict, repr=False)
+    _star_memo: dict = field(default_factory=dict, repr=False)
 
     @property
     def epsilon(self) -> float:
@@ -125,12 +128,23 @@ class SolvedInstance:
             )
         return self._psi_mu
 
+    def reflect(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """surrogate.minty_reflect at u, solved once per distinct point; the
+        returned arrays are shared between callers and must not be mutated."""
+        key = np.ascontiguousarray(u, dtype=float).tobytes()
+        if key not in self._reflect_memo:
+            self._reflect_memo[key] = surrogate.minty_reflect(self.surr, u)
+        return self._reflect_memo[key]
+
+    def star(self, y) -> float:
+        """surrogate.eval_psi_star at y, solved once per distinct point."""
+        key = np.ascontiguousarray(y, dtype=float).tobytes()
+        if key not in self._star_memo:
+            self._star_memo[key] = surrogate.eval_psi_star(self.surr, y)
+        return self._star_memo[key]
+
     def star_at_nu(self) -> np.ndarray:
-        if self._star_nu is None:
-            self._star_nu = np.array(
-                [surrogate.eval_psi_star(self.surr, y) for y in self.nu.atoms]
-            )
-        return self._star_nu
+        return np.array([self.star(y) for y in self.nu.atoms])
 
     def ensure_exact(self) -> exact_ot.ExactOTSolution:
         if self.exact is None:
@@ -284,13 +298,15 @@ def check_restricted_conj(inst: SolvedInstance) -> BoundReport:
 
 def check_concentration(inst: SolvedInstance) -> BoundReport:
     """Distance from each support pair to the gradient graph of the envelope,
-    via the reflection resolvent at x + y; bound sqrt(24 delta)."""
+    via the reflection resolvent at x + y; bound sqrt(24 delta).  The
+    resolvent depends on the pair only through x + y, so its cost scales
+    with the number of distinct sums, not of support pairs."""
     ii, jj = _support_arrays(inst)
     worst = 0.0
     for i, j in zip(ii, jj):
         x = inst.mu.atoms[i]
         y = inst.nu.atoms[j]
-        x_prime, grad = surrogate.minty_reflect(inst.surr, x + y)
+        x_prime, grad = inst.reflect(x + y)
         dist = math.sqrt(float(((x - x_prime) ** 2).sum() + ((y - grad) ** 2).sum()))
         worst = max(worst, dist)
     rhs = math.sqrt(24.0 * inst.d_eps)
@@ -379,7 +395,7 @@ def check_bias(inst: SolvedInstance) -> list[BoundReport]:
     grad_phi = np.asarray(monge(inst.mu.atoms), dtype=float)
 
     psi_mu = inst.psi_at_mu()
-    star_imgs = np.array([surrogate.eval_psi_star(inst.surr, im) for im in grad_phi])
+    star_imgs = np.array([inst.star(im) for im in grad_phi])
     dots = (inst.mu.atoms * grad_phi).sum(-1)
     gaps = psi_mu + star_imgs - dots
     alpha = float(gaps.max())

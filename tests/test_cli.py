@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from qotlab import cli, verify
+from qotlab.geometry import GeometryError
 from qotlab.measures import load_measure
+from qotlab.qot_solver import InconsistencyError
+from qotlab.surrogate import ProxError
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -53,7 +56,7 @@ def test_run_missing_config():
     assert cli.main(["run", "-c", "/nonexistent/config.json"]) == cli.EXIT_CONFIG
 
 
-def test_run_exit_three_on_non_convergence(tmp_path):
+def test_run_exit_three_on_non_convergence(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
         instance={"name": "grid", "kind": "grid", "d": 1, "h": 0.1},
@@ -62,6 +65,52 @@ def test_run_exit_three_on_non_convergence(tmp_path):
         checks=["DensityUB"],
     )
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_NO_CONVERGENCE
+    # the self-transport symmetrization never closed: no residual was evaluated
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["sweeps"] == 2
+    assert record["residual"] is None
+
+
+def test_no_convergence_record_carries_sweeps_and_residual(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        instance={"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1},
+        eps_list=[0.01],
+        solver={"max_sweeps": 3},
+        checks=["DensityUB"],
+    )
+    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_NO_CONVERGENCE
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert set(record) == {"error", "detail", "sweeps", "residual"}
+    assert record["error"] == "no-convergence"
+    assert record["sweeps"] == 3
+    assert isinstance(record["residual"], float) and record["residual"] > 1e-10
+    assert "within 3 sweeps" in record["detail"]
+
+
+@pytest.mark.parametrize(
+    "target, checks, error",
+    [
+        ("qotlab.verify.surrogate.minty_reflect", ["Concentration"], ProxError("prox", 1.0)),
+        ("qotlab.verify.qot_solver.assemble_coupling", ["DensityUB"], InconsistencyError("row")),
+        ("qotlab.verify.geometry.delta", ["DensityUB"], GeometryError("hull")),
+        ("qotlab.verify.qot_solver.max_density", ["DensityUB"], ZeroDivisionError("boom")),
+    ],
+    ids=["ProxError", "InconsistencyError", "GeometryError", "unexpected"],
+)
+def test_run_exit_four_on_internal_error(tmp_path, monkeypatch, capsys, target, checks, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(target, fail)
+    cfg = _write_config(tmp_path, checks=checks)
+    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_INTERNAL
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "internal"
+    assert record["type"] == type(error).__name__
+    assert record["detail"] == str(error)
+    assert "Traceback" in record["traceback"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_exit_one_on_failed_check(tmp_path, monkeypatch):
@@ -126,6 +175,32 @@ def test_rate_fit_floor_enforced(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"name": "shift", "kind": "two_point", "a": 0.5},
+        {"name": "singleton", "kind": "singleton"},
+        {"name": "grid", "kind": "grid", "d": 1, "h": 0.1},
+    ],
+    ids=["not-self-transport", "one-atom", "below-floor"],
+)
+def test_rate_fit_rejected_before_solving(tmp_path, monkeypatch, capsys, instance):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a rejected rate sweep must not reach the solver")
+
+    monkeypatch.setattr("qotlab.verify.qot_solver.solve", no_solve)
+    cfg = _write_config(
+        tmp_path,
+        instance=instance,
+        eps_list=[0.1, 0.01, 0.001, 0.0001],
+        checks=["DensityUB"],
+        rate_fit=True,
+    )
+    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
 
 
 def test_gen_writes_instance_files(tmp_path):

@@ -346,3 +346,5 @@ def test_coupling_export_schema():
     assert all(len(entry) == 4 for entry in record["entries"])
     pot_record = pot.to_dict()
     assert pot_record["normalization"] == "balanced-integrals"
+    assert set(pot_record) == {"epsilon", "f", "g", "normalization", "residual", "sweeps"}
+    assert pot_record["sweeps"] == pot.sweeps >= 1

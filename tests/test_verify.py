@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
+from qotlab import cli, surrogate
 from qotlab.measures import affine_map, identity_map, make_measure, pushforward, uniform_ball_grid
 from qotlab.qot_solver import SolverConfig
 from qotlab.verify import (
     BOUND_IDS,
     EXPLICIT_BOUND_IDS,
     VerifyError,
+    _support_arrays,
+    check_approx_conj,
     check_bias,
+    check_concentration,
     check_rate_floor,
     check_self_transport,
     fit_rate,
@@ -161,3 +167,58 @@ def test_nonincreasing_within():
     assert nonincreasing_within([1.0, 0.9, 0.95], slack=0.1)
     assert not nonincreasing_within([1.0, 1.2], slack=0.1)
     assert nonincreasing_within([], slack=0.1)
+
+
+def _affine_a2_solved(eps: float):
+    inst = cli.build_instance({"name": "affine-a2", "kind": "affine", "a": 2.0, "h": 0.04})
+    return prepare_instance(
+        inst.name, inst.mu, inst.nu, SolverConfig(epsilon=eps), monge=inst.monge
+    )
+
+
+def _counting(monkeypatch, name: str) -> list:
+    calls = []
+    fn = getattr(surrogate, name)
+
+    def counted(s, pt):
+        calls.append(pt)
+        return fn(s, pt)
+
+    monkeypatch.setattr(surrogate, name, counted)
+    return calls
+
+
+def test_concentration_matches_per_pair_reference():
+    inst = _affine_a2_solved(0.01)
+    ii, jj = _support_arrays(inst)
+    worst = 0.0
+    for i, j in zip(ii, jj):
+        x = inst.mu.atoms[i]
+        y = inst.nu.atoms[j]
+        x_prime, grad = surrogate.minty_reflect(inst.surr, x + y)
+        dist = math.sqrt(float(((x - x_prime) ** 2).sum() + ((y - grad) ** 2).sum()))
+        worst = max(worst, dist)
+    rep = check_concentration(inst)
+    assert np.float64(rep.lhs).tobytes() == np.float64(worst).tobytes()
+    assert rep.holds is True
+    assert rep.context["support_pairs"] == len(ii)
+
+
+def test_concentration_solves_each_distinct_sum_once(monkeypatch):
+    inst = _affine_a2_solved(0.1)
+    calls = _counting(monkeypatch, "minty_reflect")
+    ii, jj = _support_arrays(inst)
+    sums = {(inst.mu.atoms[i] + inst.nu.atoms[j]).tobytes() for i, j in zip(ii, jj)}
+    check_concentration(inst)
+    assert len(calls) == len(sums) < len(ii)
+    check_concentration(inst)
+    assert len(calls) == len(sums)
+
+
+def test_bias_reuses_star_at_nu_atoms(monkeypatch):
+    inst = _affine_a2_solved(0.01)
+    calls = _counting(monkeypatch, "eval_psi_star")
+    check_approx_conj(inst)
+    check_bias(inst)
+    # the images a * x_i of the affine map are bit for bit the nu-atoms
+    assert len(calls) == len(inst.nu)
