@@ -18,14 +18,12 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import geometry, verify
 from .exact_ot import ExactOTError, solve_exact
 from .measures import (
-    DiscreteMeasure,
     MeasureError,
     MongeMapSpec,
     affine_map,
@@ -68,18 +66,6 @@ class CliConfigError(ValueError):
     pass
 
 
-@dataclass
-class Instance:
-    name: str
-    mu: DiscreteMeasure
-    nu: DiscreteMeasure
-    monge: Optional[MongeMapSpec] = None
-
-    @property
-    def self_transport(self) -> bool:
-        return self.mu.same_as(self.nu)
-
-
 def _monge_from_dict(spec: dict, dim: int) -> MongeMapSpec:
     kind = spec.get("kind")
     if kind == "identity":
@@ -94,23 +80,23 @@ def _monge_from_dict(spec: dict, dim: int) -> MongeMapSpec:
     raise CliConfigError(f"unknown monge map kind {kind!r}")
 
 
-def build_instance(spec: dict, base_dir: Path = Path(".")) -> Instance:
+def build_instance(spec: dict, base_dir: Path = Path(".")) -> verify.Instance:
     """Materialize an instance from a generator spec or measure files."""
     kind = spec.get("kind")
     name = spec.get("name", kind or "instance")
     if kind == "singleton":
         mu = make_measure([[0.0]], [1.0])
-        return Instance(name, mu, mu, identity_map())
+        return verify.Instance(name, mu, mu, identity_map())
     if kind == "two_point":
         mu = make_measure([[-1.0], [1.0]], [0.5, 0.5])
         a = spec.get("a")
         if a is None:
-            return Instance(name, mu, mu, identity_map())
+            return verify.Instance(name, mu, mu, identity_map())
         monge = _monge_from_dict({"kind": "affine", "a": float(a)}, 1)
-        return Instance(name, mu, pushforward(mu, monge), monge)
+        return verify.Instance(name, mu, pushforward(mu, monge), monge)
     if kind == "grid":
         mu = uniform_ball_grid(int(spec["d"]), float(spec["h"]))
-        return Instance(name, mu, mu, identity_map())
+        return verify.Instance(name, mu, mu, identity_map())
     if kind == "affine":
         a = float(spec["a"])
         d = int(spec.get("d", 1))
@@ -120,7 +106,7 @@ def build_instance(spec: dict, base_dir: Path = Path(".")) -> Instance:
             base = make_measure(base.atoms / a, base.weights)
         monge = _monge_from_dict({"kind": "affine", "a": a}, d)
         nu = base if a == 1.0 else pushforward(base, monge)
-        return Instance(name, base, nu, monge)
+        return verify.Instance(name, base, nu, monge)
     if kind == "files":
         mu = load_measure(base_dir / spec["mu"])
         nu_spec = spec.get("nu", "same")
@@ -130,14 +116,14 @@ def build_instance(spec: dict, base_dir: Path = Path(".")) -> Instance:
             monge = _monge_from_dict(spec["monge"], mu.dim)
         elif nu_spec == "same":
             monge = identity_map()
-        return Instance(name, mu, nu, monge)
+        return verify.Instance(name, mu, nu, monge)
     if kind == "inline":
         mu = measure_from_dict(spec["mu"])
         nu = mu if spec.get("nu", "same") == "same" else measure_from_dict(spec["nu"])
         monge = _monge_from_dict(spec["monge"], mu.dim) if spec.get("monge") else None
         if monge is None and spec.get("nu", "same") == "same":
             monge = identity_map()
-        return Instance(name, mu, nu, monge)
+        return verify.Instance(name, mu, nu, monge)
     raise CliConfigError(f"unknown instance kind {kind!r}")
 
 
@@ -169,6 +155,11 @@ class ExperimentConfig:
         checks = raw.get("checks", "all")
         if checks == "all":
             checks = list(DEFAULT_CHECKS)
+        if not isinstance(checks, list):
+            raise CliConfigError(f'checks must be "all" or a list of bound ids, got {checks!r}')
+        unknown = [c for c in checks if c not in verify.BOUND_IDS]
+        if unknown:
+            raise CliConfigError(f"unknown bound ids in checks: {unknown}")
         return ExperimentConfig(
             instance=instance,
             eps_list=eps_list,
@@ -211,10 +202,13 @@ def run_experiment(config: ExperimentConfig, base_dir: Path = Path(".")):
             raise CliConfigError("rate_fit requires a self-transport instance")
         if len(inst.mu) < 2:
             raise CliConfigError("rate_fit needs a spread-resolving grid")
+        if len(config.eps_list) < 4:
+            raise CliConfigError("rate_fit needs at least four epsilon values")
         verify.check_rate_floor(
             inst.mu.min_pairwise_distance(), inst.mu.dim, min(config.eps_list)
         )
-    profile_csv = geometry.build_spread(inst.mu, source=inst.name).to_csv()
+    # everything that depends on the instance alone is built once per run
+    profile = geometry.build_spread(inst.mu, source=inst.name)
     exact = None
     if "CostSandwich" in config.checks:
         exact = solve_exact(inst.mu, inst.nu)
@@ -226,20 +220,9 @@ def run_experiment(config: ExperimentConfig, base_dir: Path = Path(".")):
             residual_tol=config.residual_tol,
             support_tol=config.support_tol,
         )
-        solved = verify.prepare_instance(
-            inst.name, inst.mu, inst.nu, cfg, monge=inst.monge, exact=exact
-        )
+        solved = verify.prepare_instance(inst, cfg, profile, exact)
         reports = verify.run_checks(solved, config.checks)
-        spread = None
-        if solved.self_transport:
-            ii, jj = solved.coupling.i_idx, solved.coupling.j_idx
-            mask = solved.coupling.in_support
-            if mask.any():
-                diffs = solved.mu.atoms[ii[mask]] - solved.nu.atoms[jj[mask]]
-                spread = float(np.sqrt((diffs**2).sum(-1)).max())
-            else:
-                spread = 0.0
-        return reports, spread
+        return reports, solved.support_spread() if config.rate_fit else None
 
     with ThreadPoolExecutor(max_workers=min(_thread_count(), len(config.eps_list))) as pool:
         results = list(pool.map(one_eps, config.eps_list))
@@ -255,7 +238,7 @@ def run_experiment(config: ExperimentConfig, base_dir: Path = Path(".")):
     fits: list[verify.RateFit] = []
     if config.rate_fit:
         fits.append(verify.fit_rate(config.eps_list, [spread for _, spread in results]))
-    return records, fits, profile_csv
+    return records, fits, profile.to_csv()
 
 
 def trend_summary(records: list[dict]) -> list[dict]:

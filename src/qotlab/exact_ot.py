@@ -11,11 +11,10 @@ broken by lowest index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .measures import DiscreteMeasure, MongeMapSpec, tabulated_map
+from .measures import DiscreteMeasure
 from .qot_solver import Coupling, cost_matrix
 
 COST_SCALE = 10**9
@@ -35,15 +34,6 @@ class ExactOTSolution:
     g_star: np.ndarray
     mu: DiscreteMeasure
     nu: DiscreteMeasure
-    monge: Optional[MongeMapSpec] = None
-
-    def potentials_dict(self) -> dict:
-        return {
-            "f": [float(v) for v in self.f_star],
-            "g": [float(v) for v in self.g_star],
-            "normalization": "kantorovich",
-            "cost": float(self.cost),
-        }
 
 
 def _integer_masses(weights: np.ndarray, scale: int) -> np.ndarray:
@@ -74,12 +64,10 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ExactOTSolution:
     i_idx, j_idx = np.nonzero(flow > 0)
     masses = flow[i_idx, j_idx] / MASS_SCALE
     densities = masses / (mu.weights[i_idx] * nu.weights[j_idx])
-    dense = np.zeros((n, m))
-    dense[i_idx, j_idx] = masses
-    row_sums = dense.sum(axis=1)
-    col_sums = dense.sum(axis=0)
+    # marginal mismatch left by the integer mass rounding
     residual = max(
-        float(np.abs(row_sums - mu.weights).max()), float(np.abs(col_sums - nu.weights).max())
+        float(np.abs(np.bincount(i_idx, weights=masses, minlength=n) - mu.weights).max()),
+        float(np.abs(np.bincount(j_idx, weights=masses, minlength=m) - nu.weights).max()),
     )
     coupling = Coupling(
         n_mu=n,
@@ -90,8 +78,6 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ExactOTSolution:
         masses=masses,
         densities=densities,
         in_support=np.ones(len(i_idx), dtype=bool),
-        row_sums=row_sums,
-        col_sums=col_sums,
         residual=residual,
     )
     cost = coupling.cost_against(C)
@@ -192,13 +178,3 @@ def _ssp(Cint: np.ndarray, supply: np.ndarray, demand: np.ndarray):
         rem_b[target] -= bottleneck
     return flow, p, q
 
-
-def monge_from_solution(sol: ExactOTSolution) -> Optional[MongeMapSpec]:
-    """Tabulated map when every coupling row has a single support entry;
-    None (refusal) when some row splits its mass."""
-    counts = np.bincount(sol.coupling.i_idx, minlength=len(sol.mu))
-    if np.any(counts != 1):
-        return None
-    order = np.argsort(sol.coupling.i_idx, kind="stable")
-    images = sol.nu.atoms[sol.coupling.j_idx[order]]
-    return tabulated_map(sol.mu.atoms, images)

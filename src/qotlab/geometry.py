@@ -15,8 +15,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree, shortest_path
 from scipy.spatial import ConvexHull, QhullError
 
 from .measures import DiscreteMeasure
@@ -100,42 +98,6 @@ def delta_st(profile: SpreadProfile, epsilon: float) -> float:
         raise GeometryError("epsilon must be positive")
     k = _first_piece_exceeding(profile, epsilon, squared=True)
     return float(max(profile.radii[k] ** 2, epsilon / profile.rho_values[k]))
-
-
-def asym_hausdorff(A, B) -> float:
-    """sup over a in A of the distance from a to B (one-sided)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.size == 0 or B.size == 0:
-        raise GeometryError("asymmetric Hausdorff distance needs nonempty sets")
-    worst = 0.0
-    for start in range(0, len(A), 512):
-        chunk = A[start : start + 512]
-        d2 = ((chunk[:, None, :] - B[None, :, :]) ** 2).sum(-1)
-        worst = max(worst, float(np.sqrt(d2.min(axis=1)).max()))
-    return worst
-
-
-def path_length_bound(mu: DiscreteMeasure, connect_radius: float) -> float:
-    """Max graph-geodesic length between atoms on the neighborhood graph with
-    edges between atoms at distance <= connect_radius."""
-    if len(mu) == 1:
-        return 0.0
-    diff = mu.atoms[:, None, :] - mu.atoms[None, :, :]
-    dist = np.sqrt((diff**2).sum(-1))
-    adj = (dist <= connect_radius + 1e-12) & ~np.eye(len(mu), dtype=bool)
-    rows, cols = np.nonzero(adj)
-    graph = csr_matrix((dist[rows, cols], (rows, cols)), shape=dist.shape)
-    geo = shortest_path(graph, method="D", directed=False)
-    if np.isinf(geo).any():
-        full = csr_matrix(dist)
-        tree = minimum_spanning_tree(full)
-        needed = float(tree.data.max())
-        raise GeometryError(
-            f"neighborhood graph disconnected at radius {connect_radius}; "
-            f"smallest connecting radius is {needed!r}"
-        )
-    return float(geo.max())
 
 
 def diameter(mu: DiscreteMeasure) -> float:

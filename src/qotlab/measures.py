@@ -143,8 +143,7 @@ def uniform_ball_grid(d: int, h: float, atom_cap: int = ATOM_CAP_DEFAULT) -> Dis
 class MongeMapSpec:
     """Ground-truth gradient-of-convex-potential map.
 
-    kind is one of "identity", "affine" (x -> A x + b with A symmetric PSD),
-    or "tabulated" (per-atom image points, no closed-form potential).
+    kind is "identity" or "affine" (x -> A x + b with A symmetric PSD).
     lipschitz_L is the Lipschitz constant of the map.
     """
 
@@ -152,8 +151,6 @@ class MongeMapSpec:
     lipschitz_L: float
     matrix: Optional[np.ndarray] = None
     offset: Optional[np.ndarray] = None
-    source_atoms: Optional[np.ndarray] = None
-    images: Optional[np.ndarray] = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = _as_points(points)
@@ -161,10 +158,6 @@ class MongeMapSpec:
             return pts
         if self.kind == "affine":
             return pts @ self.matrix + self.offset
-        if self.kind == "tabulated":
-            if self.source_atoms.shape != pts.shape or not np.array_equal(self.source_atoms, pts):
-                raise MeasureError("tabulated map evaluated off its source atoms")
-            return self.images
         raise MeasureError(f"unknown map kind {self.kind!r}")
 
     def potential_at(self, x) -> float:
@@ -174,16 +167,13 @@ class MongeMapSpec:
             return 0.5 * float(pt @ pt)
         if self.kind == "affine":
             return 0.5 * float(pt @ self.matrix @ pt) + float(self.offset @ pt)
-        raise MeasureError("tabulated maps have no closed-form potential")
+        raise MeasureError(f"unknown map kind {self.kind!r}")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "lipschitz_L": float(self.lipschitz_L)}
         if self.kind == "affine":
             out["matrix"] = [list(map(float, row)) for row in self.matrix]
             out["offset"] = [float(v) for v in self.offset]
-        if self.kind == "tabulated":
-            out["source_atoms"] = [list(map(float, row)) for row in self.source_atoms]
-            out["images"] = [list(map(float, row)) for row in self.images]
         return out
 
 
@@ -208,25 +198,6 @@ def affine_map(matrix, offset=None) -> MongeMapSpec:
         lipschitz_L=float(max(eig.max(), 0.0)),
         matrix=_frozen(A),
         offset=_frozen(b),
-    )
-
-
-def tabulated_map(source_atoms, images) -> MongeMapSpec:
-    src = _as_points(source_atoms)
-    img = _as_points(images)
-    if src.shape != img.shape:
-        raise MeasureError("tabulated map needs one image per source atom")
-    if len(src) > 1:
-        diff_src = src[:, None, :] - src[None, :, :]
-        diff_img = img[:, None, :] - img[None, :, :]
-        ds = np.sqrt((diff_src**2).sum(-1))
-        di = np.sqrt((diff_img**2).sum(-1))
-        iu = np.triu_indices(len(src), k=1)
-        lip = float(np.max(di[iu] / ds[iu]))
-    else:
-        lip = 0.0
-    return MongeMapSpec(
-        kind="tabulated", lipschitz_L=lip, source_atoms=_frozen(src), images=_frozen(img)
     )
 
 

@@ -93,16 +93,15 @@ class Coupling:
     masses: np.ndarray
     densities: np.ndarray
     in_support: np.ndarray
-    row_sums: np.ndarray
-    col_sums: np.ndarray
     residual: float
 
     @property
-    def support_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (int(i), int(j))
-            for i, j in zip(self.i_idx[self.in_support], self.j_idx[self.in_support])
-        ]
+    def row_sums(self) -> np.ndarray:
+        return np.bincount(self.i_idx, weights=self.masses, minlength=self.n_mu)
+
+    @property
+    def col_sums(self) -> np.ndarray:
+        return np.bincount(self.j_idx, weights=self.masses, minlength=self.n_nu)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_mu, self.n_nu))
@@ -164,13 +163,14 @@ def solve_scalar_update(thresholds, weights, epsilon: float) -> float:
 
 
 def marginal_residuals(
-    f: np.ndarray, g: np.ndarray, C: np.ndarray, mu_w: np.ndarray, nu_w: np.ndarray, eps: float
+    slack: np.ndarray, mu_w: np.ndarray, nu_w: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Residual vectors of the two marginal equation families:
-    res_mu[i] over the nu-integral at x_i, res_nu[j] over the mu-integral at y_j."""
-    slack = np.maximum(f[:, None] + g[None, :] - C, 0.0)
-    res_mu = np.abs(slack @ nu_w - eps)
-    res_nu = np.abs(mu_w @ slack - eps)
+    """Residual vectors of the two marginal equation families, from the slack
+    f_i + g_j - c_ij: res_mu[i] over the nu-integral at x_i, res_nu[j] over
+    the mu-integral at y_j."""
+    positive = np.maximum(slack, 0.0)
+    res_mu = np.abs(positive @ nu_w - eps)
+    res_nu = np.abs(mu_w @ positive - eps)
     return res_mu, res_nu
 
 
@@ -239,7 +239,9 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig) -> DualPo
                 fb, gb = _component_balanced(f, g, slack > 1e-12, mu_w, nu_w)
             if np.max(np.abs(fb - gb)) <= cfg.residual_tol:
                 u = 0.5 * (fb + gb)
-                res_mu, res_nu = marginal_residuals(u, u, C, mu_w, nu_w, eps)
+                res_mu, res_nu = marginal_residuals(
+                    u[:, None] + u[None, :] - C, mu_w, nu_w, eps
+                )
                 last = max(float(res_mu.max()), float(res_nu.max()))
                 if last <= cfg.residual_tol:
                     return DualPotentials(
@@ -247,7 +249,7 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig) -> DualPo
                         residual=last, sweeps=sweep,
                     )
         else:
-            res_mu, res_nu = marginal_residuals(f, g, C, mu_w, nu_w, eps)
+            res_mu, res_nu = marginal_residuals(f[:, None] + g[None, :] - C, mu_w, nu_w, eps)
             last = max(float(res_mu.max()), float(res_nu.max()))
             if last <= cfg.residual_tol:
                 return DualPotentials(
@@ -277,7 +279,7 @@ def assemble_coupling(
     marginal residuals attached; stale potentials are rejected."""
     C = cost_matrix(mu.atoms, nu.atoms)
     slack = pot.f_values[:, None] + pot.g_values[None, :] - C
-    res_mu, res_nu = marginal_residuals(pot.f_values, pot.g_values, C, mu.weights, nu.weights, pot.epsilon)
+    res_mu, res_nu = marginal_residuals(slack, mu.weights, nu.weights, pot.epsilon)
     residual = max(float(res_mu.max()), float(res_nu.max()))
     if residual > 10.0 * cfg.residual_tol:
         raise InconsistencyError(
@@ -288,8 +290,6 @@ def assemble_coupling(
     density = slack[i_idx, j_idx] / pot.epsilon
     masses = mu.weights[i_idx] * nu.weights[j_idx] * density
     in_support = slack[i_idx, j_idx] > cfg.support_tol
-    dense = np.zeros_like(slack)
-    dense[i_idx, j_idx] = masses
     return Coupling(
         n_mu=len(mu),
         n_nu=len(nu),
@@ -299,8 +299,6 @@ def assemble_coupling(
         masses=masses,
         densities=density,
         in_support=in_support,
-        row_sums=dense.sum(axis=1),
-        col_sums=dense.sum(axis=0),
         residual=residual,
     )
 

@@ -212,17 +212,6 @@ def minty_map(s: ConvexSurrogate, u) -> np.ndarray:
     return x_prime - g
 
 
-def probe_trace_csv(s: ConvexSurrogate, points) -> str:
-    """CSV trace (x, psi, grad psi) over the given probe points."""
-    rows = ["x,psi,grad"]
-    for pt in np.atleast_2d(np.asarray(points, dtype=float)):
-        val, grad = eval_psi(s, pt)
-        coord = ";".join(repr(float(c)) for c in pt)
-        gradstr = ";".join(repr(float(c)) for c in grad)
-        rows.append(f"{coord},{val!r},{gradstr}")
-    return "\n".join(rows) + "\n"
-
-
 def quadratic_detachment(s: ConvexSurrogate, x, y) -> tuple[float, float]:
     """Duality gap psi(x) + psi*(y) - <x, y> and its quadratic lower bound
     |x - y - F(x + y)|^2 / 4; raises if the gap undercuts the bound."""

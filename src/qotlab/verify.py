@@ -92,6 +92,21 @@ def _implied(lhs: float, factor: float) -> float:
     return 0.0 if lhs <= 0 else math.inf
 
 
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """One transport problem: the marginals and, when known, the ground-truth
+    map.  Built once per run and shared by every epsilon."""
+
+    name: str
+    mu: DiscreteMeasure
+    nu: DiscreteMeasure
+    monge: Optional[MongeMapSpec] = None
+    self_transport: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "self_transport", self.mu.same_as(self.nu))
+
+
 @dataclass
 class SolvedInstance:
     """One solved (mu, nu, eps) pipeline state shared by the checkers."""
@@ -146,6 +161,12 @@ class SolvedInstance:
     def star_at_nu(self) -> np.ndarray:
         return np.array([self.star(y) for y in self.nu.atoms])
 
+    def support_spread(self) -> float:
+        """Largest |x_i - y_j| over the support pairs, 0 on an empty support."""
+        ii, jj = _support_arrays(self)
+        dists = np.sqrt(((self.mu.atoms[ii] - self.nu.atoms[jj]) ** 2).sum(-1))
+        return float(dists.max()) if len(dists) else 0.0
+
     def ensure_exact(self) -> exact_ot.ExactOTSolution:
         if self.exact is None:
             self.exact = exact_ot.solve_exact(self.mu, self.nu)
@@ -153,30 +174,28 @@ class SolvedInstance:
 
 
 def prepare_instance(
-    name: str,
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
+    inst: Instance,
     cfg: qot_solver.SolverConfig,
-    monge: Optional[MongeMapSpec] = None,
+    profile: geometry.SpreadProfile,
     exact: Optional[exact_ot.ExactOTSolution] = None,
 ) -> SolvedInstance:
-    pot = qot_solver.solve(mu, nu, cfg)
-    coupling = qot_solver.assemble_coupling(pot, mu, nu, cfg)
-    profile = geometry.build_spread(mu, source=name)
+    """Solve inst at cfg.epsilon; profile is the spread profile of inst.mu."""
+    pot = qot_solver.solve(inst.mu, inst.nu, cfg)
+    coupling = qot_solver.assemble_coupling(pot, inst.mu, inst.nu, cfg)
     d_eps = geometry.delta(profile, cfg.epsilon)
-    surr = surrogate.build_surrogate(pot, nu, d_eps)
+    surr = surrogate.build_surrogate(pot, inst.nu, d_eps)
     return SolvedInstance(
-        name=name,
-        mu=mu,
-        nu=nu,
+        name=inst.name,
+        mu=inst.mu,
+        nu=inst.nu,
         cfg=cfg,
         pot=pot,
         coupling=coupling,
         profile=profile,
         d_eps=d_eps,
         surr=surr,
-        self_transport=mu.same_as(nu),
-        monge=monge,
+        self_transport=inst.self_transport,
+        monge=inst.monge,
         exact=exact,
     )
 
@@ -327,10 +346,7 @@ def check_self_transport(inst: SolvedInstance) -> list[BoundReport]:
     and the barycenter gradient estimate (mu = nu only)."""
     if not inst.self_transport:
         raise VerifyError("self-transport checks require mu = nu")
-    ii, jj = _support_arrays(inst)
-    diffs = inst.mu.atoms[ii] - inst.nu.atoms[jj]
-    dists = np.sqrt((diffs**2).sum(-1))
-    spread = float(dists.max()) if len(dists) else 0.0
+    spread = inst.support_spread()
     M = float(inst.pot.f_values.max())
     dst = geometry.delta_st(inst.profile, inst.epsilon)
     diam = geometry.diameter(inst.mu) if len(inst.mu) > 1 else 0.0
@@ -366,6 +382,7 @@ def check_self_transport(inst: SolvedInstance) -> list[BoundReport]:
             context=dict(ctx),
         ),
     ]
+    ii, jj = _support_arrays(inst)
     worst_dev = 0.0
     for i in np.unique(ii):
         bary = qot_solver.row_barycenter(int(i), inst.coupling, inst.nu)

@@ -4,8 +4,7 @@ Each oracle takes a route disjoint from the implementation it validates:
 the primal QP oracle is projected gradient descent with Dykstra projections
 (the library solves the dual system), spread values come from a direct
 double loop, spread inverses from bisection, envelope gradients from finite
-differences, exact-transport costs from matching enumeration or an LP, and
-geodesics from Floyd-Warshall.
+differences, and exact-transport costs from matching enumeration or an LP.
 """
 from __future__ import annotations
 
@@ -137,15 +136,3 @@ def lp_transport_cost(mu, nu) -> float:
     assert res.success
     return float(res.fun)
 
-
-def floyd_warshall_max_geodesic(atoms: np.ndarray, radius: float) -> float:
-    """Dense all-pairs shortest paths on the neighborhood graph."""
-    n = len(atoms)
-    diff = atoms[:, None, :] - atoms[None, :, :]
-    dist = np.sqrt((diff**2).sum(-1))
-    geo = np.where(dist <= radius + 1e-12, dist, np.inf)
-    np.fill_diagonal(geo, 0.0)
-    for k in range(n):
-        geo = np.minimum(geo, geo[:, k][:, None] + geo[k, :][None, :])
-    assert not np.isinf(geo).any()
-    return float(geo.max())

@@ -56,14 +56,13 @@ def sweep(shipped_instances):
     prepared pipelines, and full check reports."""
     out = {}
     for inst in shipped_instances:
+        profile = build_spread(inst.mu, source=inst.name)
         exact = solve_exact(inst.mu, inst.nu)
         per_eps = {}
         for eps in EPS_SWEEP:
             cfg = SolverConfig(epsilon=eps, residual_tol=RESIDUAL_TOL)
             t0 = time.perf_counter()
-            solved = verify.prepare_instance(
-                inst.name, inst.mu, inst.nu, cfg, monge=inst.monge, exact=exact
-            )
+            solved = verify.prepare_instance(inst, cfg, profile, exact)
             solve_seconds = time.perf_counter() - t0
             reports = verify.run_checks(solved, verify.BOUND_IDS)
             per_eps[eps] = (solved, solve_seconds, reports)

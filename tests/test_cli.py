@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -178,26 +180,33 @@ def test_rate_fit_floor_enforced(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "instance",
+    "overrides",
     [
-        {"name": "shift", "kind": "two_point", "a": 0.5},
-        {"name": "singleton", "kind": "singleton"},
-        {"name": "grid", "kind": "grid", "d": 1, "h": 0.1},
+        {"instance": {"name": "shift", "kind": "two_point", "a": 0.5}},
+        {"instance": {"name": "singleton", "kind": "singleton"}},
+        {"instance": {"name": "grid", "kind": "grid", "d": 1, "h": 0.1}},
+        {"eps_list": [10.0**-1, 10.0**-1.5, 10.0**-2]},
+        {"checks": ["DensityUB", "Concentraton"]},
+        {"checks": "DensityUB"},
     ],
-    ids=["not-self-transport", "one-atom", "below-floor"],
+    ids=[
+        "not-self-transport", "one-atom", "below-floor", "three-eps", "unknown-check",
+        "checks-not-a-list",
+    ],
 )
-def test_rate_fit_rejected_before_solving(tmp_path, monkeypatch, capsys, instance):
+def test_rate_fit_rejected_before_solving(tmp_path, monkeypatch, capsys, overrides):
     def no_solve(*args, **kwargs):
         raise AssertionError("a rejected rate sweep must not reach the solver")
 
     monkeypatch.setattr("qotlab.verify.qot_solver.solve", no_solve)
-    cfg = _write_config(
-        tmp_path,
-        instance=instance,
-        eps_list=[0.1, 0.01, 0.001, 0.0001],
-        checks=["DensityUB"],
-        rate_fit=True,
-    )
+    # without the override this is the valid sweep of test_rate_fit_outputs
+    config = {
+        "instance": {"name": "grid", "kind": "grid", "d": 1, "h": 0.02},
+        "eps_list": [10.0**-1, 10.0**-1.5, 10.0**-2, 10.0**-2.5],
+        "checks": ["DensityUB"],
+        "rate_fit": True,
+    }
+    cfg = _write_config(tmp_path, **{**config, **overrides})
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_CONFIG
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "config"
@@ -270,6 +279,26 @@ def test_files_instance_roundtrip(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
+
+
+def test_traced_benchmark_worker_runs(tmp_path):
+    # every slot the benchmark tracer wraps must still exist, and the
+    # instance-only spread profile is built once per run, not once per epsilon
+    cfg = _write_config(
+        tmp_path, instance={"name": "grid", "kind": "grid", "d": 1, "h": 0.1}
+    )
+    worker = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+    result_path = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, str(worker), str(cfg), str(result_path),
+         "--spans", str(tmp_path / "spans.jsonl")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(result_path.read_text())
+    assert result["code"] == cli.EXIT_OK
+    assert result["layers"]["geometry.build_spread.calls"] == 1
+    assert result["layers"]["verify.prepare_instance.calls"] == 2
 
 
 def test_thread_env_validation(tmp_path, monkeypatch):

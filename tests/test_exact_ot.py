@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_matching_cost, lp_transport_cost
-from qotlab.exact_ot import ExactOTError, monge_from_solution, solve_exact
+from qotlab.exact_ot import ExactOTError, solve_exact
 from qotlab.measures import affine_map, make_measure, pushforward, uniform_ball_grid
 from qotlab.qot_solver import SolverConfig, assemble_coupling, cost_matrix, solve
 
@@ -96,30 +96,6 @@ def test_exact_cost_lower_bounds_regularized_cost():
         assert cpl.cost_against(C) >= sol.cost - 1e-9
 
 
-def test_monge_from_identity_solution():
-    mu = uniform_ball_grid(1, 0.5)
-    sol = solve_exact(mu, mu)
-    monge = monge_from_solution(sol)
-    assert monge is not None
-    assert monge.kind == "tabulated"
-    assert np.allclose(monge.images, mu.atoms)
-
-
-def test_monge_from_affine_solution():
-    mu = uniform_ball_grid(1, 0.5)
-    nu = pushforward(mu, affine_map([[0.5]]))
-    sol = solve_exact(mu, nu)
-    monge = monge_from_solution(sol)
-    assert monge is not None
-    assert np.allclose(monge.images, 0.5 * mu.atoms)
-
-
-def test_monge_refusal_on_split_row():
-    mu = make_measure([0.0], [1.0])
-    sol = solve_exact(mu, SHIFTED)
-    assert monge_from_solution(sol) is None
-
-
 def test_atom_cap():
     mu = uniform_ball_grid(1, 0.5)
     big = make_measure(
@@ -127,10 +103,3 @@ def test_atom_cap():
     )
     with pytest.raises(ExactOTError, match="cap"):
         solve_exact(big, mu)
-
-
-def test_kantorovich_export_tag():
-    sol = solve_exact(TWO_POINT, SHIFTED)
-    record = sol.potentials_dict()
-    assert record["normalization"] == "kantorovich"
-    assert record["cost"] == pytest.approx(0.125, abs=1e-9)

@@ -3,17 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bisect_delta_st, brute_force_rho, floyd_warshall_max_geodesic
+from oracles import bisect_delta_st, brute_force_rho
 from qotlab.geometry import (
     GeometryError,
-    asym_hausdorff,
     boundary_distance,
     build_spread,
     delta,
     delta_st,
     diameter,
     hull_faces,
-    path_length_bound,
 )
 from qotlab.measures import make_measure, uniform_ball_grid
 
@@ -157,49 +155,6 @@ def test_delta_rejects_nonpositive_eps(two_point):
         delta_st(prof, -1.0)
 
 
-def test_hausdorff_identical_sets():
-    A = np.array([[0.0, 0.0], [1.0, 2.0]])
-    assert asym_hausdorff(A, A) == 0.0
-
-
-def test_hausdorff_three_four_five():
-    assert asym_hausdorff([[0.0, 0.0]], [[3.0, 4.0]]) == pytest.approx(5.0)
-
-
-def test_hausdorff_subset_and_asymmetry():
-    A = np.array([[0.0, 0.0]])
-    B = np.array([[0.0, 0.0], [3.0, 4.0]])
-    assert asym_hausdorff(A, B) == 0.0
-    assert asym_hausdorff(B, A) == pytest.approx(5.0)
-
-
-def test_hausdorff_empty_rejected():
-    with pytest.raises(GeometryError):
-        asym_hausdorff(np.empty((0, 2)), [[0.0, 0.0]])
-
-
-def test_path_length_two_atoms():
-    mu = make_measure([0.0, 1.0], [0.5, 0.5])
-    assert path_length_bound(mu, 1.0) == pytest.approx(1.0)
-
-
-def test_path_length_chain():
-    mu = make_measure([-1.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3])
-    assert path_length_bound(mu, 1.0) == pytest.approx(2.0)
-
-
-def test_path_length_matches_floyd_warshall():
-    mu = uniform_ball_grid(2, 0.5)
-    got = path_length_bound(mu, 0.55)
-    assert got == pytest.approx(floyd_warshall_max_geodesic(mu.atoms, 0.55), abs=1e-12)
-
-
-def test_path_length_disconnected_names_radius():
-    mu = make_measure([-1.0, 1.0], [0.5, 0.5])
-    with pytest.raises(GeometryError, match="2.0"):
-        path_length_bound(mu, 0.5)
-
-
 def test_diameter():
     assert diameter(make_measure([-1.0, 1.0], [0.5, 0.5])) == pytest.approx(2.0)
     with pytest.raises(GeometryError):
@@ -230,12 +185,3 @@ def test_hull_rejects_d3():
     mu = uniform_ball_grid(3, 1.0)
     with pytest.raises(GeometryError):
         hull_faces(mu)
-
-
-def test_hausdorff_zero_iff_subset():
-    rng = np.random.default_rng(17)
-    B = rng.uniform(-1.0, 1.0, size=(12, 4))
-    A = B[::3]
-    assert asym_hausdorff(A, B) == 0.0
-    shifted = A + 0.01
-    assert asym_hausdorff(shifted, B) > 0.0

@@ -14,7 +14,6 @@ from qotlab.measures import (
     measure_from_dict,
     pushforward,
     save_measure,
-    tabulated_map,
     uniform_ball_grid,
 )
 
@@ -181,16 +180,6 @@ def test_affine_potential():
     m = affine_map([[0.5]], [0.1])
     # phi(x) = x^2/4 + 0.1 x
     assert m.potential_at([2.0]) == pytest.approx(1.0 + 0.2)
-
-
-def test_tabulated_map_requires_source_atoms():
-    src = np.array([[0.0], [1.0]])
-    m = tabulated_map(src, np.array([[0.1], [0.9]]))
-    assert m.lipschitz_L == pytest.approx(0.8)
-    with pytest.raises(MeasureError, match="source"):
-        m(np.array([[0.5], [1.0]]))
-    with pytest.raises(MeasureError, match="potential"):
-        m.potential_at([0.0])
 
 
 def test_measure_json_roundtrip(tmp_path):

@@ -237,17 +237,3 @@ def test_surrogate_export_schema(grid_surrogate):
     record = s.to_dict()
     assert set(record) == {"slopes", "intercepts", "lambda"}
     assert record["lambda"] == pytest.approx(s.lam)
-
-
-def test_probe_trace_csv(grid_surrogate):
-    _, _, s = grid_surrogate
-    from qotlab.surrogate import probe_trace_csv
-
-    text = probe_trace_csv(s, [[-0.5], [0.0], [0.5]])
-    lines = text.strip().splitlines()
-    assert lines[0] == "x,psi,grad"
-    assert len(lines) == 4
-    x, val, grad = lines[2].split(",")
-    assert float(x) == 0.0
-    assert float(val) == pytest.approx(eval_psi(s, [0.0])[0])
-    assert abs(float(grad)) <= 1.0

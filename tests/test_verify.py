@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from qotlab import cli, surrogate
+from qotlab.geometry import build_spread
 from qotlab.measures import affine_map, identity_map, make_measure, pushforward, uniform_ball_grid
 from qotlab.qot_solver import SolverConfig
 from qotlab.verify import (
     BOUND_IDS,
     EXPLICIT_BOUND_IDS,
+    Instance,
     VerifyError,
     _support_arrays,
     check_approx_conj,
@@ -27,20 +29,20 @@ SINGLETON = make_measure([0.0], [1.0])
 TWO_POINT = make_measure([-1.0, 1.0], [0.5, 0.5])
 
 
+def _prepare(inst: Instance, eps: float):
+    return prepare_instance(inst, SolverConfig(epsilon=eps), build_spread(inst.mu))
+
+
 @pytest.fixture(scope="module")
 def singleton_solved():
-    return prepare_instance(
-        "singleton", SINGLETON, SINGLETON, SolverConfig(epsilon=0.1), monge=identity_map()
-    )
+    return _prepare(Instance("singleton", SINGLETON, SINGLETON, identity_map()), 0.1)
 
 
 @pytest.fixture(scope="module")
 def shift_solved():
     monge = affine_map([[0.5]])
     nu = pushforward(TWO_POINT, monge)
-    return prepare_instance(
-        "two-point-shift", TWO_POINT, nu, SolverConfig(epsilon=0.05), monge=monge
-    )
+    return _prepare(Instance("two-point-shift", TWO_POINT, nu, monge), 0.05)
 
 
 def test_fit_rate_exact_power_law():
@@ -98,9 +100,7 @@ def test_singleton_cost_sandwich_chain(singleton_solved):
 
 
 def test_two_point_self_reports():
-    inst = prepare_instance(
-        "two-point", TWO_POINT, TWO_POINT, SolverConfig(epsilon=0.01), monge=identity_map()
-    )
+    inst = _prepare(Instance("two-point", TWO_POINT, TWO_POINT, identity_map()), 0.01)
     reports = {r.bound_id: r for r in run_checks(inst, BOUND_IDS) if "side" not in r.context}
     assert reports["SuppDiamM"].holds is True
     assert reports["GradEstimate"].holds is True
@@ -115,7 +115,7 @@ def test_self_transport_checks_rejected_for_asymmetric(shift_solved):
 
 
 def test_bias_requires_monge():
-    inst = prepare_instance("bare", TWO_POINT, TWO_POINT, SolverConfig(epsilon=0.1))
+    inst = _prepare(Instance("bare", TWO_POINT, TWO_POINT), 0.1)
     with pytest.raises(VerifyError, match="map"):
         check_bias(inst)
 
@@ -140,9 +140,7 @@ def test_bias_reports_on_affine_pair(shift_solved):
 def test_reports_are_reproducible(shift_solved):
     monge = affine_map([[0.5]])
     nu = pushforward(TWO_POINT, monge)
-    again = prepare_instance(
-        "two-point-shift", TWO_POINT, nu, SolverConfig(epsilon=0.05), monge=monge
-    )
+    again = _prepare(Instance("two-point-shift", TWO_POINT, nu, monge), 0.05)
     a = [r.to_record() for r in run_checks(shift_solved, BOUND_IDS)]
     b = [r.to_record() for r in run_checks(again, BOUND_IDS)]
     assert a == b
@@ -150,9 +148,7 @@ def test_reports_are_reproducible(shift_solved):
 
 def test_grid_explicit_suite_passes():
     mu = uniform_ball_grid(1, 0.25)
-    inst = prepare_instance(
-        "grid", mu, mu, SolverConfig(epsilon=0.01), monge=identity_map()
-    )
+    inst = _prepare(Instance("grid", mu, mu, identity_map()), 0.01)
     for rep in run_checks(inst, BOUND_IDS):
         if rep.bound_id in EXPLICIT_BOUND_IDS:
             assert rep.holds is True, (rep.bound_id, rep.lhs, rep.rhs)
@@ -170,9 +166,8 @@ def test_nonincreasing_within():
 
 
 def _affine_a2_solved(eps: float):
-    inst = cli.build_instance({"name": "affine-a2", "kind": "affine", "a": 2.0, "h": 0.04})
-    return prepare_instance(
-        inst.name, inst.mu, inst.nu, SolverConfig(epsilon=eps), monge=inst.monge
+    return _prepare(
+        cli.build_instance({"name": "affine-a2", "kind": "affine", "a": 2.0, "h": 0.04}), eps
     )
 
 
