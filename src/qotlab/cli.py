@@ -81,7 +81,20 @@ def _monge_from_dict(spec: dict, dim: int) -> MongeMapSpec:
 
 
 def build_instance(spec: dict, base_dir: Path = Path(".")) -> verify.Instance:
-    """Materialize an instance from a generator spec or measure files."""
+    """Materialize an instance from a generator spec or measure files; a
+    missing or ill-typed spec key, or an unreadable measure file, is a
+    configuration error."""
+    if not isinstance(spec, dict):
+        raise CliConfigError(f"an instance spec must be an object, got {spec!r}")
+    try:
+        return _materialize(spec, base_dir)
+    except (CliConfigError, MeasureError):
+        raise
+    except (KeyError, TypeError, ValueError, OSError) as exc:
+        raise CliConfigError(f"bad instance spec: {type(exc).__name__}: {exc}") from exc
+
+
+def _materialize(spec: dict, base_dir: Path) -> verify.Instance:
     kind = spec.get("kind")
     name = spec.get("name", kind or "instance")
     if kind == "singleton":
@@ -145,13 +158,20 @@ class ExperimentConfig:
             eps_list = [float(e) for e in raw["eps_list"]]
             instance = dict(raw["instance"])
             output_dir = base_dir / raw["output_dir"]
+            solver = raw.get("solver", {})
+            if not isinstance(solver, dict):
+                raise TypeError(f"solver must be an object, got {solver!r}")
+            max_sweeps = int(solver.get("max_sweeps", 10_000))
+            residual_tol = float(solver.get("residual_tol", 1e-10))
+            support_tol = float(solver.get("support_tol", 0.0))
+            rate_fit = bool(raw.get("rate_fit", False))
+            seed = int(raw.get("seed", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliConfigError(f"malformed config: {exc}") from exc
         if not eps_list or any(e <= 0 for e in eps_list):
             raise CliConfigError("eps_list must be nonempty and positive")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise CliConfigError("eps_list must be sorted strictly descending")
-        solver = raw.get("solver", {})
         checks = raw.get("checks", "all")
         if checks == "all":
             checks = list(DEFAULT_CHECKS)
@@ -165,11 +185,11 @@ class ExperimentConfig:
             eps_list=eps_list,
             output_dir=output_dir,
             checks=list(checks),
-            max_sweeps=int(solver.get("max_sweeps", 10_000)),
-            residual_tol=float(solver.get("residual_tol", 1e-10)),
-            support_tol=float(solver.get("support_tol", 0.0)),
-            rate_fit=bool(raw.get("rate_fit", False)),
-            seed=int(raw.get("seed", 0)),
+            max_sweeps=max_sweeps,
+            residual_tol=residual_tol,
+            support_tol=support_tol,
+            rate_fit=rate_fit,
+            seed=seed,
         )
 
 
@@ -369,10 +389,7 @@ def run_command(config_path: str, eps_override=None, tol_override=None) -> int:
     try:
         records, fits, profile_csv = run_experiment(config, base_dir)
     except ConvergenceError as exc:
-        # an infinite residual means the self-transport symmetrization never
-        # closed, so no residual was evaluated; JSON has no infinity
-        residual = exc.residual if math.isfinite(exc.residual) else None
-        _error_record("no-convergence", str(exc), sweeps=exc.sweeps, residual=residual)
+        _error_record("no-convergence", str(exc), sweeps=exc.sweeps, residual=exc.residual)
         return EXIT_NO_CONVERGENCE
     except (CliConfigError, ConfigError, MeasureError, verify.VerifyError, ExactOTError) as exc:
         _error_record("config", str(exc))

@@ -14,15 +14,17 @@ Within one half-sweep the per-atom solves are independent (they are evaluated
 as one vectorized batch).
 
 The shift degree of freedom is fixed by balancing the integrals,
-sum_i mu_i f_i = sum_j nu_j g_j, which reduces to f = g when mu = nu.
+sum_i mu_i f_i = sum_j nu_j g_j.  For mu = nu the solver returns the midpoint
+u = (f + g) / 2 as both potentials: the dual objective is concave and
+invariant under the swap (f, g) <-> (g, f), so the midpoint of any optimum
+and its swap is a symmetric optimum, whatever shift each connected component
+of the support carries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .measures import DiscreteMeasure
 
@@ -174,47 +176,16 @@ def marginal_residuals(
     return res_mu, res_nu
 
 
-def _component_balanced(
-    f: np.ndarray, g: np.ndarray, positive: np.ndarray, mu_w: np.ndarray, nu_w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Balance the integral normalization per connected component of the
-    positive-slack bipartite graph.
-
-    When the support disconnects, the dual optimum is unique only up to one
-    shift per component; within a component the positive slack values are
-    the same for every optimum, so balancing each component recovers the
-    unique balanced representative (the symmetric one, when mu = nu).
-    """
-    n, m = positive.shape
-    ii, jj = np.nonzero(positive)
-    graph = coo_matrix(
-        (np.ones(len(ii)), (ii, n + jj)), shape=(n + m, n + m)
-    )
-    n_comp, labels = connected_components(graph, directed=False)
-    f_new = f.copy()
-    g_new = g.copy()
-    for k in range(n_comp):
-        rows = np.nonzero(labels[:n] == k)[0]
-        cols = np.nonzero(labels[n:] == k)[0]
-        total = mu_w[rows].sum() + nu_w[cols].sum()
-        if total == 0.0:
-            continue
-        s = (float(nu_w[cols] @ g[cols]) - float(mu_w[rows] @ f[rows])) / total
-        f_new[rows] += s
-        g_new[cols] -= s
-    return f_new, g_new
-
-
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig) -> DualPotentials:
     """Alternating exact coordinate updates until both marginal residual
     vectors have sup-norm <= residual_tol.
 
     Each sweep updates all g coordinates from the current f, then all f
     coordinates from the new g, so the f-side equations hold to machine
-    precision at the sweep boundary.  For mu = nu (bitwise) the balanced
-    iterate is symmetrized each sweep (per support component, since a
-    disconnected support leaves one shift degree of freedom per component)
-    and the returned potentials satisfy f = g exactly.
+    precision at the sweep boundary.  For mu = nu (bitwise) the candidate is
+    the midpoint u = (f + g) / 2 of the sweep, accepted once (u, u) meets the
+    residual tolerance and one f-update from u moves it by at most
+    residual_tol; the returned potentials satisfy f = g exactly.
     """
     if mu.dim != nu.dim:
         raise ConfigError(f"dimension mismatch: mu has d={mu.dim}, nu has d={nu.dim}")
@@ -227,28 +198,20 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig) -> DualPo
     for sweep in range(1, cfg.max_sweeps + 1):
         g = _hinge_root_batch(C - f[:, None], mu_w, eps)
         f = _hinge_root_batch(C.T - g[:, None], nu_w, eps)
-        shift = 0.5 * (float(nu_w @ g) - float(mu_w @ f))
         if self_transport:
-            fb, gb = f + shift, g - shift
-            if np.max(np.abs(fb - gb)) > cfg.residual_tol:
-                # the one-shift balance cannot symmetrize a disconnected
-                # support; balance per component instead.  Zero-mass boundary
-                # pairs (slack at roundoff scale) carry no shift rigidity and
-                # must not merge components, hence the 1e-12 edge threshold.
-                slack = f[:, None] + g[None, :] - C
-                fb, gb = _component_balanced(f, g, slack > 1e-12, mu_w, nu_w)
-            if np.max(np.abs(fb - gb)) <= cfg.residual_tol:
-                u = 0.5 * (fb + gb)
-                res_mu, res_nu = marginal_residuals(
-                    u[:, None] + u[None, :] - C, mu_w, nu_w, eps
+            u = 0.5 * (f + g)
+            res_mu, res_nu = marginal_residuals(u[:, None] + u[None, :] - C, mu_w, nu_w, eps)
+            last = max(float(res_mu.max()), float(res_nu.max()))
+            if last <= cfg.residual_tol and (
+                np.max(np.abs(_hinge_root_batch(C.T - u[:, None], nu_w, eps) - u))
+                <= cfg.residual_tol
+            ):
+                return DualPotentials(
+                    f_values=u, g_values=u.copy(), epsilon=eps,
+                    residual=last, sweeps=sweep,
                 )
-                last = max(float(res_mu.max()), float(res_nu.max()))
-                if last <= cfg.residual_tol:
-                    return DualPotentials(
-                        f_values=u, g_values=u.copy(), epsilon=eps,
-                        residual=last, sweeps=sweep,
-                    )
         else:
+            shift = 0.5 * (float(nu_w @ g) - float(mu_w @ f))
             res_mu, res_nu = marginal_residuals(f[:, None] + g[None, :] - C, mu_w, nu_w, eps)
             last = max(float(res_mu.max()), float(res_nu.max()))
             if last <= cfg.residual_tol:
@@ -317,8 +280,8 @@ def max_density(
 
 def row_barycenter(i: int, coupling: Coupling, nu: DiscreteMeasure) -> np.ndarray:
     """Barycenter of nu restricted to the columns supported in row i."""
-    mask = (coupling.i_idx == i) & coupling.in_support
-    cols = coupling.j_idx[mask]
+    lo, hi = np.searchsorted(coupling.i_idx, [i, i + 1])
+    cols = coupling.j_idx[lo:hi][coupling.in_support[lo:hi]]
     if len(cols) == 0:
         raise InconsistencyError(f"row {i} has empty support")
     w = nu.weights[cols]

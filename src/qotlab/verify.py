@@ -384,9 +384,12 @@ def check_self_transport(inst: SolvedInstance) -> list[BoundReport]:
     ]
     ii, jj = _support_arrays(inst)
     worst_dev = 0.0
-    for i in np.unique(ii):
+    # entries are row-major, so each row's columns are one slice
+    rows, starts = np.unique(ii, return_index=True)
+    ends = np.append(starts[1:], len(ii))
+    for i, lo, hi in zip(rows, starts, ends):
         bary = qot_solver.row_barycenter(int(i), inst.coupling, inst.nu)
-        cols = jj[ii == i]
+        cols = jj[lo:hi]
         devs = np.sqrt(((bary[None, :] - inst.nu.atoms[cols]) ** 2).sum(-1))
         worst_dev = max(worst_dev, float(devs.max()))
     reports.append(

@@ -44,50 +44,68 @@ def test_run_singleton_exit_zero(tmp_path):
     assert all(len(t["eps"]) == 2 for t in trends)
 
 
-def test_run_rejects_nonpositive_eps(tmp_path):
-    cfg = _write_config(tmp_path, eps_list=[0.1, -0.5])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"eps_list": [0.1, -0.5]},
+        {"eps_list": [0.01, 0.1]},
+        {"solver": 5},
+        {"solver": {"max_sweeps": "many"}},
+        {"seed": "x"},
+        {"instance": {"name": "grid", "kind": "grid", "d": 1}},
+        {"instance": {"name": "grid", "kind": "grid", "d": 1, "h": "fine"}},
+        {"instance": {"name": "files", "kind": "files", "mu": "missing.mu.json"}},
+        {"instance": 5},
+    ],
+    ids=[
+        "nonpositive-eps", "unsorted-eps", "solver-not-an-object", "max-sweeps-not-a-number",
+        "seed-not-a-number", "instance-without-h", "instance-h-not-a-number",
+        "instance-file-missing", "instance-not-an-object",
+    ],
+)
+def test_run_rejects_malformed_config(tmp_path, capsys, overrides):
+    cfg = _write_config(tmp_path, **overrides)
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_CONFIG
-
-
-def test_run_rejects_unsorted_eps(tmp_path):
-    cfg = _write_config(tmp_path, eps_list=[0.01, 0.1])
-    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
+    if "instance" in overrides:
+        # gen materializes the same spec and must reject it the same way
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"instances": [overrides["instance"]]}))
+        assert cli.main(["gen", "-s", str(spec), "-o", str(tmp_path / "gen")]) == cli.EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "config"
 
 
 def test_run_missing_config():
     assert cli.main(["run", "-c", "/nonexistent/config.json"]) == cli.EXIT_CONFIG
 
 
-def test_run_exit_three_on_non_convergence(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "instance, eps, max_sweeps",
+    [
+        ({"name": "grid", "kind": "grid", "d": 1, "h": 0.1}, 0.001, 2),
+        ({"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1}, 0.01, 3),
+    ],
+    ids=["self-transport", "affine"],
+)
+def test_no_convergence_record_carries_sweeps_and_residual(
+    tmp_path, capsys, instance, eps, max_sweeps
+):
     cfg = _write_config(
         tmp_path,
-        instance={"name": "grid", "kind": "grid", "d": 1, "h": 0.1},
-        eps_list=[0.001],
-        solver={"max_sweeps": 2},
-        checks=["DensityUB"],
-    )
-    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_NO_CONVERGENCE
-    # the self-transport symmetrization never closed: no residual was evaluated
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["sweeps"] == 2
-    assert record["residual"] is None
-
-
-def test_no_convergence_record_carries_sweeps_and_residual(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path,
-        instance={"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1},
-        eps_list=[0.01],
-        solver={"max_sweeps": 3},
+        instance=instance,
+        eps_list=[eps],
+        solver={"max_sweeps": max_sweeps},
         checks=["DensityUB"],
     )
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_NO_CONVERGENCE
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert set(record) == {"error", "detail", "sweeps", "residual"}
     assert record["error"] == "no-convergence"
-    assert record["sweeps"] == 3
+    assert record["sweeps"] == max_sweeps
     assert isinstance(record["residual"], float) and record["residual"] > 1e-10
-    assert "within 3 sweeps" in record["detail"]
+    assert f"within {max_sweeps} sweeps" in record["detail"]
 
 
 @pytest.mark.parametrize(

@@ -323,6 +323,32 @@ def test_knife_edge_boundary_pair_does_not_merge_components():
     assert np.linalg.norm(cpl.to_dense() - oracle) <= 1e-6
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=10_000),
+    eps=st.floats(min_value=1e-2, max_value=1.0),
+)
+def test_self_transport_midpoint_matches_oracle(n, seed, eps):
+    # differential test of the self-transport path: the returned midpoint is
+    # symmetric, meets both acceptance conditions, and reproduces the primal
+    # QP optimum, including supports that split into several components
+    rng = np.random.default_rng(seed)
+    atoms = np.sort(rng.choice(np.arange(-18, 19), size=n, replace=False) * 0.05
+                    + rng.uniform(-0.01, 0.01, size=n))
+    w = rng.uniform(0.1, 1.0, size=n)
+    mu = make_measure(atoms, w / w.sum())
+    cfg = SolverConfig(epsilon=eps)
+    pot = solve(mu, mu, cfg)
+    assert np.array_equal(pot.f_values, pot.g_values)
+    assert pot.residual <= cfg.residual_tol
+    for i, atom in enumerate(mu.atoms):
+        assert abs(evaluate_f_at(atom, pot, mu) - pot.f_values[i]) <= cfg.residual_tol + 1e-14
+    cpl = assemble_coupling(pot, mu, mu, cfg)
+    oracle = qp_oracle_coupling(mu, mu, eps)
+    assert np.linalg.norm(cpl.to_dense() - oracle) <= 1e-6
+
+
 def test_support_tol_override_shrinks_support():
     mu = uniform_ball_grid(1, 0.5)
     cfg0 = SolverConfig(epsilon=0.2)

@@ -199,6 +199,26 @@ def test_concentration_matches_per_pair_reference():
     assert rep.context["support_pairs"] == len(ii)
 
 
+def test_grad_estimate_matches_per_row_reference():
+    mu = uniform_ball_grid(2, 0.2)
+    cfg = SolverConfig(epsilon=0.05, support_tol=0.01)
+    inst = prepare_instance(Instance("grid-d2", mu, mu, identity_map()), cfg, build_spread(mu))
+    cpl = inst.coupling
+    assert not cpl.in_support.all()  # the support flags narrow some rows
+    ii, jj = _support_arrays(inst)
+    worst = 0.0
+    for i in np.unique(ii):
+        mask = (cpl.i_idx == i) & cpl.in_support
+        w = mu.weights[cpl.j_idx[mask]]
+        bary = (w[:, None] * mu.atoms[cpl.j_idx[mask]]).sum(axis=0) / w.sum()
+        cols = jj[ii == i]
+        devs = np.sqrt(((bary[None, :] - mu.atoms[cols]) ** 2).sum(-1))
+        worst = max(worst, float(devs.max()))
+    rep = next(r for r in check_self_transport(inst) if r.bound_id == "GradEstimate")
+    assert np.float64(rep.lhs).tobytes() == np.float64(worst).tobytes()
+    assert rep.holds is True
+
+
 def test_concentration_solves_each_distinct_sum_once(monkeypatch):
     inst = _affine_a2_solved(0.1)
     calls = _counting(monkeypatch, "minty_reflect")
