@@ -164,7 +164,9 @@ class ExperimentConfig:
             max_sweeps = int(solver.get("max_sweeps", 10_000))
             residual_tol = float(solver.get("residual_tol", 1e-10))
             support_tol = float(solver.get("support_tol", 0.0))
-            rate_fit = bool(raw.get("rate_fit", False))
+            rate_fit = raw.get("rate_fit", False)
+            if not isinstance(rate_fit, bool):
+                raise TypeError(f"rate_fit must be true or false, got {rate_fit!r}")
             seed = int(raw.get("seed", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliConfigError(f"malformed config: {exc}") from exc
@@ -389,7 +391,10 @@ def run_command(config_path: str, eps_override=None, tol_override=None) -> int:
     try:
         records, fits, profile_csv = run_experiment(config, base_dir)
     except ConvergenceError as exc:
-        _error_record("no-convergence", str(exc), sweeps=exc.sweeps, residual=exc.residual)
+        _error_record(
+            "no-convergence", str(exc), sweeps=exc.sweeps, residual=exc.residual,
+            residual_mu=exc.residual_mu, residual_nu=exc.residual_nu,
+        )
         return EXIT_NO_CONVERGENCE
     except (CliConfigError, ConfigError, MeasureError, verify.VerifyError, ExactOTError) as exc:
         _error_record("config", str(exc))
@@ -427,9 +432,13 @@ def run_command(config_path: str, eps_override=None, tol_override=None) -> int:
 def generate(spec: dict, out_dir: Path) -> list[Path]:
     """Write instance JSON files (and standalone measure files) for the
     requested families."""
+    if not isinstance(spec, dict):
+        raise CliConfigError(f"a gen spec must be an object, got {spec!r}")
     entries = spec.get("instances", "shipped")
     if entries == "shipped":
         entries = SHIPPED_INSTANCES
+    if not isinstance(entries, list):
+        raise CliConfigError(f'instances must be "shipped" or a list of specs, got {entries!r}')
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for entry in entries:

@@ -7,11 +7,14 @@ weights nu_j) the optimal dual potentials (f, g) solve, for every atom,
     sum_j nu_j [f_i + g_j - c(x_i, y_j)]_+ = eps      (one equation per i)
 
 with c(x, y) = |x - y|^2 / 2.  Holding one block fixed, each equation in the
-other block is a scalar piecewise-linear monotone equation solved exactly by
-sorting thresholds and inverting the active linear piece; the solver sweeps
-the two blocks alternately until both residual vectors fall below tolerance.
-Within one half-sweep the per-atom solves are independent (they are evaluated
-as one vectorized batch).
+other block is a scalar convex piecewise-linear increasing equation, solved
+exactly by Newton's method on its active set: from any point at or above the
+root the iterates decrease monotonically and stop on the linear piece that
+contains the root, after finitely many steps.  No thresholds are sorted; each
+step is a masked pass over the dense matrix, and the previous sweep's
+potentials are the warm start.  The solver sweeps the two blocks alternately
+until both residual vectors fall below tolerance.  Within one half-sweep the
+per-atom solves are independent (they are evaluated as one vectorized batch).
 
 The shift degree of freedom is fixed by balancing the integrals,
 sum_i mu_i f_i = sum_j nu_j g_j.  For mu = nu the solver returns the midpoint
@@ -34,9 +37,14 @@ class ConfigError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, message: str, residual: float, sweeps: int):
+    """The sweep budget ran out; residual_mu and residual_nu are the
+    sup-norms of the last sweep's two residual vectors, residual their max."""
+
+    def __init__(self, message: str, residual_mu: float, residual_nu: float, sweeps: int):
         super().__init__(message)
-        self.residual = residual
+        self.residual_mu = residual_mu
+        self.residual_nu = residual_nu
+        self.residual = max(residual_mu, residual_nu)
         self.sweeps = sweeps
 
 
@@ -130,23 +138,35 @@ def cost_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return 0.5 * (diff**2).sum(-1)
 
 
-def _hinge_root_batch(S: np.ndarray, w: np.ndarray, eps: float) -> np.ndarray:
-    """Per column j of S, the unique t with sum_i w_i (t - S_ij)_+ = eps.
+def _hinge_root_batch(S: np.ndarray, w: np.ndarray, eps: float, t=None) -> np.ndarray:
+    """Per column j of S, the unique t with h_j(t) = sum_i w_i (t - S_ij)_+ = eps.
 
-    Sort thresholds, prefix-sum, and invert the active linear piece; the knot
-    values h(S_(k)) are nondecreasing, so the piece is found by counting.
+    Newton on the active set A = {i : S_ij < t}: t <- (eps + sum_A w_i S_ij)
+    / sum_A w_i, the root of the linear piece of h_j at t.  h_j is convex and
+    increasing, so one step from any t with a nonempty active set lands at or
+    above the root, and from above the iterates decrease.  A column stops
+    when its step no longer decreases it; a step that decreases it shrinks
+    its active set, so this takes finitely many steps.  The cold start
+    min_i (S_ij + eps / w_i) is at or above the root and is the fallback for
+    an empty active set.  A warm start t may lie on either side of the root:
+    its first step is taken unconditionally and capped at the cold start.
     """
-    order = np.argsort(S, axis=0, kind="stable")
-    Ss = np.take_along_axis(S, order, axis=0)
-    ws = w[order]
-    cw = np.cumsum(ws, axis=0)
-    cs = np.cumsum(ws * Ss, axis=0)
-    knot = np.empty_like(Ss)
-    knot[0] = 0.0
-    knot[1:] = cw[:-1] * Ss[1:] - cs[:-1]
-    kstar = np.sum(knot <= eps, axis=0) - 1
-    cols = np.arange(S.shape[1])
-    return (eps + cs[kstar, cols]) / cw[kstar, cols]
+    cold = np.min(S + (eps / w)[:, None], axis=0)
+
+    def newton(t):
+        active = S < t
+        cw = w @ active
+        cs = w @ np.where(active, S, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(cw > 0, (eps + cs) / cw, cold)
+
+    t = cold if t is None else np.minimum(newton(t), cold)
+    while True:
+        nxt = newton(t)
+        down = nxt < t
+        if not down.any():
+            return t
+        t = np.where(down, nxt, t)
 
 
 def solve_scalar_update(thresholds, weights, epsilon: float) -> float:
@@ -194,34 +214,36 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig) -> DualPo
     mu_w, nu_w = mu.weights, nu.weights
     self_transport = mu.same_as(nu)
     f = np.zeros(len(mu))
-    last = np.inf
+    g = None
     for sweep in range(1, cfg.max_sweeps + 1):
-        g = _hinge_root_batch(C - f[:, None], mu_w, eps)
-        f = _hinge_root_batch(C.T - g[:, None], nu_w, eps)
+        # each half-sweep starts from the previous sweep's potential
+        g = _hinge_root_batch(C - f[:, None], mu_w, eps, g)
+        f = _hinge_root_batch(C.T - g[:, None], nu_w, eps, f if sweep > 1 else None)
         if self_transport:
             u = 0.5 * (f + g)
             res_mu, res_nu = marginal_residuals(u[:, None] + u[None, :] - C, mu_w, nu_w, eps)
-            last = max(float(res_mu.max()), float(res_nu.max()))
-            if last <= cfg.residual_tol and (
-                np.max(np.abs(_hinge_root_batch(C.T - u[:, None], nu_w, eps) - u))
-                <= cfg.residual_tol
-            ):
-                return DualPotentials(
-                    f_values=u, g_values=u.copy(), epsilon=eps,
-                    residual=last, sweeps=sweep,
-                )
         else:
-            shift = 0.5 * (float(nu_w @ g) - float(mu_w @ f))
             res_mu, res_nu = marginal_residuals(f[:, None] + g[None, :] - C, mu_w, nu_w, eps)
-            last = max(float(res_mu.max()), float(res_nu.max()))
-            if last <= cfg.residual_tol:
-                return DualPotentials(
-                    f_values=f + shift, g_values=g - shift, epsilon=eps,
-                    residual=last, sweeps=sweep,
-                )
+        last_mu, last_nu = float(res_mu.max()), float(res_nu.max())
+        last = max(last_mu, last_nu)
+        if last > cfg.residual_tol:
+            continue
+        if not self_transport:
+            shift = 0.5 * (float(nu_w @ g) - float(mu_w @ f))
+            return DualPotentials(
+                f_values=f + shift, g_values=g - shift, epsilon=eps,
+                residual=last, sweeps=sweep,
+            )
+        step = _hinge_root_batch(C.T - u[:, None], nu_w, eps, u)
+        if np.max(np.abs(step - u)) <= cfg.residual_tol:
+            return DualPotentials(
+                f_values=u, g_values=u.copy(), epsilon=eps,
+                residual=last, sweeps=sweep,
+            )
     raise ConvergenceError(
         f"no convergence within {cfg.max_sweeps} sweeps (last residual {last:.3e})",
-        residual=float(last),
+        residual_mu=last_mu,
+        residual_nu=last_nu,
         sweeps=cfg.max_sweeps,
     )
 

@@ -102,9 +102,12 @@ class Instance:
     nu: DiscreteMeasure
     monge: Optional[MongeMapSpec] = None
     self_transport: bool = field(init=False)
+    diameter: float = field(init=False)   # of the mu-atoms; 0.0 below two atoms
 
     def __post_init__(self):
         object.__setattr__(self, "self_transport", self.mu.same_as(self.nu))
+        diam = geometry.diameter(self.mu) if len(self.mu) > 1 else 0.0
+        object.__setattr__(self, "diameter", diam)
 
 
 @dataclass
@@ -121,6 +124,7 @@ class SolvedInstance:
     d_eps: float
     surr: surrogate.ConvexSurrogate
     self_transport: bool
+    diameter: float
     monge: Optional[MongeMapSpec] = None
     exact: Optional[exact_ot.ExactOTSolution] = None
     _psi_mu: Optional[np.ndarray] = field(default=None, repr=False)
@@ -195,6 +199,7 @@ def prepare_instance(
         d_eps=d_eps,
         surr=surr,
         self_transport=inst.self_transport,
+        diameter=inst.diameter,
         monge=inst.monge,
         exact=exact,
     )
@@ -349,11 +354,10 @@ def check_self_transport(inst: SolvedInstance) -> list[BoundReport]:
     spread = inst.support_spread()
     M = float(inst.pot.f_values.max())
     dst = geometry.delta_st(inst.profile, inst.epsilon)
-    diam = geometry.diameter(inst.mu) if len(inst.mu) > 1 else 0.0
-    scale = min(math.sqrt(dst), diam)
+    scale = min(math.sqrt(dst), inst.diameter)
 
     ctx = inst.base_context()
-    ctx.update(spread=spread, M=M, delta_st=float(dst), diam=float(diam))
+    ctx.update(spread=spread, M=M, delta_st=float(dst), diam=float(inst.diameter))
 
     max_sq = spread**2
     reports = [

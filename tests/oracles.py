@@ -2,9 +2,11 @@
 
 Each oracle takes a route disjoint from the implementation it validates:
 the primal QP oracle is projected gradient descent with Dykstra projections
-(the library solves the dual system), spread values come from a direct
-double loop, spread inverses from bisection, envelope gradients from finite
-differences, and exact-transport costs from matching enumeration or an LP.
+(the library solves the dual system), scalar hinge roots come from sorting
+the thresholds (the library runs Newton on the active set), spread values
+come from a direct double loop, spread inverses from bisection, envelope
+gradients from finite differences, and exact-transport costs from matching
+enumeration or an LP.
 """
 from __future__ import annotations
 
@@ -66,6 +68,23 @@ def qp_oracle_coupling(mu, nu, eps: float, tol: float = 1e-10, max_iter: int = 5
         if move <= tol:
             return pi
     raise RuntimeError("projected gradient oracle did not reach stationarity")
+
+
+def sort_hinge_root(S: np.ndarray, w: np.ndarray, eps: float) -> np.ndarray:
+    """Per column j of S, the t with sum_i w_i (t - S_ij)_+ = eps: sort the
+    thresholds, prefix-sum, and invert the linear piece whose knot values
+    h(S_(k)) are the last ones <= eps."""
+    order = np.argsort(S, axis=0, kind="stable")
+    Ss = np.take_along_axis(S, order, axis=0)
+    ws = w[order]
+    cw = np.cumsum(ws, axis=0)
+    cs = np.cumsum(ws * Ss, axis=0)
+    knot = np.empty_like(Ss)
+    knot[0] = 0.0
+    knot[1:] = cw[:-1] * Ss[1:] - cs[:-1]
+    kstar = np.sum(knot <= eps, axis=0) - 1
+    cols = np.arange(S.shape[1])
+    return (eps + cs[kstar, cols]) / cw[kstar, cols]
 
 
 def brute_force_rho(mu, r: float) -> float:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qotlab import cli, verify
+from qotlab import cli, geometry, verify
 from qotlab.geometry import GeometryError
 from qotlab.measures import load_measure
 from qotlab.qot_solver import InconsistencyError
@@ -56,11 +56,14 @@ def test_run_singleton_exit_zero(tmp_path):
         {"instance": {"name": "grid", "kind": "grid", "d": 1, "h": "fine"}},
         {"instance": {"name": "files", "kind": "files", "mu": "missing.mu.json"}},
         {"instance": 5},
+        {"rate_fit": "false"},
+        {"rate_fit": 0},
     ],
     ids=[
         "nonpositive-eps", "unsorted-eps", "solver-not-an-object", "max-sweeps-not-a-number",
         "seed-not-a-number", "instance-without-h", "instance-h-not-a-number",
-        "instance-file-missing", "instance-not-an-object",
+        "instance-file-missing", "instance-not-an-object", "rate-fit-not-a-boolean",
+        "rate-fit-zero",
     ],
 )
 def test_run_rejects_malformed_config(tmp_path, capsys, overrides):
@@ -101,10 +104,13 @@ def test_no_convergence_record_carries_sweeps_and_residual(
     )
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_NO_CONVERGENCE
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert set(record) == {"error", "detail", "sweeps", "residual"}
+    assert set(record) == {"error", "detail", "sweeps", "residual", "residual_mu", "residual_nu"}
     assert record["error"] == "no-convergence"
     assert record["sweeps"] == max_sweeps
     assert isinstance(record["residual"], float) and record["residual"] > 1e-10
+    # per-side sup-norms of the last sweep; the residual is the larger one
+    assert all(isinstance(record[k], float) for k in ("residual_mu", "residual_nu"))
+    assert record["residual"] == max(record["residual_mu"], record["residual_nu"])
     assert f"within {max_sweeps} sweeps" in record["detail"]
 
 
@@ -182,6 +188,27 @@ def test_rate_fit_outputs(tmp_path):
     assert len(summary) == 1 and 0.0 < summary[0]["slope"] < 1.0
     svg = (out / "rate_0.svg").read_text()
     assert svg.startswith("<svg") and "slope=" in svg
+
+
+def test_diameter_computed_once_per_run(tmp_path, monkeypatch):
+    calls = []
+    diameter = geometry.diameter
+
+    def counted(mu):
+        calls.append(len(mu))
+        return diameter(mu)
+
+    monkeypatch.setattr(geometry, "diameter", counted)
+    cfg = _write_config(
+        tmp_path,
+        instance={"name": "grid", "kind": "grid", "d": 1, "h": 0.1},
+        eps_list=[0.1, 0.05, 0.02],
+        checks=["SymUB", "SymLB", "SuppDiamM"],
+    )
+    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
+    assert calls == [21]
+    lines = (tmp_path / "out" / "reports.jsonl").read_text().splitlines()
+    assert {json.loads(line)["context"]["diam"] for line in lines} == {2.0}
 
 
 def test_rate_fit_floor_enforced(tmp_path):
@@ -262,6 +289,18 @@ def test_gen_rejects_d4(tmp_path):
         json.dumps({"instances": [{"name": "bad", "kind": "grid", "d": 4, "h": 0.5}]})
     )
     assert cli.main(["gen", "-s", str(spec), "-o", str(tmp_path / "gen")]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "spec", [{"instances": 5}, [{"name": "g", "kind": "grid", "d": 1, "h": 0.5}]],
+    ids=["instances-not-a-list", "spec-not-an-object"],
+)
+def test_gen_rejects_malformed_spec(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["gen", "-s", str(path), "-o", str(tmp_path / "gen")]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
 
 
 def test_affine_instance_shrinks_source_grid():

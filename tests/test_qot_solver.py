@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import qp_oracle_coupling
+from oracles import qp_oracle_coupling, sort_hinge_root
 from qotlab.measures import make_measure, uniform_ball_grid
 from qotlab.qot_solver import (
     ConfigError,
@@ -12,6 +12,7 @@ from qotlab.qot_solver import (
     DualPotentials,
     InconsistencyError,
     SolverConfig,
+    _hinge_root_batch,
     assemble_coupling,
     cost_matrix,
     evaluate_f_at,
@@ -63,6 +64,48 @@ def test_scalar_update_substitution_property(n, seed, eps):
     t = solve_scalar_update(thresholds, weights, eps)
     total = float((weights * np.maximum(t - thresholds, 0.0)).sum())
     assert total == pytest.approx(eps, abs=1e-10 * max(1.0, eps))
+
+
+HINGE_RTOL = 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    m=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=10_000),
+    log_eps=st.floats(min_value=-6.0, max_value=1.0),
+    root_on_knot=st.booleans(),
+    start=st.sampled_from(["cold", "above", "below", "empty"]),
+)
+def test_hinge_root_matches_sort_oracle(n, m, seed, log_eps, root_on_knot, start):
+    # differential test of the Newton root against the sort-based oracle;
+    # half the thresholds sit on a coarse lattice, so ties and duplicates are
+    # common, and a root placed on a knot puts a threshold exactly at it
+    rng = np.random.default_rng(seed)
+    lattice = rng.integers(-8, 9, size=(n, m)) / 4.0
+    S = np.where(rng.random((n, m)) < 0.5, lattice, rng.uniform(-2.0, 2.0, size=(n, m)))
+    w = rng.choice([0.25, 0.5, 1.0], size=n) if seed % 2 else rng.uniform(0.05, 1.0, size=n)
+    eps = 10.0**log_eps
+    if root_on_knot:
+        knot = S[rng.integers(n), 0]
+        value = float((w * np.maximum(knot - S[:, 0], 0.0)).sum())
+        eps = value if value > 0 else eps
+    ref = sort_hinge_root(S, w, eps)
+    if start == "cold":
+        t0 = None
+    elif start == "above":
+        t0 = ref + rng.uniform(0.0, 3.0, size=m)
+    elif start == "below":
+        # strictly between the smallest threshold and the root
+        t0 = S.min(axis=0) + rng.uniform(0.05, 0.95, size=m) * (ref - S.min(axis=0))
+    else:
+        t0 = S.min(axis=0) - rng.uniform(0.0, 3.0, size=m)
+    t = _hinge_root_batch(S, w, eps, t0)
+    scale = np.maximum(np.abs(ref), np.abs(S).max(axis=0)) + eps
+    assert np.all(np.abs(t - ref) <= HINGE_RTOL * scale)
+    h = (w[:, None] * np.maximum(t - S, 0.0)).sum(axis=0)
+    assert np.all(np.abs(h - eps) <= HINGE_RTOL * (w.sum() * scale))
 
 
 def test_config_validation():
