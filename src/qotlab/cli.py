@@ -170,8 +170,10 @@ class ExperimentConfig:
             seed = int(raw.get("seed", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliConfigError(f"malformed config: {exc}") from exc
-        if not eps_list or any(e <= 0 for e in eps_list):
-            raise CliConfigError("eps_list must be nonempty and positive")
+        if not eps_list or not all(math.isfinite(e) and e > 0 for e in eps_list):
+            raise CliConfigError("eps_list must be nonempty, finite and positive")
+        if not (math.isfinite(residual_tol) and math.isfinite(support_tol)):
+            raise CliConfigError("residual_tol and support_tol must be finite")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise CliConfigError("eps_list must be sorted strictly descending")
         checks = raw.get("checks", "all")
@@ -379,10 +381,13 @@ def run_command(config_path: str, eps_override=None, tol_override=None) -> int:
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        if eps_override:
-            raw["eps_list"] = eps_override
-        if tol_override is not None:
-            raw.setdefault("solver", {})["residual_tol"] = tol_override
+        # overrides apply only where they fit; from_dict rejects the rest
+        if isinstance(raw, dict):
+            if eps_override:
+                raw["eps_list"] = eps_override
+            solver = raw.get("solver", {})
+            if tol_override is not None and isinstance(solver, dict):
+                raw["solver"] = {**solver, "residual_tol": tol_override}
         config = ExperimentConfig.from_dict(raw, base_dir)
     except (OSError, json.JSONDecodeError, CliConfigError) as exc:
         _error_record("config", str(exc))

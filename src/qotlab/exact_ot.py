@@ -80,7 +80,7 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ExactOTSolution:
         in_support=np.ones(len(i_idx), dtype=bool),
         residual=residual,
     )
-    cost = coupling.cost_against(C)
+    cost = coupling.cost_against(mu.atoms, nu.atoms)
     return ExactOTSolution(
         coupling=coupling,
         cost=cost,

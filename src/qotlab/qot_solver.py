@@ -22,9 +22,14 @@ u = (f + g) / 2 as both potentials: the dual objective is concave and
 invariant under the swap (f, g) <-> (g, f), so the midpoint of any optimum
 and its swap is a symmetric optimum, whatever shift each connected component
 of the support carries.
+
+Dense n x m cost and slack matrices exist only inside solve and
+assemble_coupling.  Everything downstream, max_density and the transport
+cost included, reads the sparse Coupling.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +65,8 @@ class SolverConfig:
     support_tol: float = 0.0      # support = {f_i + g_j - c_ij > support_tol}
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.epsilon, self.residual_tol, self.support_tol))):
+            raise ConfigError("epsilon, residual_tol and support_tol must be finite")
         if not (self.epsilon > 0):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.residual_tol > 0):
@@ -118,8 +125,11 @@ class Coupling:
         dense[self.i_idx, self.j_idx] = self.masses
         return dense
 
-    def cost_against(self, cost: np.ndarray) -> float:
-        return float((self.masses * cost[self.i_idx, self.j_idx]).sum())
+    def cost_against(self, X: np.ndarray, Y: np.ndarray) -> float:
+        """Transport cost sum pi_ij c(x_i, y_j), with c evaluated only at the
+        coupling's entries (bitwise the entries of cost_matrix(X, Y))."""
+        diff = X[self.i_idx] - Y[self.j_idx]
+        return float((self.masses * (0.5 * (diff**2).sum(-1))).sum())
 
     def to_dict(self) -> dict:
         return {
@@ -288,23 +298,8 @@ def assemble_coupling(
     )
 
 
-def max_density(
-    pot: DualPotentials, mu: DiscreteMeasure, nu: DiscreteMeasure
-) -> tuple[float, tuple[int, int]]:
-    """Max over atom pairs of f_i + g_j - c_ij (this is eps times the max
-    coupling density), with its argmax pair."""
-    C = cost_matrix(mu.atoms, nu.atoms)
-    slack = pot.f_values[:, None] + pot.g_values[None, :] - C
-    flat = int(np.argmax(slack))
-    i, j = np.unravel_index(flat, slack.shape)
-    return float(slack[i, j]), (int(i), int(j))
-
-
-def row_barycenter(i: int, coupling: Coupling, nu: DiscreteMeasure) -> np.ndarray:
-    """Barycenter of nu restricted to the columns supported in row i."""
-    lo, hi = np.searchsorted(coupling.i_idx, [i, i + 1])
-    cols = coupling.j_idx[lo:hi][coupling.in_support[lo:hi]]
-    if len(cols) == 0:
-        raise InconsistencyError(f"row {i} has empty support")
-    w = nu.weights[cols]
-    return (w[:, None] * nu.atoms[cols]).sum(axis=0) / w.sum()
+def max_density(coupling: Coupling) -> float:
+    """eps times the largest coupling density: the max over atom pairs of
+    f_i + g_j - c_ij, read from the coupling's entries (within roundoff of
+    the dense max, since each density is the slack divided by eps)."""
+    return coupling.epsilon * float(coupling.densities.max())

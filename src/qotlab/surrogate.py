@@ -52,7 +52,6 @@ class ConvexSurrogate:
     slopes: np.ndarray      # (m, d) nu-atoms
     intercepts: np.ndarray  # (m,)
     lam: float              # Moreau parameter, 2 * delta(eps)
-    delta_eps: float
 
     def psi_tilde(self, x) -> float:
         pt = np.asarray(x, dtype=float).reshape(-1)
@@ -70,9 +69,7 @@ def build_surrogate(pot: DualPotentials, nu: DiscreteMeasure, delta_eps: float) 
     if not (delta_eps > 0):
         raise GeometryError("delta_eps must be positive")
     b = 0.5 * (nu.atoms**2).sum(-1) - pot.g_values
-    return ConvexSurrogate(
-        slopes=nu.atoms, intercepts=b, lam=2.0 * delta_eps, delta_eps=delta_eps
-    )
+    return ConvexSurrogate(slopes=nu.atoms, intercepts=b, lam=2.0 * delta_eps)
 
 
 def _simplex_qp(Y: np.ndarray, b: np.ndarray, target: np.ndarray, gamma: float,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qotlab import cli, geometry, verify
+from qotlab import cli, geometry, qot_solver, verify
 from qotlab.geometry import GeometryError
 from qotlab.measures import load_measure
 from qotlab.qot_solver import InconsistencyError
@@ -58,12 +58,14 @@ def test_run_singleton_exit_zero(tmp_path):
         {"instance": 5},
         {"rate_fit": "false"},
         {"rate_fit": 0},
+        {"eps_list": [float("inf")]},
+        {"solver": {"residual_tol": float("inf")}},
     ],
     ids=[
         "nonpositive-eps", "unsorted-eps", "solver-not-an-object", "max-sweeps-not-a-number",
         "seed-not-a-number", "instance-without-h", "instance-h-not-a-number",
         "instance-file-missing", "instance-not-an-object", "rate-fit-not-a-boolean",
-        "rate-fit-zero",
+        "rate-fit-zero", "eps-infinite", "residual-tol-infinite",
     ],
 )
 def test_run_rejects_malformed_config(tmp_path, capsys, overrides):
@@ -78,6 +80,32 @@ def test_run_rejects_malformed_config(tmp_path, capsys, overrides):
         assert cli.main(["gen", "-s", str(spec), "-o", str(tmp_path / "gen")]) == cli.EXIT_CONFIG
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ({"solver": 5}, ["--tol", "1e-9"]),
+        ([], ["--eps", "0.1"]),
+        ([], ["--tol", "1e-9"]),
+        ({}, ["--eps", "inf"]),
+        ({}, ["--tol", "inf"]),
+    ],
+    ids=["tol-on-non-object-solver", "eps-on-list", "tol-on-list", "eps-inf", "tol-inf"],
+)
+def test_run_overrides_on_malformed_config(tmp_path, monkeypatch, capsys, config, flags):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a rejected config must not reach the solver")
+
+    monkeypatch.setattr("qotlab.verify.qot_solver.solve", no_solve)
+    if isinstance(config, dict):
+        cfg = _write_config(tmp_path, **config)
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+    assert cli.main(["run", "-c", str(cfg), *flags]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
 
 
 def test_run_missing_config():
@@ -143,7 +171,7 @@ def test_run_exit_one_on_failed_check(tmp_path, monkeypatch):
     # force a failing explicit bound to exercise the exit path
     monkeypatch.setattr(
         "qotlab.verify.qot_solver.max_density",
-        lambda pot, mu, nu: (1e9, (0, 0)),
+        lambda coupling: 1e9,
     )
     cfg = _write_config(tmp_path, checks=["DensityUB"])
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_CHECK_FAILED
@@ -209,6 +237,27 @@ def test_diameter_computed_once_per_run(tmp_path, monkeypatch):
     assert calls == [21]
     lines = (tmp_path / "out" / "reports.jsonl").read_text().splitlines()
     assert {json.loads(line)["context"]["diam"] for line in lines} == {2.0}
+
+
+def test_cost_matrix_built_twice_per_eps(tmp_path, monkeypatch):
+    # only solve and assemble_coupling build an n x m cost matrix; every
+    # checker reads the sparse coupling (exact_ot's own import is not counted)
+    calls = []
+    cost_matrix = qot_solver.cost_matrix
+
+    def counted(X, Y):
+        calls.append((len(X), len(Y)))
+        return cost_matrix(X, Y)
+
+    monkeypatch.setattr(qot_solver, "cost_matrix", counted)
+    eps_list = [0.1, 0.01]
+    cfg = _write_config(
+        tmp_path,
+        instance={"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1},
+        eps_list=eps_list,
+    )
+    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
+    assert calls == [(21, 21)] * (2 * len(eps_list))
 
 
 def test_rate_fit_floor_enforced(tmp_path):

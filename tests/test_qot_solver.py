@@ -8,7 +8,6 @@ from qotlab.measures import make_measure, uniform_ball_grid
 from qotlab.qot_solver import (
     ConfigError,
     ConvergenceError,
-    Coupling,
     DualPotentials,
     InconsistencyError,
     SolverConfig,
@@ -18,7 +17,6 @@ from qotlab.qot_solver import (
     evaluate_f_at,
     marginal_residuals,
     max_density,
-    row_barycenter,
     solve,
     solve_scalar_update,
 )
@@ -115,6 +113,12 @@ def test_config_validation():
         SolverConfig(epsilon=-1.0)
     with pytest.raises(ConfigError):
         SolverConfig(epsilon=0.1, residual_tol=0.0)
+    for bad in ({"epsilon": float("inf")}, {"epsilon": float("nan")},
+                {"epsilon": 0.1, "residual_tol": float("inf")},
+                {"epsilon": 0.1, "support_tol": float("inf")},
+                {"epsilon": 0.1, "support_tol": float("nan")}):
+        with pytest.raises(ConfigError, match="finite"):
+            SolverConfig(**bad)
 
 
 def test_singleton_self_transport():
@@ -287,51 +291,41 @@ def test_assemble_rejects_stale_potentials():
 def test_max_density_singleton():
     cfg = SolverConfig(epsilon=0.1)
     pot = solve(SINGLETON, SINGLETON, cfg)
-    value, pair = max_density(pot, SINGLETON, SINGLETON)
+    value = max_density(assemble_coupling(pot, SINGLETON, SINGLETON, cfg))
     assert value == pytest.approx(0.1, abs=1e-12)
-    assert pair == (0, 0)
 
 
 def test_max_density_at_least_eps():
     for eps in (0.5, 0.05, 0.005):
         mu = uniform_ball_grid(1, 0.25)
-        pot = solve(mu, mu, SolverConfig(epsilon=eps))
-        value, _ = max_density(pot, mu, mu)
+        cfg = SolverConfig(epsilon=eps)
+        pot = solve(mu, mu, cfg)
+        value = max_density(assemble_coupling(pot, mu, mu, cfg))
         assert value >= eps - 1e-12
 
 
-def test_row_barycenter_single_entry():
+def test_cost_against_matches_dense_cost_bitwise():
+    mu = uniform_ball_grid(2, 0.25)
+    nu = make_measure(0.5 * mu.atoms + 0.25, mu.weights)
+    cfg = SolverConfig(epsilon=0.05)
+    cpl = assemble_coupling(solve(mu, nu, cfg), mu, nu, cfg)
+    C = cost_matrix(mu.atoms, nu.atoms)
+    dense = float((cpl.masses * C[cpl.i_idx, cpl.j_idx]).sum())
+    assert cpl.cost_against(mu.atoms, nu.atoms) == dense
+
+
+@pytest.mark.parametrize("shift", [False, True], ids=["self-transport", "mu-ne-nu"])
+def test_max_density_matches_dense_slack_max(shift):
+    # differential check of the sparse max against the dense slack matrix
+    mu = uniform_ball_grid(1, 0.05)
+    nu = make_measure(0.5 * mu.atoms + 0.25, mu.weights) if shift else mu
     cfg = SolverConfig(epsilon=0.01)
-    pot = solve(TWO_POINT, TWO_POINT, cfg)
-    cpl = assemble_coupling(pot, TWO_POINT, TWO_POINT, cfg)
-    assert row_barycenter(0, cpl, TWO_POINT)[0] == pytest.approx(-1.0)
-
-
-def test_row_barycenter_weighted_mean():
-    mu = uniform_ball_grid(1, 0.5)
-    cfg = SolverConfig(epsilon=0.2)
-    pot = solve(mu, mu, cfg)
-    cpl = assemble_coupling(pot, mu, mu, cfg)
-    mask = (cpl.i_idx == 2) & cpl.in_support
-    cols = cpl.j_idx[mask]
-    expected = (mu.weights[cols][:, None] * mu.atoms[cols]).sum(0) / mu.weights[cols].sum()
-    assert row_barycenter(2, cpl, mu) == pytest.approx(expected)
-
-
-def test_row_barycenter_empty_row_rejected():
-    cpl = Coupling(
-        n_mu=2,
-        n_nu=2,
-        epsilon=0.1,
-        i_idx=np.array([0]),
-        j_idx=np.array([0]),
-        masses=np.array([1.0]),
-        densities=np.array([1.0]),
-        in_support=np.array([True]),
-        residual=0.0,
+    pot = solve(mu, nu, cfg)
+    dense = float(
+        (pot.f_values[:, None] + pot.g_values[None, :] - cost_matrix(mu.atoms, nu.atoms)).max()
     )
-    with pytest.raises(InconsistencyError):
-        row_barycenter(1, cpl, TWO_POINT)
+    value = max_density(assemble_coupling(pot, mu, nu, cfg))
+    assert abs(value - dense) <= 2 * np.spacing(dense)
 
 
 def test_disconnected_support_self_transport_symmetrizes():

@@ -34,7 +34,6 @@ def _one_piece(slope, intercept, lam):
         slopes=np.array([[float(slope)]]),
         intercepts=np.array([float(intercept)]),
         lam=lam,
-        delta_eps=lam / 2.0,
     )
 
 
@@ -67,7 +66,6 @@ def test_two_piece_envelope_rounds_the_kink():
         slopes=np.array([[1.0], [-1.0]]),
         intercepts=np.array([0.0, 0.0]),
         lam=0.2,
-        delta_eps=0.1,
     )
     far_val, far_grad = eval_psi(s, [1.0])
     assert far_grad[0] == pytest.approx(1.0, abs=1e-12)
