@@ -161,7 +161,9 @@ class ExperimentConfig:
             solver = raw.get("solver", {})
             if not isinstance(solver, dict):
                 raise TypeError(f"solver must be an object, got {solver!r}")
-            max_sweeps = int(solver.get("max_sweeps", 10_000))
+            max_sweeps = solver.get("max_sweeps", 10_000)
+            if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, int):
+                raise TypeError(f"max_sweeps must be an integer, got {max_sweeps!r}")
             residual_tol = float(solver.get("residual_tol", 1e-10))
             support_tol = float(solver.get("support_tol", 0.0))
             rate_fit = raw.get("rate_fit", False)
@@ -174,6 +176,11 @@ class ExperimentConfig:
             raise CliConfigError("eps_list must be nonempty, finite and positive")
         if not (math.isfinite(residual_tol) and math.isfinite(support_tol)):
             raise CliConfigError("residual_tol and support_tol must be finite")
+        if not (residual_tol > 0 and support_tol >= 0 and max_sweeps >= 1):
+            raise CliConfigError(
+                "residual_tol must be positive, support_tol nonnegative "
+                "and max_sweeps at least 1"
+            )
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise CliConfigError("eps_list must be sorted strictly descending")
         checks = raw.get("checks", "all")
@@ -383,7 +390,7 @@ def run_command(config_path: str, eps_override=None, tol_override=None) -> int:
             raw = json.load(fh)
         # overrides apply only where they fit; from_dict rejects the rest
         if isinstance(raw, dict):
-            if eps_override:
+            if eps_override is not None:
                 raw["eps_list"] = eps_override
             solver = raw.get("solver", {})
             if tol_override is not None and isinstance(solver, dict):
@@ -494,10 +501,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         eps_override = None
-        if args.eps:
+        if args.eps is not None:
             try:
                 eps_override = [float(tok) for tok in args.eps.split(",") if tok]
             except ValueError:
+                eps_override = []
+            if not eps_override:
                 _error_record("config", f"bad --eps list {args.eps!r}")
                 return EXIT_CONFIG
         return run_command(args.config, eps_override, args.tol)

@@ -15,13 +15,23 @@ simplex-constrained quadratic program
 
     min over the simplex  (gamma/2) |Y theta|^2 - <x, Y theta> + <b, theta>
 
-solved by a primal active-set method with deterministic pivoting (gamma is
-lam for the envelope prox and lam + 1 for the resolvent).
+(gamma is lam for the envelope prox and lam + 1 for the resolvent), whose
+optimal slope combination Y theta minimizes conj(psi_tilde)(y) +
+(gamma/2)|y|^2 - <x, y>.  conj(psi_tilde) is the lower convex envelope of
+the lifted points (y_j, b_j), finite only on the convex hull of the slopes.
+
+In d=1 that envelope is a lower hull v_0 < ... < v_K with values h_k and
+segment slopes m_k, built once per surrogate by a monotone chain.  psi* is
+interpolation on it, and the prox is closed form: vertex k wins for x in
+[gamma v_k + m_{k-1}, gamma v_k + m_k], segment k maps x to
+(x - m_k) / gamma, and one searchsorted over these breakpoints locates x.
+In d >= 2 the quadratic program is solved by a primal active-set method
+with deterministic pivoting, and psi* by a small linear program.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
@@ -52,6 +62,17 @@ class ConvexSurrogate:
     slopes: np.ndarray      # (m, d) nu-atoms
     intercepts: np.ndarray  # (m,)
     lam: float              # Moreau parameter, 2 * delta(eps)
+    # d=1 only: lower hull of the lifted points (y_j, b_j), as vertices
+    # v_0 < ... < v_K, their values h_k and the K segment slopes m_k
+    hull: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        init=False, repr=False
+    )
+
+    def __post_init__(self):
+        hull = None
+        if self.slopes.shape[1] == 1:
+            hull = _lower_hull(self.slopes[:, 0], self.intercepts)
+        object.__setattr__(self, "hull", hull)
 
     def psi_tilde(self, x) -> float:
         pt = np.asarray(x, dtype=float).reshape(-1)
@@ -63,6 +84,30 @@ class ConvexSurrogate:
             "intercepts": [float(v) for v in self.intercepts],
             "lambda": float(self.lam),
         }
+
+
+def _lower_hull(y: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower convex hull of the points (y_j, b_j) by Andrew's monotone chain:
+    a duplicate slope keeps its smallest intercept, and collinear middle
+    points are dropped.  The turn test compares the very quotients returned
+    as segment slopes, so those increase strictly in floating point too."""
+    order = np.lexsort((b, y))
+    xs: list[float] = []
+    hs: list[float] = []
+    for j in order:
+        px, ph = float(y[j]), float(b[j])
+        if xs and xs[-1] == px:
+            continue
+        while len(xs) >= 2 and (
+            (ph - hs[-1]) / (px - xs[-1]) <= (hs[-1] - hs[-2]) / (xs[-1] - xs[-2])
+        ):
+            xs.pop()
+            hs.pop()
+        xs.append(px)
+        hs.append(ph)
+    v = np.array(xs)
+    h = np.array(hs)
+    return v, h, np.diff(h) / np.diff(v)
 
 
 def build_surrogate(pot: DualPotentials, nu: DiscreteMeasure, delta_eps: float) -> ConvexSurrogate:
@@ -146,10 +191,20 @@ def _simplex_qp(Y: np.ndarray, b: np.ndarray, target: np.ndarray, gamma: float,
     raise ProxError(f"active-set prox failed to converge (KKT residual {resid:.3e})", resid)
 
 
-def _prox_weights(s: ConvexSurrogate, x: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    theta = _simplex_qp(s.slopes, s.intercepts, x, gamma)
-    u = s.slopes.T @ theta
-    return theta, u
+def _prox_point(s: ConvexSurrogate, x: np.ndarray, gamma: float) -> np.ndarray:
+    """The optimal slope combination Y theta of the simplex QP at x."""
+    if s.hull is None:
+        return s.slopes.T @ _simplex_qp(s.slopes, s.intercepts, x, gamma)
+    v, _, m = s.hull
+    # vertex k owns [gamma v_k + m_{k-1}, gamma v_k + m_k] and segment k the
+    # open interval between gamma v_k + m_k and gamma v_{k+1} + m_k
+    breaks = np.empty(2 * len(m))
+    breaks[0::2] = gamma * v[:-1] + m
+    breaks[1::2] = gamma * v[1:] + m
+    k, on_segment = divmod(int(np.searchsorted(breaks, x[0])), 2)
+    if not on_segment:
+        return v[k : k + 1].copy()
+    return np.clip((x - m[k]) / gamma, v[k], v[k + 1])
 
 
 def eval_psi(s: ConvexSurrogate, x) -> tuple[float, np.ndarray]:
@@ -159,28 +214,42 @@ def eval_psi(s: ConvexSurrogate, x) -> tuple[float, np.ndarray]:
     of slopes; the gradient is (x - z) / lam = u.
     """
     pt = np.asarray(x, dtype=float).reshape(-1)
-    _, u = _prox_weights(s, pt, s.lam)
+    u = _prox_point(s, pt, s.lam)
     z = pt - s.lam * u
     val = s.psi_tilde(z) + float(((pt - z) ** 2).sum()) / (2.0 * s.lam)
     return val, u
 
 
 def eval_psi_star(s: ConvexSurrogate, y) -> float:
-    """Convex conjugate of the envelope: conj(psi_tilde)(y) + (lam/2)|y|^2.
+    """Convex conjugate of the envelope: conj(psi_tilde)(y) + (lam/2)|y|^2,
+    +inf outside the convex hull of the slopes.
 
-    conj(psi_tilde)(y) is the lower convex envelope of the intercepts over
-    the slope points: a small linear program, infeasible (+inf) outside the
-    convex hull of the slopes.
+    conj(psi_tilde) is the lower convex envelope of the intercepts over the
+    slope points: interpolation on the lower hull in d=1, a small linear
+    program in d >= 2.
     """
     pt = np.asarray(y, dtype=float).reshape(-1)
-    m, d = s.slopes.shape
+    if s.hull is None:
+        low = _psi_star_lp(s, pt)
+    else:
+        v, h, _ = s.hull
+        low = float(np.interp(pt[0], v, h)) if v[0] <= pt[0] <= v[-1] else math.inf
+    if math.isinf(low):
+        return math.inf
+    return low + 0.5 * s.lam * float(pt @ pt)
+
+
+def _psi_star_lp(s: ConvexSurrogate, pt: np.ndarray) -> float:
+    """conj(psi_tilde)(pt) as min <b, theta> over the simplex subject to
+    Y theta = pt; +inf when infeasible."""
+    m, _ = s.slopes.shape
     A_eq = np.vstack([s.slopes.T, np.ones(m)])
     b_eq = np.append(pt, 1.0)
     res = linprog(s.intercepts, A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
                   method="highs", options=LP_OPTIONS)
     if not res.success:
         return math.inf
-    return float(res.fun) + 0.5 * s.lam * float(pt @ pt)
+    return float(res.fun)
 
 
 def eval_psi_prime(s: ConvexSurrogate, mu: DiscreteMeasure, y, psi_at_atoms=None) -> float:
@@ -199,7 +268,7 @@ def minty_reflect(s: ConvexSurrogate, u) -> tuple[np.ndarray, np.ndarray]:
     grad psi(x') = Y theta.
     """
     pt = np.asarray(u, dtype=float).reshape(-1)
-    _, g = _prox_weights(s, pt, s.lam + 1.0)
+    g = _prox_point(s, pt, s.lam + 1.0)
     return pt - g, g
 
 

@@ -60,15 +60,29 @@ def test_run_singleton_exit_zero(tmp_path):
         {"rate_fit": 0},
         {"eps_list": [float("inf")]},
         {"solver": {"residual_tol": float("inf")}},
+        {"solver": {"residual_tol": 0}},
+        {"solver": {"support_tol": -1e-3}},
+        {"solver": {"max_sweeps": 0}},
+        {"solver": {"max_sweeps": 0.5}},
+        {"solver": {"max_sweeps": True}},
     ],
     ids=[
         "nonpositive-eps", "unsorted-eps", "solver-not-an-object", "max-sweeps-not-a-number",
         "seed-not-a-number", "instance-without-h", "instance-h-not-a-number",
         "instance-file-missing", "instance-not-an-object", "rate-fit-not-a-boolean",
-        "rate-fit-zero", "eps-infinite", "residual-tol-infinite",
+        "rate-fit-zero", "eps-infinite", "residual-tol-infinite", "residual-tol-zero",
+        "support-tol-negative", "max-sweeps-zero", "max-sweeps-fractional",
+        "max-sweeps-boolean",
     ],
 )
-def test_run_rejects_malformed_config(tmp_path, capsys, overrides):
+def test_run_rejects_malformed_config(tmp_path, monkeypatch, capsys, overrides):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a rejected config must not reach a solver")
+
+    # the default checks include CostSandwich, whose exact reference is
+    # solved before the first epsilon
+    monkeypatch.setattr("qotlab.cli.solve_exact", no_solve)
+    monkeypatch.setattr("qotlab.verify.qot_solver.solve", no_solve)
     cfg = _write_config(tmp_path, **overrides)
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_CONFIG
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -90,8 +104,13 @@ def test_run_rejects_malformed_config(tmp_path, capsys, overrides):
         ([], ["--tol", "1e-9"]),
         ({}, ["--eps", "inf"]),
         ({}, ["--tol", "inf"]),
+        ({}, ["--eps", ","]),
+        ({}, ["--eps", ""]),
     ],
-    ids=["tol-on-non-object-solver", "eps-on-list", "tol-on-list", "eps-inf", "tol-inf"],
+    ids=[
+        "tol-on-non-object-solver", "eps-on-list", "tol-on-list", "eps-inf", "tol-inf",
+        "eps-empty-list", "eps-empty-string",
+    ],
 )
 def test_run_overrides_on_malformed_config(tmp_path, monkeypatch, capsys, config, flags):
     def no_solve(*args, **kwargs):
@@ -106,6 +125,21 @@ def test_run_overrides_on_malformed_config(tmp_path, monkeypatch, capsys, config
     assert cli.main(["run", "-c", str(cfg), *flags]) == cli.EXIT_CONFIG
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "config"
+
+
+def test_d1_surrogate_runs_without_qp_or_lp(tmp_path, monkeypatch):
+    # every d=1 surrogate evaluation is closed form on the lower hull
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a d=1 surrogate must not call the QP or the LP")
+
+    monkeypatch.setattr("qotlab.surrogate._simplex_qp", no_solver)
+    monkeypatch.setattr("qotlab.surrogate.linprog", no_solver)
+    cfg = _write_config(
+        tmp_path,
+        instance={"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1},
+        eps_list=[0.1, 0.01, 0.001],
+    )
+    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
 
 
 def test_run_missing_config():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import fd_gradient
 from qotlab.geometry import build_spread, delta
@@ -9,6 +11,8 @@ from qotlab.measures import make_measure, uniform_ball_grid
 from qotlab.qot_solver import DualPotentials, SolverConfig, solve
 from qotlab.surrogate import (
     ConvexSurrogate,
+    _psi_star_lp,
+    _simplex_qp,
     build_surrogate,
     eval_psi,
     eval_psi_prime,
@@ -27,6 +31,22 @@ def grid_surrogate():
     pot = solve(mu, mu, cfg)
     d_eps = delta(build_spread(mu), cfg.epsilon)
     return mu, pot, build_surrogate(pot, mu, d_eps)
+
+
+@pytest.fixture(scope="module")
+def grid_surrogate_d2():
+    """Surrogate of a solved d=2 self-transport grid: the active-set QP and
+    LP path, which d=1 surrogates no longer take."""
+    mu = uniform_ball_grid(2, 0.25)
+    cfg = SolverConfig(epsilon=0.01)
+    pot = solve(mu, mu, cfg)
+    d_eps = delta(build_spread(mu), cfg.epsilon)
+    return mu, pot, build_surrogate(pot, mu, d_eps)
+
+
+@pytest.fixture(params=["grid_surrogate", "grid_surrogate_d2"], ids=["d1", "d2"])
+def any_surrogate(request):
+    return request.getfixturevalue(request.param)
 
 
 def _one_piece(slope, intercept, lam):
@@ -122,16 +142,16 @@ def test_psi_star_point_conjugate():
     assert eval_psi_star(s, [0.0]) == pytest.approx(-0.05, abs=1e-10)
 
 
-def test_psi_star_outside_hull_is_inf(grid_surrogate):
-    _, _, s = grid_surrogate
-    assert math.isinf(eval_psi_star(s, [1.5]))
+def test_psi_star_outside_hull_is_inf(any_surrogate):
+    _, _, s = any_surrogate
+    assert math.isinf(eval_psi_star(s, np.full(s.slopes.shape[1], 1.5)))
 
 
-def test_fenchel_young(grid_surrogate):
-    mu, _, s = grid_surrogate
+def test_fenchel_young(any_surrogate):
+    mu, _, s = any_surrogate
     rng = np.random.default_rng(21)
     for _ in range(50):
-        x = rng.uniform(-1.0, 1.0, size=1)
+        x = rng.uniform(-1.0, 1.0, size=s.slopes.shape[1])
         theta = rng.dirichlet(np.ones(len(mu)))
         y = s.slopes.T @ theta
         val, _ = eval_psi(s, x)
@@ -175,10 +195,10 @@ def test_minty_linear_shift():
     assert minty_map(s, u)[0] == pytest.approx(0.5 - 2 * a, abs=1e-12)
 
 
-def test_minty_solves_resolvent_equation(grid_surrogate):
-    _, _, s = grid_surrogate
+def test_minty_solves_resolvent_equation(any_surrogate):
+    _, _, s = any_surrogate
     rng = np.random.default_rng(31)
-    for u in rng.uniform(-2.0, 2.0, size=(40, 1)):
+    for u in rng.uniform(-2.0, 2.0, size=(40, s.slopes.shape[1])):
         x_prime, grad = minty_reflect(s, u)
         _, grad_check = eval_psi(s, x_prime)
         assert np.linalg.norm(x_prime + grad_check - u) <= 1e-8
@@ -187,11 +207,11 @@ def test_minty_solves_resolvent_equation(grid_surrogate):
         assert np.abs(x_prime - 0.5 * (u + F)).max() <= 1e-12
 
 
-def test_minty_map_is_one_lipschitz(grid_surrogate):
-    _, _, s = grid_surrogate
+def test_minty_map_is_one_lipschitz(any_surrogate):
+    _, _, s = any_surrogate
     rng = np.random.default_rng(32)
     for _ in range(100):
-        u, v = rng.uniform(-2.0, 2.0, size=(2, 1))
+        u, v = rng.uniform(-2.0, 2.0, size=(2, s.slopes.shape[1]))
         Fu = minty_map(s, u)
         Fv = minty_map(s, v)
         assert np.linalg.norm(Fu - Fv) <= np.linalg.norm(u - v) + 1e-10
@@ -235,3 +255,96 @@ def test_surrogate_export_schema(grid_surrogate):
     record = s.to_dict()
     assert set(record) == {"slopes", "intercepts", "lambda"}
     assert record["lambda"] == pytest.approx(s.lam)
+
+
+# Tolerances of the d=1 closed forms against the QP and LP oracles, set from
+# the oracles' own stopping rules.  HiGHS runs at feasibility tolerance
+# 1e-10, so psi* may differ by about that times the intercept scale.  The
+# active-set QP stops once no slope undercuts its working set by more than
+# KKT_TOL = 1e-10, which moves the optimal slope by at most
+# KKT_TOL / (gamma * spacing) <= 1e-10 / (0.01 * 1/8) = 8e-8 for the slope
+# lattice and lam range below, and the envelope value by 2 lam times that.
+STAR_TOL = 1e-9
+GRAD_TOL = 1e-7
+VALUE_TOL = 1e-8
+
+_DYADIC = st.integers(-16, 16).map(lambda k: k / 16.0)
+
+
+@st.composite
+def d1_surrogates(draw):
+    """1-12 slopes on a 1/8 lattice in [-1, 1] (so duplicates and ties are
+    common) with random or lattice intercepts; optionally a subset of the
+    lifted points lies exactly on one line."""
+    m = draw(st.integers(1, 12))
+    y = np.array(draw(st.lists(st.integers(-8, 8), min_size=m, max_size=m))) / 8.0
+    b = np.array(draw(st.lists(
+        st.one_of(st.floats(-1.0, 1.0, allow_nan=False), _DYADIC), min_size=m, max_size=m
+    )))
+    on_line = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        c0, c1 = draw(_DYADIC), draw(_DYADIC)
+        b[on_line] = c0 + c1 * y[on_line]  # exact in binary floating point
+    lam = draw(st.floats(0.01, 1.0))
+    return ConvexSurrogate(slopes=y[:, None], intercepts=b, lam=lam)
+
+
+def _prox_probes(s, gamma, extra):
+    """Points at vertex regions, on every breakpoint, inside every segment
+    and beyond both ends of the prox map with curvature gamma."""
+    v, _, m = s.hull
+    # vertex k owns [gamma v_k + walls_k, gamma v_k + walls_{k+1}]; the end
+    # vertices' unbounded sides are cut at distance 1
+    walls = np.concatenate([m[:1] - 1.0, m, m[-1:] + 1.0]) if len(m) else np.array([-1.0, 1.0])
+    return np.concatenate([
+        gamma * v[:-1] + m,                     # segment starts
+        gamma * v[1:] + m,                      # segment ends
+        gamma * 0.5 * (v[:-1] + v[1:]) + m,     # segment midpoints
+        gamma * v + 0.5 * (walls[:-1] + walls[1:]),  # inside vertex regions
+        gamma * s.slopes[:, 0],
+        [gamma * v[0] - 2.0, gamma * v[-1] + 2.0],
+        extra,
+    ])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    s=d1_surrogates(),
+    extra=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+    outside=st.floats(1e-6, 1.0),
+)
+def test_d1_closed_forms_match_qp_and_lp(s, extra, outside):
+    y, b = s.slopes[:, 0], s.intercepts
+    v, h, m = s.hull
+    # lower hull: distinct vertices spanning the slopes, strictly convex,
+    # on or below every lifted point
+    assert v[0] == y.min() and v[-1] == y.max()
+    assert np.all(np.diff(v) > 0) and np.all(np.diff(m) > 0)
+    assert np.all(np.interp(y, v, h) <= b + 1e-12)
+
+    sorted_y = np.unique(y)
+    star_probes = np.concatenate([
+        y, 0.5 * (sorted_y[:-1] + sorted_y[1:]), [y.min(), y.max()],
+        [y.min() - outside, y.max() + outside],
+    ])
+    for pt in star_probes:
+        ref = _psi_star_lp(s, np.array([pt]))
+        got = eval_psi_star(s, [pt])
+        if math.isinf(ref):
+            assert math.isinf(got), pt
+        else:
+            assert abs(got - (ref + 0.5 * s.lam * pt * pt)) <= STAR_TOL, pt
+
+    for u in _prox_probes(s, s.lam + 1.0, extra):
+        ref = y @ _simplex_qp(s.slopes, b, np.array([u]), s.lam + 1.0)
+        x_prime, g = minty_reflect(s, [u])
+        assert abs(g[0] - ref) <= GRAD_TOL, u
+        assert abs(x_prime[0] - (u - ref)) <= GRAD_TOL, u
+
+    for x in _prox_probes(s, s.lam, extra):
+        ref = y @ _simplex_qp(s.slopes, b, np.array([x]), s.lam)
+        z = x - s.lam * ref
+        ref_val = s.psi_tilde([z]) + 0.5 * s.lam * ref * ref
+        val, g = eval_psi(s, [x])
+        assert abs(g[0] - ref) <= GRAD_TOL, x
+        assert abs(val - ref_val) <= VALUE_TOL, x
