@@ -140,6 +140,20 @@ def _materialize(spec: dict, base_dir: Path) -> verify.Instance:
     raise CliConfigError(f"unknown instance kind {kind!r}")
 
 
+def _real(value, name: str) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer; booleans, fractions and strings are not integers."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     instance: dict
@@ -155,21 +169,19 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict, base_dir: Path) -> "ExperimentConfig":
         try:
-            eps_list = [float(e) for e in raw["eps_list"]]
+            eps_list = [_real(e, "each eps_list entry") for e in raw["eps_list"]]
             instance = dict(raw["instance"])
             output_dir = base_dir / raw["output_dir"]
             solver = raw.get("solver", {})
             if not isinstance(solver, dict):
                 raise TypeError(f"solver must be an object, got {solver!r}")
-            max_sweeps = solver.get("max_sweeps", 10_000)
-            if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, int):
-                raise TypeError(f"max_sweeps must be an integer, got {max_sweeps!r}")
-            residual_tol = float(solver.get("residual_tol", 1e-10))
-            support_tol = float(solver.get("support_tol", 0.0))
+            max_sweeps = _integer(solver.get("max_sweeps", 10_000), "max_sweeps")
+            residual_tol = _real(solver.get("residual_tol", 1e-10), "residual_tol")
+            support_tol = _real(solver.get("support_tol", 0.0), "support_tol")
             rate_fit = raw.get("rate_fit", False)
             if not isinstance(rate_fit, bool):
                 raise TypeError(f"rate_fit must be true or false, got {rate_fit!r}")
-            seed = int(raw.get("seed", 0))
+            seed = _integer(raw.get("seed", 0), "seed")
         except (KeyError, TypeError, ValueError) as exc:
             raise CliConfigError(f"malformed config: {exc}") from exc
         if not eps_list or not all(math.isfinite(e) and e > 0 for e in eps_list):

@@ -6,22 +6,21 @@ weights nu_j) the optimal dual potentials (f, g) solve, for every atom,
     sum_i mu_i [f_i + g_j - c(x_i, y_j)]_+ = eps      (one equation per j)
     sum_j nu_j [f_i + g_j - c(x_i, y_j)]_+ = eps      (one equation per i)
 
-with c(x, y) = |x - y|^2 / 2.  Holding one block fixed, each equation in the
-other block is a scalar convex piecewise-linear increasing equation, solved
-exactly by Newton's method on its active set: from any point at or above the
-root the iterates decrease monotonically and stop on the linear piece that
-contains the root, after finitely many steps.  No thresholds are sorted; each
-step is a masked pass over the dense matrix, and the previous sweep's
-potentials are the warm start.  The solver sweeps the two blocks alternately
-until both residual vectors fall below tolerance.  Within one half-sweep the
-per-atom solves are independent (they are evaluated as one vectorized batch).
+with c(x, y) = |x - y|^2 / 2.  These are the stationarity conditions of a
+convex piecewise-quadratic dual, which solve minimizes by semismooth Newton
+(Lorenz, Manns & Meyer, Appl. Math. Optim. 2021; Blondel, Seguy & Rolet,
+AISTATS 2018): each iteration solves for its direction by conjugate gradients
+on the generalized Hessian, whose pattern is the active set
+{f_i + g_j > c_ij}, and backtracks on the dual value.  The start is one
+alternating sweep of exact scalar updates.  Holding one block fixed, each
+equation in the other block is a scalar convex piecewise-linear increasing
+equation, solved exactly by Newton's method on its active set
+(_hinge_root_batch); the same scalar solve extends f off the mu-atoms
+(evaluate_f_at).
 
-The shift degree of freedom is fixed by balancing the integrals,
-sum_i mu_i f_i = sum_j nu_j g_j.  For mu = nu the solver returns the midpoint
-u = (f + g) / 2 as both potentials: the dual objective is concave and
-invariant under the swap (f, g) <-> (g, f), so the midpoint of any optimum
-and its swap is a symmetric optimum, whatever shift each connected component
-of the support carries.
+For mu = nu the unknown is a single potential u = f = g, so the returned
+potentials are symmetric by construction.  Otherwise the shift degree of
+freedom is fixed by balancing the integrals, sum_i mu_i f_i = sum_j nu_j g_j.
 
 Dense n x m cost and slack matrices exist only inside solve and
 assemble_coupling.  Everything downstream, max_density and the transport
@@ -42,8 +41,9 @@ class ConfigError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The sweep budget ran out; residual_mu and residual_nu are the
-    sup-norms of the last sweep's two residual vectors, residual their max."""
+    """The Newton iteration budget (max_sweeps) ran out; residual_mu and
+    residual_nu are the sup-norms of the last iterate's two residual vectors,
+    residual their max."""
 
     def __init__(self, message: str, residual_mu: float, residual_nu: float, sweeps: int):
         super().__init__(message)
@@ -60,7 +60,7 @@ class InconsistencyError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float
-    max_sweeps: int = 10_000
+    max_sweeps: int = 10_000      # cap on Newton iterations
     residual_tol: float = 1e-10   # on the marginal-equation residual
     support_tol: float = 0.0      # support = {f_i + g_j - c_ij > support_tol}
 
@@ -206,54 +206,164 @@ def marginal_residuals(
     return res_mu, res_nu
 
 
-def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig) -> DualPotentials:
-    """Alternating exact coordinate updates until both marginal residual
-    vectors have sup-norm <= residual_tol.
+def _pcg(matvec, b, diag, scale, tol, maxiter):
+    """Jacobi-preconditioned conjugate gradients for H x = b from x = 0,
+    stopped once the residual divided elementwise by scale has sup-norm
+    <= tol, or after maxiter products with H."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r / diag
+    p = z.copy()
+    rz = float(r @ z)
+    for _ in range(maxiter):
+        if np.max(np.abs(r / scale)) <= tol:
+            break
+        q = matvec(p)
+        pq = float(p @ q)
+        if not (pq > 0.0 and rz > 0.0):
+            break
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        z = r / diag
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return x
 
-    Each sweep updates all g coordinates from the current f, then all f
-    coordinates from the new g, so the f-side equations hold to machine
-    precision at the sweep boundary.  For mu = nu (bitwise) the candidate is
-    the midpoint u = (f + g) / 2 of the sweep, accepted once (u, u) meets the
-    residual tolerance and one f-update from u moves it by at most
-    residual_tol; the returned potentials satisfy f = g exactly.
+
+_ARMIJO = 1e-4          # sufficient-decrease fraction of the directional derivative
+_PHI_ROUNDOFF = 1e-13   # relative rounding allowance in comparing dual values
+_MIN_STEP = 2.0**-40
+
+
+def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig) -> DualPotentials:
+    """Semismooth Newton on the dual until both marginal residual vectors
+    have sup-norm <= residual_tol; cfg.max_sweeps caps the Newton iterations,
+    and the returned `sweeps` counts them.
+
+    The dual, as a minimization, is the convex piecewise quadratic
+
+        Phi(f, g) = 1/2 sum_ij mu_i nu_j [f_i + g_j - c_ij]_+^2 - eps (mu.f + nu.g)
+
+    with gradient (mu * F, nu * G), where F_i = sum_j nu_j [.]_+ - eps and
+    G_j = sum_i mu_i [.]_+ - eps are the marginal residuals.  Its generalized
+    Hessian has the pattern of the active set A = {f_i + g_j > c_ij}: blocks
+    diag(mu * A nu), diag(nu * A^T mu) and mu_i nu_j A_ij off the diagonal.
+
+    The start is one cold sweep of exact hinge roots (g from f = 0, then f
+    from g).  Each iteration solves for the direction by Jacobi-preconditioned
+    CG on the Hessian plus |residual|_inf times the weights, a term that keeps
+    the system definite where a row has no active pair and vanishes at the
+    solution, then halves the step until Armijo's condition on Phi holds.
+    The solve stops once each |F_i| is at most residual_tol times the active
+    mass sum_j nu_j A_ij of its row (and likewise for G): then no potential is
+    more than about residual_tol from its exact hinge root given the other
+    block, so evaluate_f_at reproduces the stored f, and since an active mass
+    is at most 1 the marginal residual gate holds too.
+
+    For mu = nu (bitwise) the unknown is one potential u = f = g, so
+    F_i(u) = sum_j nu_j [u_i + u_j - c_ij]_+ - eps, and the Hessian is the
+    form sum_ij w_i w_j A_ij (x_i + x_j)^2, definite once the diagonal pairs
+    are active; the returned potentials satisfy f = g exactly.  For mu != nu
+    the Hessian is semidefinite with the shift (1, -1) in its kernel and the
+    gradient orthogonal to it; the shift is fixed at the end by balancing the
+    integrals, sum_i mu_i f_i = sum_j nu_j g_j.
     """
     if mu.dim != nu.dim:
         raise ConfigError(f"dimension mismatch: mu has d={mu.dim}, nu has d={nu.dim}")
-    eps = cfg.epsilon
+    eps, tol = cfg.epsilon, cfg.residual_tol
     C = cost_matrix(mu.atoms, nu.atoms)
     mu_w, nu_w = mu.weights, nu.weights
-    self_transport = mu.same_as(nu)
-    f = np.zeros(len(mu))
-    g = None
-    for sweep in range(1, cfg.max_sweeps + 1):
-        # each half-sweep starts from the previous sweep's potential
-        g = _hinge_root_batch(C - f[:, None], mu_w, eps, g)
-        f = _hinge_root_batch(C.T - g[:, None], nu_w, eps, f if sweep > 1 else None)
-        if self_transport:
-            u = 0.5 * (f + g)
-            res_mu, res_nu = marginal_residuals(u[:, None] + u[None, :] - C, mu_w, nu_w, eps)
+    n = len(mu)
+    tied = mu.same_as(nu)
+    g = _hinge_root_batch(C, mu_w, eps)
+    f = _hinge_root_batch(C.T - g[:, None], nu_w, eps)
+    if tied:
+        x, scale = 0.5 * (f + g), 2.0 * mu_w
+
+        def split(z):
+            return z, z
+    else:
+        x, scale = np.concatenate([f, g]), np.concatenate([mu_w, nu_w])
+
+        def split(z):
+            return z[:n], z[n:]
+
+    def dual(z, out):
+        """Phi at z and a magnitude for its rounding; leaves the positive
+        slack [f_i + g_j - c_ij]_+ in out."""
+        fz, gz = split(z)
+        np.add.outer(fz, gz, out=out)
+        out -= C
+        np.maximum(out, 0.0, out=out)
+        quad = 0.5 * float(mu_w @ np.einsum("ij,ij,j->i", out, out, nu_w))
+        lin = eps * (float(mu_w @ fz) + float(nu_w @ gz))
+        return quad - lin, quad + abs(lin)
+
+    def linearize(P):
+        """Residuals F, G and active masses A nu, A^T mu; overwrites the
+        positive slack P with the active set A as 0/1."""
+        F = P @ nu_w - eps
+        G = mu_w @ P - eps
+        np.greater(P, 0.0, out=P)
+        return F, G, P @ nu_w, mu_w @ P
+
+    # two dense buffers besides C: the active set and the trial slack
+    A, T = np.empty_like(C), np.empty_like(C)
+    phi, phi_mag = dual(x, A)
+    F, G, rf, rg = linearize(A)
+    for it in range(1, cfg.max_sweeps + 1):
+        res = max(float(np.abs(F).max()), float(np.abs(G).max()))
+        if tied:
+            # A is symmetric: the (f, f), (g, g) and cross blocks pair up
+            grad = mu_w * F + nu_w * G
+            diag = 2.0 * mu_w * (rf + mu_w * np.diagonal(A)) + res * scale
+
+            def hess(z):
+                return 2.0 * mu_w * (rf * z + A @ (mu_w * z)) + res * scale * z
         else:
-            res_mu, res_nu = marginal_residuals(f[:, None] + g[None, :] - C, mu_w, nu_w, eps)
-        last_mu, last_nu = float(res_mu.max()), float(res_nu.max())
-        last = max(last_mu, last_nu)
-        if last > cfg.residual_tol:
-            continue
-        if not self_transport:
+            grad = np.concatenate([mu_w * F, nu_w * G])
+            diag = np.concatenate([mu_w * rf, nu_w * rg]) + res * scale
+
+            def hess(z):
+                zf, zg = z[:n], z[n:]
+                return np.concatenate([
+                    mu_w * (rf * zf + A @ (nu_w * zg)),
+                    nu_w * (rg * zg + (mu_w * zf) @ A),
+                ]) + res * scale * z
+
+        # inexact Newton: the CG tolerance shrinks with the residual
+        cg_tol = max(1e-3 * tol, min(0.1, res / eps) * res)
+        d = _pcg(hess, -grad, diag, scale, cg_tol, maxiter=2 * len(x) + 10)
+        slope = float(grad @ d)
+        t = 1.0
+        while True:
+            trial = x + t * d
+            phi_t, mag_t = dual(trial, T)
+            if phi_t <= phi + _ARMIJO * t * slope + _PHI_ROUNDOFF * phi_mag or t <= _MIN_STEP:
+                break
+            t *= 0.5
+        x, phi, phi_mag = trial, phi_t, mag_t
+        A, T = T, A
+        F, G, rf, rg = linearize(A)
+        if np.all(np.abs(F) <= tol * rf) and np.all(np.abs(G) <= tol * rg):
+            residual = max(float(np.abs(F).max()), float(np.abs(G).max()))
+            if tied:
+                return DualPotentials(
+                    f_values=x, g_values=x.copy(), epsilon=eps, residual=residual, sweeps=it,
+                )
+            f, g = split(x)
             shift = 0.5 * (float(nu_w @ g) - float(mu_w @ f))
             return DualPotentials(
                 f_values=f + shift, g_values=g - shift, epsilon=eps,
-                residual=last, sweeps=sweep,
+                residual=residual, sweeps=it,
             )
-        step = _hinge_root_batch(C.T - u[:, None], nu_w, eps, u)
-        if np.max(np.abs(step - u)) <= cfg.residual_tol:
-            return DualPotentials(
-                f_values=u, g_values=u.copy(), epsilon=eps,
-                residual=last, sweeps=sweep,
-            )
+    res_mu, res_nu = float(np.abs(F).max()), float(np.abs(G).max())
     raise ConvergenceError(
-        f"no convergence within {cfg.max_sweeps} sweeps (last residual {last:.3e})",
-        residual_mu=last_mu,
-        residual_nu=last_nu,
+        f"no convergence within {cfg.max_sweeps} sweeps (Newton iterations; "
+        f"last residual {max(res_mu, res_nu):.3e})",
+        residual_mu=res_mu,
+        residual_nu=res_nu,
         sweeps=cfg.max_sweeps,
     )
 

@@ -2,8 +2,10 @@
 
 Each oracle takes a route disjoint from the implementation it validates:
 the primal QP oracle is projected gradient descent with Dykstra projections
-(the library solves the dual system), scalar hinge roots come from sorting
-the thresholds (the library runs Newton on the active set), spread values
+(the library solves the dual system), the dual oracle sweeps exact
+coordinate updates (the library runs semismooth Newton on the whole dual),
+scalar hinge roots come from sorting the thresholds (the library runs Newton
+on the active set), spread values
 come from a direct double loop, spread inverses from bisection, envelope
 gradients from finite differences, and exact-transport costs from matching
 enumeration or an LP.
@@ -14,6 +16,8 @@ import itertools
 
 import numpy as np
 from scipy.optimize import linprog
+
+from qotlab.qot_solver import _hinge_root_batch, cost_matrix, marginal_residuals
 
 
 def _affine_marginal_projection(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,6 +89,46 @@ def sort_hinge_root(S: np.ndarray, w: np.ndarray, eps: float) -> np.ndarray:
     kstar = np.sum(knot <= eps, axis=0) - 1
     cols = np.arange(S.shape[1])
     return (eps + cs[kstar, cols]) / cw[kstar, cols]
+
+
+def alternating_solve(mu, nu, eps: float, residual_tol: float = 1e-10,
+                      max_sweeps: int = 100_000):
+    """Dual potentials by alternating exact coordinate updates, the library's
+    solver before semismooth Newton; returns (f, g, residual, sweeps).
+
+    Each sweep updates all g coordinates from the current f, then all f
+    coordinates from the new g (each half-sweep warm-started from the
+    previous sweep), so the f-side equations hold to machine precision at the
+    sweep boundary.  For mu = nu (bitwise) the candidate is the midpoint
+    u = (f + g) / 2, a symmetric optimum because the dual is concave and
+    invariant under (f, g) <-> (g, f); it is accepted once (u, u) meets the
+    residual tolerance and one f-update from u moves it by at most
+    residual_tol.  Otherwise the integrals are balanced at the end,
+    sum_i mu_i f_i = sum_j nu_j g_j.
+    """
+    C = cost_matrix(mu.atoms, nu.atoms)
+    mu_w, nu_w = mu.weights, nu.weights
+    self_transport = mu.same_as(nu)
+    f = np.zeros(len(mu))
+    g = None
+    for sweep in range(1, max_sweeps + 1):
+        g = _hinge_root_batch(C - f[:, None], mu_w, eps, g)
+        f = _hinge_root_batch(C.T - g[:, None], nu_w, eps, f if sweep > 1 else None)
+        if self_transport:
+            u = 0.5 * (f + g)
+            res_mu, res_nu = marginal_residuals(u[:, None] + u[None, :] - C, mu_w, nu_w, eps)
+        else:
+            res_mu, res_nu = marginal_residuals(f[:, None] + g[None, :] - C, mu_w, nu_w, eps)
+        residual = max(float(res_mu.max()), float(res_nu.max()))
+        if residual > residual_tol:
+            continue
+        if not self_transport:
+            shift = 0.5 * (float(nu_w @ g) - float(mu_w @ f))
+            return f + shift, g - shift, residual, sweep
+        step = _hinge_root_batch(C.T - u[:, None], nu_w, eps, u)
+        if np.max(np.abs(step - u)) <= residual_tol:
+            return u, u.copy(), residual, sweep
+    raise RuntimeError(f"alternating oracle did not converge within {max_sweeps} sweeps")
 
 
 def brute_force_rho(mu, r: float) -> float:

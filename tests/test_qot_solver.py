@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import qp_oracle_coupling, sort_hinge_root
+from oracles import alternating_solve, qp_oracle_coupling, sort_hinge_root
 from qotlab.measures import make_measure, uniform_ball_grid
 from qotlab.qot_solver import (
     ConfigError,
@@ -192,10 +192,24 @@ def test_doubling_max_sweeps_is_stable():
 
 
 def test_non_convergence_carries_residual():
+    # this solve takes 3 Newton iterations, so a cap of 1 stops it short
     mu = uniform_ball_grid(1, 0.1)
     with pytest.raises(ConvergenceError) as exc:
-        solve(mu, mu, SolverConfig(epsilon=1e-3, max_sweeps=2))
+        solve(mu, mu, SolverConfig(epsilon=0.1, max_sweeps=1))
     assert exc.value.residual > 0
+
+
+def test_small_eps_converges_in_few_newton_iterations():
+    # grid-d1-h0.02 at eps = 1e-5 took 1207 alternating sweeps; the Newton
+    # solver must get there within a cap of 10 iterations
+    mu = uniform_ball_grid(1, 0.02)
+    cfg = SolverConfig(epsilon=1e-5, max_sweeps=10)
+    pot = solve(mu, mu, cfg)
+    slack = pot.f_values[:, None] + pot.g_values[None, :] - cost_matrix(mu.atoms, mu.atoms)
+    res_mu, res_nu = marginal_residuals(slack, mu.weights, mu.weights, cfg.epsilon)
+    assert max(res_mu.max(), res_nu.max()) <= 1e-10
+    assert pot.residual <= 1e-10
+    assert 1 <= pot.sweeps <= 10
 
 
 def test_dimension_mismatch():
@@ -367,9 +381,10 @@ def test_knife_edge_boundary_pair_does_not_merge_components():
     eps=st.floats(min_value=1e-2, max_value=1.0),
 )
 def test_self_transport_midpoint_matches_oracle(n, seed, eps):
-    # differential test of the self-transport path: the returned midpoint is
-    # symmetric, meets both acceptance conditions, and reproduces the primal
-    # QP optimum, including supports that split into several components
+    # differential test of the self-transport path: the returned potential is
+    # symmetric, meets the residual gate, agrees with its own hinge root at
+    # every atom, and reproduces the primal QP optimum, including supports
+    # that split into several components
     rng = np.random.default_rng(seed)
     atoms = np.sort(rng.choice(np.arange(-18, 19), size=n, replace=False) * 0.05
                     + rng.uniform(-0.01, 0.01, size=n))
@@ -408,3 +423,82 @@ def test_coupling_export_schema():
     assert pot_record["normalization"] == "balanced-integrals"
     assert set(pot_record) == {"epsilon", "f", "g", "normalization", "residual", "sweeps"}
     assert pot_record["sweeps"] == pot.sweeps >= 1
+
+
+KNIFE_EDGE = 1e-8   # |slack| at or below this is a knife-edge pair
+
+
+def _random_atoms(rng, k, d, layout):
+    """k distinct atoms in the unit ball: lattice points (spacing 0.1, or
+    0.05 in d=1), the same jittered, or two lattice clusters centred at
+    +-0.5 e_1 with a gap that a small eps cannot bridge."""
+    if layout == "clusters":
+        side = np.arange(-3, 4) * 0.05
+        cell = np.array(np.meshgrid(*[side] * d)).reshape(d, -1).T
+        centre = np.zeros(d)
+        centre[0] = 0.5
+        pts = np.concatenate([cell - centre, cell + centre])
+        first = rng.choice(len(cell), size=k // 2, replace=False)
+        second = len(cell) + rng.choice(len(cell), size=k - k // 2, replace=False)
+        return pts[np.concatenate([first, second])]
+    side = np.arange(-18, 19) * 0.05 if d == 1 else np.arange(-6, 7) * 0.1
+    pts = np.array(np.meshgrid(*[side] * d)).reshape(d, -1).T
+    pts = pts[np.linalg.norm(pts, axis=1) <= 0.9]
+    pts = pts[rng.choice(len(pts), size=k, replace=False)]
+    if layout == "jitter":
+        pts = pts + rng.uniform(-0.01, 0.01, size=pts.shape)
+    return pts
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    m=st.integers(min_value=2, max_value=12),
+    d=st.sampled_from([1, 2]),
+    seed=st.integers(min_value=0, max_value=10_000),
+    log_eps=st.floats(min_value=-3.0, max_value=0.0),
+    layout=st.sampled_from(["lattice", "jitter", "clusters"]),
+    pairing=st.sampled_from(["self", "shifted", "independent"]),
+)
+def test_newton_matches_alternating_oracle(n, m, d, seed, log_eps, layout, pairing):
+    # differential test of the Newton solver against the alternating sweeps
+    # it replaced.  Lattice atoms and integer weights make ties common;
+    # "clusters" with a shifted or identical nu splits the support into two
+    # components.  The coupling tolerance follows from monotonicity of
+    # [.]_+: for two dual points with residuals tau_1, tau_2 and potential
+    # gaps df, dg, eps * sum (dpi)^2 / (mu_i nu_j) <= sum dpi_ij (df_i + dg_j)
+    # <= (tau_1 + tau_2)(|df|_inf + |dg|_inf) / eps, so each entry satisfies
+    # |dpi_ij| <= sqrt(mu_i nu_j (tau_1 + tau_2)(|df| + |dg|)) / eps, plus
+    # rounding of 1e-14 / eps relative to mu_i nu_j.
+    rng = np.random.default_rng(seed)
+    eps = 10.0**log_eps
+    atoms = _random_atoms(rng, n, d, layout)
+    mu = make_measure(atoms, (w := rng.integers(1, 4, size=n)) / w.sum())
+    if pairing == "self":
+        nu = mu
+    elif pairing == "shifted":
+        nu = make_measure(0.9 * atoms + 0.02, mu.weights)
+    else:
+        nu_atoms = _random_atoms(rng, m, d, layout)
+        nu = make_measure(nu_atoms, (v := rng.uniform(0.1, 1.0, size=m)) / v.sum())
+    cfg = SolverConfig(epsilon=eps)
+    pot = solve(mu, nu, cfg)
+    f0, g0, _, _ = alternating_solve(mu, nu, eps, cfg.residual_tol)
+    C = cost_matrix(mu.atoms, nu.atoms)
+    slack = pot.f_values[:, None] + pot.g_values[None, :] - C
+    slack0 = f0[:, None] + g0[None, :] - C
+    taus = []
+    for s in (slack, slack0):
+        res_mu, res_nu = marginal_residuals(s, mu.weights, nu.weights, eps)
+        assert res_mu.max() <= cfg.residual_tol and res_nu.max() <= cfg.residual_tol
+        taus.append(max(res_mu.max(), res_nu.max()))
+    if pairing == "self":
+        assert np.array_equal(pot.f_values, pot.g_values)
+        assert np.abs(pot.f_values - f0).max() <= 1e-9
+    clear = (np.abs(slack) > KNIFE_EDGE) & (np.abs(slack0) > KNIFE_EDGE)
+    assert np.array_equal((slack > 0)[clear], (slack0 > 0)[clear])
+    P = np.outer(mu.weights, nu.weights)
+    gap = np.abs(pot.f_values - f0).max() + np.abs(pot.g_values - g0).max()
+    bound = np.sqrt(P * sum(taus) * gap) / eps + 1e-14 * P / eps
+    dpi = P * np.abs(np.maximum(slack, 0.0) - np.maximum(slack0, 0.0)) / eps
+    assert np.all(dpi <= bound)
