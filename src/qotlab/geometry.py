@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, sq_distances
 
 DIST_DECIMALS = 12
 
@@ -51,9 +51,9 @@ class SpreadProfile:
 
 
 def _pairwise_distances(mu: DiscreteMeasure) -> np.ndarray:
-    diff = mu.atoms[:, None, :] - mu.atoms[None, :, :]
-    dist = np.sqrt((diff**2).sum(-1))
-    return np.round(dist, DIST_DECIMALS)
+    dist = sq_distances(mu.atoms, mu.atoms)
+    np.sqrt(dist, out=dist)
+    return np.round(dist, DIST_DECIMALS, out=dist)
 
 
 def build_spread(mu: DiscreteMeasure, source: str = "") -> SpreadProfile:
@@ -103,8 +103,8 @@ def delta_st(profile: SpreadProfile, epsilon: float) -> float:
 def diameter(mu: DiscreteMeasure) -> float:
     if len(mu) < 2:
         raise GeometryError("diameter needs at least two atoms")
-    diff = mu.atoms[:, None, :] - mu.atoms[None, :, :]
-    return float(np.sqrt((diff**2).sum(-1)).max())
+    # sqrt is monotone, so the root of the largest square is the largest distance
+    return float(np.sqrt(sq_distances(mu.atoms, mu.atoms).max()))
 
 
 def hull_faces(mu: DiscreteMeasure):

@@ -75,10 +75,9 @@ class DiscreteMeasure:
     def min_pairwise_distance(self) -> float:
         if len(self) < 2:
             raise MeasureError("need at least two atoms for a pairwise distance")
-        diff = self.atoms[:, None, :] - self.atoms[None, :, :]
-        dist = np.sqrt((diff**2).sum(-1))
-        np.fill_diagonal(dist, np.inf)
-        return float(dist.min())
+        sq = sq_distances(self.atoms, self.atoms)
+        np.fill_diagonal(sq, np.inf)
+        return float(np.sqrt(sq.min()))
 
     def to_dict(self) -> dict:
         return {
@@ -86,6 +85,27 @@ class DiscreteMeasure:
             "atoms": [list(map(float, row)) for row in self.atoms],
             "weights": [float(w) for w in self.weights],
         }
+
+
+def sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The n x m matrix of squared distances |x_i - y_j|^2 between the rows
+    of X (n, d) and Y (m, d).
+
+    The squared coordinate differences are added one coordinate at a time,
+    with one n x m scratch buffer, so no (n, m, d) array is ever built.  For
+    d < 8 this is bit for bit ((X[:, None] - Y[None]) ** 2).sum(-1), since
+    numpy adds fewer than eight terms in order; from d = 8 on numpy sums
+    pairwise and the two can differ in the last bits.
+    """
+    out = np.subtract.outer(X[:, 0], Y[:, 0])
+    out *= out
+    if X.shape[1] > 1:
+        scratch = np.empty_like(out)
+        for k in range(1, X.shape[1]):
+            np.subtract.outer(X[:, k], Y[:, k], out=scratch)
+            scratch *= scratch
+            out += scratch
+    return out
 
 
 def make_measure(atoms, weights) -> DiscreteMeasure:

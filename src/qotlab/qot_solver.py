@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, sq_distances
 
 
 class ConfigError(ValueError):
@@ -144,8 +144,9 @@ class Coupling:
 
 def cost_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Half squared Euclidean distances, c(x, y) = |x - y|^2 / 2."""
-    diff = X[:, None, :] - Y[None, :, :]
-    return 0.5 * (diff**2).sum(-1)
+    C = sq_distances(X, Y)
+    C *= 0.5
+    return C
 
 
 def _hinge_root_batch(S: np.ndarray, w: np.ndarray, eps: float, t=None) -> np.ndarray:
@@ -382,8 +383,9 @@ def assemble_coupling(
 ) -> Coupling:
     """Coupling masses mu_i nu_j [f_i + g_j - c_ij]_+ / eps with recomputed
     marginal residuals attached; stale potentials are rejected."""
-    C = cost_matrix(mu.atoms, nu.atoms)
-    slack = pot.f_values[:, None] + pot.g_values[None, :] - C
+    # the slack f_i + g_j - c_ij overwrites the cost matrix in place
+    slack = cost_matrix(mu.atoms, nu.atoms)
+    np.subtract(np.add.outer(pot.f_values, pot.g_values), slack, out=slack)
     res_mu, res_nu = marginal_residuals(slack, mu.weights, nu.weights, pot.epsilon)
     residual = max(float(res_mu.max()), float(res_nu.max()))
     if residual > 10.0 * cfg.residual_tol:

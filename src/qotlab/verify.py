@@ -167,9 +167,20 @@ class SolvedInstance:
 
     def support_spread(self) -> float:
         """Largest |x_i - y_j| over the support pairs, 0 on an empty support."""
-        ii, jj = _support_arrays(self)
-        dists = np.sqrt(((self.mu.atoms[ii] - self.nu.atoms[jj]) ** 2).sum(-1))
-        return float(dists.max()) if len(dists) else 0.0
+        X, Y = self.mu.atoms.T, self.nu.atoms.T
+        worst = 0.0
+        for ii, jj in _support_blocks(self.coupling):
+            if len(ii):
+                # |x_i - y_j|^2 one coordinate at a time, the order in which
+                # numpy sums fewer than eight coordinates (see sq_distances)
+                sq = np.zeros(len(ii))
+                for x, y in zip(X, Y):
+                    diff = x[ii] - y[jj]
+                    diff *= diff
+                    sq += diff
+                worst = max(worst, float(sq.max()))
+        # sqrt is monotone: the root of the largest square is the largest distance
+        return math.sqrt(worst)
 
     def ensure_exact(self) -> exact_ot.ExactOTSolution:
         if self.exact is None:
@@ -210,6 +221,63 @@ def _support_arrays(inst: SolvedInstance):
     ii = inst.coupling.i_idx[mask]
     jj = inst.coupling.j_idx[mask]
     return ii, jj
+
+
+# coupling entries per block when a checker streams over the support
+_BLOCK_PAIRS = 2**15
+
+
+def _support_blocks(coupling: qot_solver.Coupling):
+    """The support pairs (ii, jj) in row-major order, in blocks that each
+    hold whole rows of at most _BLOCK_PAIRS coupling entries (a longer row
+    is a block of its own), so no support-sized array is ever built."""
+    # the entries are row-major: row r holds entries indptr[r]:indptr[r + 1]
+    indptr = np.searchsorted(coupling.i_idx, np.arange(coupling.n_mu + 1))
+    row = 0
+    while row < coupling.n_mu:
+        end = int(np.searchsorted(indptr, indptr[row] + _BLOCK_PAIRS, side="right")) - 1
+        end = max(end, row + 1)
+        lo, hi = indptr[row], indptr[end]
+        keep = coupling.in_support[lo:hi]
+        yield coupling.i_idx[lo:hi][keep], coupling.j_idx[lo:hi][keep]
+        row = end
+
+
+def _grad_estimate_lhs(inst: SolvedInstance) -> float:
+    """Largest distance from a support atom y_j to the nu-barycenter of its
+    row's support atoms, 0 on an empty support.
+
+    Bit for bit the per-row computation (w[:, None] * y).sum(axis=0) /
+    w.sum() over each row's support columns, then the distances summed over
+    the coordinate axis.  numpy adds a 1-D vector, and a (k, 1) column,
+    pairwise, so the weight totals and the d = 1 barycenter sums are taken
+    one row at a time; a (k, d >= 2) block it adds row by row in order, as
+    bincount does.
+    """
+    nu = inst.nu
+    worst = 0.0
+    for ii, jj in _support_blocks(inst.coupling):
+        if not len(ii):
+            continue
+        first = np.diff(ii, prepend=-1) != 0
+        starts = np.flatnonzero(first)
+        rows = list(zip(starts.tolist(), starts[1:].tolist() + [len(ii)]))
+        seg = np.cumsum(first) - 1
+        w = nu.weights[jj]
+        total = np.array([w[a:b].sum() for a, b in rows])
+        sq = np.zeros(len(ii))
+        for coord in nu.atoms.T:
+            y = coord[jj]
+            weighted = w * y
+            if nu.dim == 1:
+                num = np.array([weighted[a:b].sum() for a, b in rows])
+            else:
+                num = np.bincount(seg, weights=weighted, minlength=len(rows))
+            diff = (num / total)[seg] - y
+            diff *= diff
+            sq += diff
+        worst = max(worst, float(sq.max()))
+    return math.sqrt(worst)
 
 
 def check_density_ub(inst: SolvedInstance) -> BoundReport:
@@ -383,17 +451,7 @@ def check_self_transport(inst: SolvedInstance) -> list[BoundReport]:
             context=dict(ctx),
         ),
     ]
-    ii, jj = _support_arrays(inst)
-    worst_dev = 0.0
-    # entries are row-major, so each row's supported columns are one slice
-    _, starts = np.unique(ii, return_index=True)
-    ends = np.append(starts[1:], len(ii))
-    for lo, hi in zip(starts, ends):
-        cols = jj[lo:hi]
-        w = inst.nu.weights[cols]
-        bary = (w[:, None] * inst.nu.atoms[cols]).sum(axis=0) / w.sum()
-        devs = np.sqrt(((bary[None, :] - inst.nu.atoms[cols]) ** 2).sum(-1))
-        worst_dev = max(worst_dev, float(devs.max()))
+    worst_dev = _grad_estimate_lhs(inst)
     reports.append(
         BoundReport(
             bound_id="GradEstimate",

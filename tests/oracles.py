@@ -7,8 +7,9 @@ coordinate updates (the library runs semismooth Newton on the whole dual),
 scalar hinge roots come from sorting the thresholds (the library runs Newton
 on the active set), spread values
 come from a direct double loop, spread inverses from bisection, envelope
-gradients from finite differences, and exact-transport costs from matching
-enumeration or an LP.
+gradients from finite differences, exact-transport costs from matching
+enumeration or an LP, and squared distances from the (n, m, d) broadcast
+(the library adds one coordinate at a time).
 """
 from __future__ import annotations
 
@@ -18,6 +19,12 @@ import numpy as np
 from scipy.optimize import linprog
 
 from qotlab.qot_solver import _hinge_root_batch, cost_matrix, marginal_residuals
+
+
+def broadcast_sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared distances through the (n, m, d) broadcast, the form that
+    measures.sq_distances replaced."""
+    return ((X[:, None] - Y[None]) ** 2).sum(-1)
 
 
 def _affine_marginal_projection(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,6 +98,11 @@ def sort_hinge_root(S: np.ndarray, w: np.ndarray, eps: float) -> np.ndarray:
     return (eps + cs[kstar, cols]) / cw[kstar, cols]
 
 
+# sweeps without a new best residual after which alternating_solve gives up;
+# converging runs plateaued for at most 4,200 sweeps on 400 random instances
+STALL_SWEEPS = 10_000
+
+
 def alternating_solve(mu, nu, eps: float, residual_tol: float = 1e-10,
                       max_sweeps: int = 100_000):
     """Dual potentials by alternating exact coordinate updates, the library's
@@ -105,12 +117,19 @@ def alternating_solve(mu, nu, eps: float, residual_tol: float = 1e-10,
     residual tolerance and one f-update from u moves it by at most
     residual_tol.  Otherwise the integrals are balanced at the end,
     sum_i mu_i f_i = sum_j nu_j g_j.
+
+    Raises RuntimeError after max_sweeps sweeps, or once STALL_SWEEPS sweeps
+    in a row have not lowered the best residual: in floating point the
+    sweeps can stall short of residual_tol (on one 9 x 6 pair at eps = 1e-3
+    every sweep from about the 1,200th on translates (f, g) along (1, -1)
+    and leaves the residual at 1.755e-7).
     """
     C = cost_matrix(mu.atoms, nu.atoms)
     mu_w, nu_w = mu.weights, nu.weights
     self_transport = mu.same_as(nu)
     f = np.zeros(len(mu))
     g = None
+    best, stalled = np.inf, 0
     for sweep in range(1, max_sweeps + 1):
         g = _hinge_root_batch(C - f[:, None], mu_w, eps, g)
         f = _hinge_root_batch(C.T - g[:, None], nu_w, eps, f if sweep > 1 else None)
@@ -120,6 +139,11 @@ def alternating_solve(mu, nu, eps: float, residual_tol: float = 1e-10,
         else:
             res_mu, res_nu = marginal_residuals(f[:, None] + g[None, :] - C, mu_w, nu_w, eps)
         residual = max(float(res_mu.max()), float(res_nu.max()))
+        best, stalled = (residual, 0) if residual < best else (best, stalled + 1)
+        if stalled >= STALL_SWEEPS:
+            raise RuntimeError(
+                f"alternating oracle stalled at residual {best:.3e} for {STALL_SWEEPS} sweeps"
+            )
         if residual > residual_tol:
             continue
         if not self_transport:

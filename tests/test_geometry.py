@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bisect_delta_st, brute_force_rho
+from oracles import bisect_delta_st, broadcast_sq_distances, brute_force_rho
 from qotlab.geometry import (
+    DIST_DECIMALS,
     GeometryError,
+    _pairwise_distances,
     boundary_distance,
     build_spread,
     delta,
@@ -159,6 +161,15 @@ def test_diameter():
     assert diameter(make_measure([-1.0, 1.0], [0.5, 0.5])) == pytest.approx(2.0)
     with pytest.raises(GeometryError):
         diameter(make_measure([0.0], [1.0]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_distances_bitwise_match_broadcast(d):
+    mu = _random_measure(d, n=30, d=d)
+    dist = np.sqrt(broadcast_sq_distances(mu.atoms, mu.atoms))
+    assert diameter(mu) == float(dist.max())
+    expected = np.round(dist, DIST_DECIMALS)
+    assert _pairwise_distances(mu).tobytes() == expected.tobytes()
 
 
 def test_boundary_distance_d1():

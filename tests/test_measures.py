@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import broadcast_sq_distances
 from qotlab.measures import (
     MeasureError,
     affine_map,
@@ -14,6 +16,7 @@ from qotlab.measures import (
     measure_from_dict,
     pushforward,
     save_measure,
+    sq_distances,
     uniform_ball_grid,
 )
 
@@ -112,6 +115,28 @@ def test_grid_atom_cap():
 def test_grid_min_distance_is_h(h):
     mu = uniform_ball_grid(1, h)
     assert abs(mu.min_pairwise_distance() - h) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9), extra=st.integers(1, 4), d=st.integers(1, 5))
+def test_sq_distances_bitwise_matches_broadcast(data, n, extra, d):
+    # n != m, so a transposed or misaligned accumulation cannot pass
+    coords = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=True)
+    X = data.draw(hnp.arrays(np.float64, (n, d), elements=coords))
+    Y = data.draw(hnp.arrays(np.float64, (n + extra, d), elements=coords))
+    for A, B in ((X, Y), (Y, X)):
+        got = sq_distances(A, B)
+        assert got.shape == (len(A), len(B))
+        assert got.tobytes() == broadcast_sq_distances(A, B).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_min_pairwise_distance_bitwise_matches_broadcast(d):
+    rng = np.random.default_rng(d)
+    mu = make_measure(rng.uniform(-0.5, 0.5, size=(40, d)), np.full(40, 1 / 40))
+    dist = np.sqrt(broadcast_sq_distances(mu.atoms, mu.atoms))
+    np.fill_diagonal(dist, np.inf)
+    assert mu.min_pairwise_distance() == float(dist.min())
 
 
 def test_identity_pushforward_is_noop():

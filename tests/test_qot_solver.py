@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import alternating_solve, qp_oracle_coupling, sort_hinge_root
@@ -401,6 +403,22 @@ def test_self_transport_midpoint_matches_oracle(n, seed, eps):
     assert np.linalg.norm(cpl.to_dense() - oracle) <= 1e-6
 
 
+def test_cost_matrix_peak_memory_stays_below_three_matrices():
+    # the cost is accumulated one coordinate at a time, so building it holds
+    # the result and one scratch matrix, never an (n, m, d) temporary
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-0.5, 0.5, size=(300, 3))
+    Y = rng.uniform(-0.5, 0.5, size=(200, 3))
+    tracemalloc.start()
+    try:
+        C = cost_matrix(X, Y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert C.shape == (300, 200)
+    assert peak <= 3 * C.nbytes
+
+
 def test_support_tol_override_shrinks_support():
     mu = uniform_ball_grid(1, 0.5)
     cfg0 = SolverConfig(epsilon=0.2)
@@ -460,6 +478,7 @@ def _random_atoms(rng, k, d, layout):
     layout=st.sampled_from(["lattice", "jitter", "clusters"]),
     pairing=st.sampled_from(["self", "shifted", "independent"]),
 )
+@example(n=9, m=6, d=1, seed=1549, log_eps=-3.0, layout="jitter", pairing="independent")
 def test_newton_matches_alternating_oracle(n, m, d, seed, log_eps, layout, pairing):
     # differential test of the Newton solver against the alternating sweeps
     # it replaced.  Lattice atoms and integer weights make ties common;
@@ -469,7 +488,9 @@ def test_newton_matches_alternating_oracle(n, m, d, seed, log_eps, layout, pairi
     # gaps df, dg, eps * sum (dpi)^2 / (mu_i nu_j) <= sum dpi_ij (df_i + dg_j)
     # <= (tau_1 + tau_2)(|df|_inf + |dg|_inf) / eps, so each entry satisfies
     # |dpi_ij| <= sqrt(mu_i nu_j (tau_1 + tau_2)(|df| + |dg|)) / eps, plus
-    # rounding of 1e-14 / eps relative to mu_i nu_j.
+    # rounding of 1e-14 / eps relative to mu_i nu_j.  Where the alternating
+    # sweeps stall short of residual_tol (the pinned example), the Newton
+    # coupling is checked against the primal QP oracle instead.
     rng = np.random.default_rng(seed)
     eps = 10.0**log_eps
     atoms = _random_atoms(rng, n, d, layout)
@@ -483,9 +504,18 @@ def test_newton_matches_alternating_oracle(n, m, d, seed, log_eps, layout, pairi
         nu = make_measure(nu_atoms, (v := rng.uniform(0.1, 1.0, size=m)) / v.sum())
     cfg = SolverConfig(epsilon=eps)
     pot = solve(mu, nu, cfg)
-    f0, g0, _, _ = alternating_solve(mu, nu, eps, cfg.residual_tol)
     C = cost_matrix(mu.atoms, nu.atoms)
     slack = pot.f_values[:, None] + pot.g_values[None, :] - C
+    if pairing == "self":
+        assert np.array_equal(pot.f_values, pot.g_values)
+    try:
+        f0, g0, _, _ = alternating_solve(mu, nu, eps, cfg.residual_tol)
+    except RuntimeError:
+        res_mu, res_nu = marginal_residuals(slack, mu.weights, nu.weights, eps)
+        assert res_mu.max() <= cfg.residual_tol and res_nu.max() <= cfg.residual_tol
+        cpl = assemble_coupling(pot, mu, nu, cfg)
+        assert np.linalg.norm(cpl.to_dense() - qp_oracle_coupling(mu, nu, eps)) <= 1e-6
+        return
     slack0 = f0[:, None] + g0[None, :] - C
     taus = []
     for s in (slack, slack0):
@@ -493,7 +523,6 @@ def test_newton_matches_alternating_oracle(n, m, d, seed, log_eps, layout, pairi
         assert res_mu.max() <= cfg.residual_tol and res_nu.max() <= cfg.residual_tol
         taus.append(max(res_mu.max(), res_nu.max()))
     if pairing == "self":
-        assert np.array_equal(pot.f_values, pot.g_values)
         assert np.abs(pot.f_values - f0).max() <= 1e-9
     clear = (np.abs(slack) > KNIFE_EDGE) & (np.abs(slack0) > KNIFE_EDGE)
     assert np.array_equal((slack > 0)[clear], (slack0 > 0)[clear])

@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from qotlab import cli, surrogate
+from qotlab import cli, surrogate, verify
 from qotlab.geometry import build_spread
 from qotlab.measures import affine_map, identity_map, make_measure, pushforward, uniform_ball_grid
 from qotlab.qot_solver import SolverConfig
@@ -217,6 +218,80 @@ def test_grad_estimate_matches_per_row_reference():
     rep = next(r for r in check_self_transport(inst) if r.bound_id == "GradEstimate")
     assert np.float64(rep.lhs).tobytes() == np.float64(worst).tobytes()
     assert rep.holds is True
+
+
+def _inline_measure(d: int, seed: int):
+    # jittered lattice atoms with non-uniform weights
+    rng = np.random.default_rng(seed)
+    side = np.arange(-8, 9) * 0.1 if d == 1 else np.arange(-4, 5) * 0.2
+    pts = np.array(np.meshgrid(*[side] * d)).reshape(d, -1).T
+    pts = pts[np.linalg.norm(pts, axis=1) <= 0.8]
+    pts = pts + rng.uniform(-0.02, 0.02, size=pts.shape)
+    w = rng.uniform(0.2, 1.0, size=len(pts))
+    return make_measure(pts, w / w.sum())
+
+
+SELF_TRANSPORT_CASES = {
+    # name: (measure builder, eps, support_tol)
+    "d1-grid": (lambda: uniform_ball_grid(1, 0.05), 0.05, 0.0),
+    "d1-weighted-tol": (lambda: _inline_measure(1, 3), 0.05, 0.004),
+    "d2-weighted-tol": (lambda: _inline_measure(2, 4), 0.05, 0.01),
+    "d2-grid-many-blocks": (lambda: uniform_ball_grid(2, 0.07), 10.0**-1.2, 0.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _self_transport_solved(name: str):
+    build, eps, tol = SELF_TRANSPORT_CASES[name]
+    mu = build()
+    cfg = SolverConfig(epsilon=eps, support_tol=tol)
+    return prepare_instance(Instance(name, mu, mu, identity_map()), cfg, build_spread(mu))
+
+
+def _per_row_mask_reference(inst):
+    """GradEstimate lhs and support spread, one row of the support at a time,
+    each row's columns picked by a mask over the whole coupling."""
+    cpl = inst.coupling
+    ii, _ = _support_arrays(inst)
+    worst_dev = spread = 0.0
+    for i in np.unique(ii):
+        cols = cpl.j_idx[(cpl.i_idx == i) & cpl.in_support]
+        w = inst.nu.weights[cols]
+        bary = (w[:, None] * inst.nu.atoms[cols]).sum(axis=0) / w.sum()
+        devs = np.sqrt(((bary[None, :] - inst.nu.atoms[cols]) ** 2).sum(-1))
+        worst_dev = max(worst_dev, float(devs.max()))
+        dists = np.sqrt(((inst.mu.atoms[i] - inst.nu.atoms[cols]) ** 2).sum(-1))
+        spread = max(spread, float(dists.max()))
+    return worst_dev, spread
+
+
+@pytest.mark.parametrize("block", [None, 5, 300])
+@pytest.mark.parametrize("name", sorted(SELF_TRANSPORT_CASES))
+def test_self_transport_streams_match_per_row_reference(name, block, monkeypatch):
+    # block=None keeps the module's block size; 5 is shorter than every row,
+    # so each row is a block of its own; 300 cuts blocks of several rows
+    if block is not None:
+        monkeypatch.setattr(verify, "_BLOCK_PAIRS", block)
+    inst = _self_transport_solved(name)
+    cpl = inst.coupling
+    if SELF_TRANSPORT_CASES[name][2] > 0:
+        assert not cpl.in_support.all()
+    blocks = list(verify._support_blocks(cpl))
+    if block is None and name == "d2-grid-many-blocks":
+        assert len(blocks) >= 3
+    # the blocks partition the support in order and never split a row
+    ii, jj = _support_arrays(inst)
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]), ii)
+    assert np.array_equal(np.concatenate([b[1] for b in blocks]), jj)
+    rows = [b[0] for b in blocks if len(b[0])]
+    assert all(a[-1] < b[0] for a, b in zip(rows, rows[1:]))
+
+    worst_dev, spread = _per_row_mask_reference(inst)
+    by_id = {r.bound_id: r for r in check_self_transport(inst)}
+    assert np.float64(by_id["GradEstimate"].lhs).tobytes() == np.float64(worst_dev).tobytes()
+    assert np.float64(inst.support_spread()).tobytes() == np.float64(spread).tobytes()
+    assert np.float64(by_id["SymUB"].lhs).tobytes() == np.float64(spread).tobytes()
+    assert by_id["GradEstimate"].holds is True
 
 
 def test_concentration_solves_each_distinct_sum_once(monkeypatch):
