@@ -15,7 +15,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .measures import DiscreteMeasure, sq_distances
 
@@ -60,7 +59,13 @@ def build_spread(mu: DiscreteMeasure, source: str = "") -> SpreadProfile:
     """Profile of rho over all candidate radii (the distinct pairwise
     distances, rounded to 12 decimals for order-independent breakpoints)."""
     dist = _pairwise_distances(mu)
-    radii = np.unique(dist)  # starts at 0 (self-distances)
+    # the distinct distances, starting at 0 (self-distances); a sort and an
+    # adjacent dedupe give np.unique's values without its lazy numpy.ma import
+    flat = np.sort(dist, axis=None)
+    keep = np.empty(len(flat), dtype=bool)
+    keep[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    radii = flat[keep]
     n = len(mu)
     masses = np.empty((n, len(radii)))
     for a in range(n):
@@ -117,6 +122,9 @@ def hull_faces(mu: DiscreteMeasure):
         vals = mu.atoms[:, 0]
         return (float(vals.min()), float(vals.max()))
     if mu.dim == 2:
+        # scipy loads here, on the first d=2 hull: no d=1 or rate run needs it
+        from scipy.spatial import ConvexHull, QhullError
+
         try:
             hull = ConvexHull(mu.atoms)
         except QhullError as exc:

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .geometry import GeometryError
 from .measures import DiscreteMeasure
@@ -242,6 +241,9 @@ def eval_psi_star(s: ConvexSurrogate, y) -> float:
 def _psi_star_lp(s: ConvexSurrogate, pt: np.ndarray) -> float:
     """conj(psi_tilde)(pt) as min <b, theta> over the simplex subject to
     Y theta = pt; +inf when infeasible."""
+    # scipy loads here, on the first d >= 2 conjugate: d=1 never needs it
+    from scipy.optimize import linprog
+
     m, _ = s.slopes.shape
     A_eq = np.vstack([s.slopes.T, np.ones(m)])
     b_eq = np.append(pt, 1.0)

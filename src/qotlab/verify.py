@@ -128,6 +128,7 @@ class SolvedInstance:
     monge: Optional[MongeMapSpec] = None
     exact: Optional[exact_ot.ExactOTSolution] = None
     _psi_mu: Optional[np.ndarray] = field(default=None, repr=False)
+    _spread: Optional[float] = field(default=None, repr=False)
     # surrogate evaluations keyed on the exact bytes of the point; the
     # surrogate is fixed per epsilon, so a repeated point is a repeated answer
     _reflect_memo: dict = field(default_factory=dict, repr=False)
@@ -166,21 +167,12 @@ class SolvedInstance:
         return np.array([self.star(y) for y in self.nu.atoms])
 
     def support_spread(self) -> float:
-        """Largest |x_i - y_j| over the support pairs, 0 on an empty support."""
-        X, Y = self.mu.atoms.T, self.nu.atoms.T
-        worst = 0.0
-        for ii, jj in _support_blocks(self.coupling):
-            if len(ii):
-                # |x_i - y_j|^2 one coordinate at a time, the order in which
-                # numpy sums fewer than eight coordinates (see sq_distances)
-                sq = np.zeros(len(ii))
-                for x, y in zip(X, Y):
-                    diff = x[ii] - y[jj]
-                    diff *= diff
-                    sq += diff
-                worst = max(worst, float(sq.max()))
-        # sqrt is monotone: the root of the largest square is the largest distance
-        return math.sqrt(worst)
+        """Largest |x_i - y_j| over the support pairs, 0 on an empty support;
+        computed once, since the self-transport checks and the rate fit both
+        read it."""
+        if self._spread is None:
+            self._spread = _support_spread(self)
+        return self._spread
 
     def ensure_exact(self) -> exact_ot.ExactOTSolution:
         if self.exact is None:
@@ -241,6 +233,23 @@ def _support_blocks(coupling: qot_solver.Coupling):
         keep = coupling.in_support[lo:hi]
         yield coupling.i_idx[lo:hi][keep], coupling.j_idx[lo:hi][keep]
         row = end
+
+
+def _support_spread(inst: SolvedInstance) -> float:
+    X, Y = inst.mu.atoms.T, inst.nu.atoms.T
+    worst = 0.0
+    for ii, jj in _support_blocks(inst.coupling):
+        if len(ii):
+            # |x_i - y_j|^2 one coordinate at a time, the order in which
+            # numpy sums fewer than eight coordinates (see sq_distances)
+            sq = np.zeros(len(ii))
+            for x, y in zip(X, Y):
+                diff = x[ii] - y[jj]
+                diff *= diff
+                sq += diff
+            worst = max(worst, float(sq.max()))
+    # sqrt is monotone: the root of the largest square is the largest distance
+    return math.sqrt(worst)
 
 
 def _grad_estimate_lhs(inst: SolvedInstance) -> float:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -136,7 +137,7 @@ def test_d1_surrogate_runs_without_qp_or_lp(tmp_path, monkeypatch):
         raise AssertionError("a d=1 surrogate must not call the QP or the LP")
 
     monkeypatch.setattr("qotlab.surrogate._simplex_qp", no_solver)
-    monkeypatch.setattr("qotlab.surrogate.linprog", no_solver)
+    monkeypatch.setattr("scipy.optimize.linprog", no_solver)
     cfg = _write_config(
         tmp_path,
         instance={"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1},
@@ -275,6 +276,28 @@ def test_diameter_computed_once_per_run(tmp_path, monkeypatch):
     assert calls == [21]
     lines = (tmp_path / "out" / "reports.jsonl").read_text().splitlines()
     assert {json.loads(line)["context"]["diam"] for line in lines} == {2.0}
+
+
+def test_support_spread_computed_once_per_eps(tmp_path, monkeypatch):
+    # the self-transport checks and the rate fit read one memoized value
+    calls = []
+    support_spread = verify._support_spread
+
+    def counted(inst):
+        calls.append(inst.epsilon)
+        return support_spread(inst)
+
+    monkeypatch.setattr(verify, "_support_spread", counted)
+    eps_list = [10.0**-1, 10.0**-1.5, 10.0**-2, 10.0**-2.5]
+    cfg = _write_config(
+        tmp_path,
+        instance={"name": "grid", "kind": "grid", "d": 1, "h": 0.02},
+        eps_list=eps_list,
+        checks=["SymUB", "GradEstimate"],
+        rate_fit=True,
+    )
+    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
+    assert sorted(calls) == sorted(eps_list)
 
 
 def test_cost_matrix_built_twice_per_eps(tmp_path, monkeypatch):
@@ -443,6 +466,67 @@ def test_traced_benchmark_worker_runs(tmp_path):
     assert result["code"] == cli.EXIT_OK
     assert result["layers"]["geometry.build_spread.calls"] == 1
     assert result["layers"]["verify.prepare_instance.calls"] == 2
+
+
+# run in a fresh interpreter, so this test process's own imports do not leak
+# in: import the CLI, then run each config and list the modules it loaded
+_IMPORT_PROBE = """
+import json, sys
+from qotlab import cli
+
+def heavy():
+    return sorted(m for m in sys.modules if m in ("scipy", "numpy.ma")
+                  or m.startswith(("scipy.", "numpy.ma.")))
+
+out = {"after_import": heavy(), "runs": []}
+for config in sys.argv[2:]:
+    code = cli.run_command(config)
+    out["runs"].append({"code": code, "loaded": heavy()})
+with open(sys.argv[1], "w") as fh:
+    json.dump(out, fh)
+"""
+
+
+def test_run_path_loads_no_scipy(tmp_path):
+    configs = {
+        "affine-d1-all": {"instance": {"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1}},
+        "grid-d1-rate-fit": {
+            "instance": {"name": "grid", "kind": "grid", "d": 1, "h": 0.02},
+            "eps_list": [10.0**-1, 10.0**-1.5, 10.0**-2, 10.0**-2.5],
+            "checks": ["SymUB", "SymLB", "SuppDiamM", "GradEstimate", "DensityUB"],
+            "rate_fit": True,
+        },
+        "grid-d2-rate-checks": {
+            "instance": {"name": "grid", "kind": "grid", "d": 2, "h": 0.2},
+            "checks": ["SymUB", "SymLB", "SuppDiamM", "GradEstimate", "DensityUB"],
+        },
+        # the d >= 2 hull and psi* LP import scipy on first use
+        "grid-d2-bias": {
+            "instance": {"name": "grid", "kind": "grid", "d": 2, "h": 0.2},
+            "eps_list": [0.1],
+            "checks": ["GeneralBias", "BoundaryBias"],
+        },
+    }
+    paths = []
+    for name, overrides in configs.items():
+        (tmp_path / name).mkdir()
+        paths.append(str(_write_config(tmp_path / name, **overrides)))
+    result_path = tmp_path / "modules.json"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(result_path), *paths],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(result_path.read_text())
+    assert result["after_import"] == []
+    *numpy_only, bias = dict(zip(configs, result["runs"])).items()
+    for name, run in numpy_only:
+        assert run == {"code": cli.EXIT_OK, "loaded": []}, name
+    assert bias[1]["code"] == cli.EXIT_OK
+    assert {"scipy.optimize", "scipy.spatial"} <= set(bias[1]["loaded"])
 
 
 def test_thread_env_validation(tmp_path, monkeypatch):

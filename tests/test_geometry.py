@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bisect_delta_st, broadcast_sq_distances, brute_force_rho
+from qotlab.cli import build_instance
 from qotlab.geometry import (
     DIST_DECIMALS,
     GeometryError,
@@ -170,6 +171,39 @@ def test_distances_bitwise_match_broadcast(d):
     assert diameter(mu) == float(dist.max())
     expected = np.round(dist, DIST_DECIMALS)
     assert _pairwise_distances(mu).tobytes() == expected.tobytes()
+
+
+def _assert_radii_match_unique(mu):
+    # np.unique is the oracle for the distinct pairwise distances
+    expected = np.unique(_pairwise_distances(mu))
+    assert build_spread(mu).radii.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d, h", [(1, 0.02), (2, 0.1), (3, 0.25)])
+def test_radii_bitwise_match_unique_on_grids(d, h):
+    _assert_radii_match_unique(uniform_ball_grid(d, h))
+
+
+@pytest.mark.parametrize("d, a", [(1, 0.5), (1, 2.0), (2, 2.0)])
+def test_radii_bitwise_match_unique_on_affine(d, a):
+    inst = build_instance({"kind": "affine", "a": a, "d": d, "h": 0.1})
+    _assert_radii_match_unique(inst.mu)
+    _assert_radii_match_unique(inst.nu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(min_value=-5, max_value=5)] * d),
+            min_size=1, max_size=30, unique=True,
+        )
+    )
+)
+def test_radii_bitwise_match_unique_on_lattice(points):
+    # lattice atoms make many pairwise distances tie
+    atoms = 0.1 * np.array(points, dtype=float)
+    _assert_radii_match_unique(make_measure(atoms, np.full(len(atoms), 1.0 / len(atoms))))
 
 
 def test_boundary_distance_d1():
