@@ -254,7 +254,7 @@ def run_experiment(config: ExperimentConfig, base_dir: Path = Path(".")):
     profile = geometry.build_spread(inst.mu, source=inst.name)
     exact = None
     if "CostSandwich" in config.checks:
-        exact = solve_exact(inst.mu, inst.nu)
+        exact = solve_exact(inst.mu, inst.nu, inst.monge)
 
     def one_eps(eps: float):
         cfg = SolverConfig(

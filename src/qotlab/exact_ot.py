@@ -1,8 +1,13 @@
 """Unregularized optimal transport reference solution.
 
-Solves the discrete transportation problem by successive shortest paths on
-the bipartite atom graph, entirely in integer arithmetic: costs are scaled
-to integers at 1e-9 resolution (rounded down, so the returned dual
+When the instance carries its Monge map T (the identity, or x -> Ax + b with
+A symmetric PSD, so T is the gradient of a convex potential) and T pushes mu
+onto nu exactly, the coupling (id, T)#mu is optimal (Brenier; Knott-Smith
+for the quadratic cost) and is read off the map in O(n).
+
+Otherwise the discrete transportation problem is solved by successive
+shortest paths on the bipartite atom graph, entirely in integer arithmetic:
+costs are scaled to integers at 1e-9 resolution (rounded down, so the dual
 potentials are feasible against the true costs with zero slack) and masses
 at 1e-12 resolution by largest-remainder rounding.  Integer pivoting makes
 optima and dual prices reproducible independent of float rounding; ties are
@@ -11,15 +16,16 @@ broken by lowest index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, MongeMapSpec, pushforward_labels
 from .qot_solver import Coupling, cost_matrix
 
 COST_SCALE = 10**9
 MASS_SCALE = 10**12
-ATOM_CAP = 5000
+ATOM_CAP = 5000   # on the successive-shortest-paths route only
 
 
 class ExactOTError(RuntimeError):
@@ -30,10 +36,6 @@ class ExactOTError(RuntimeError):
 class ExactOTSolution:
     coupling: Coupling
     cost: float
-    f_star: np.ndarray
-    g_star: np.ndarray
-    mu: DiscreteMeasure
-    nu: DiscreteMeasure
 
 
 def _integer_masses(weights: np.ndarray, scale: int) -> np.ndarray:
@@ -49,29 +51,32 @@ def _integer_masses(weights: np.ndarray, scale: int) -> np.ndarray:
     return base
 
 
-def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ExactOTSolution:
-    """Optimal coupling and Kantorovich potentials for the quadratic cost."""
-    n, m = len(mu), len(nu)
-    if n > ATOM_CAP or m > ATOM_CAP:
-        raise ExactOTError(f"marginals exceed the exact-solver atom cap {ATOM_CAP}")
-    C = cost_matrix(mu.atoms, nu.atoms)
-    Cint = np.floor(C * COST_SCALE).astype(np.int64)
-    supply = _integer_masses(mu.weights, MASS_SCALE)
-    demand = _integer_masses(nu.weights, MASS_SCALE)
+def solve_exact(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, monge: Optional[MongeMapSpec] = None
+) -> ExactOTSolution:
+    """Optimal coupling and cost for the quadratic cost: from the Monge map
+    when it certifies, by successive shortest paths (up to ATOM_CAP atoms per
+    marginal) otherwise."""
+    coupling = _map_coupling(mu, nu, monge) if monge is not None else None
+    if coupling is None:
+        coupling = _ssp(mu, nu)[0]
+    return ExactOTSolution(coupling=coupling, cost=coupling.cost_against(mu.atoms, nu.atoms))
 
-    flow, p, q = _ssp(Cint, supply, demand)
 
-    i_idx, j_idx = np.nonzero(flow > 0)
-    masses = flow[i_idx, j_idx] / MASS_SCALE
+def _sparse_coupling(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, i_idx: np.ndarray, j_idx: np.ndarray,
+    masses: np.ndarray,
+) -> Coupling:
     densities = masses / (mu.weights[i_idx] * nu.weights[j_idx])
-    # marginal mismatch left by the integer mass rounding
+    # marginal mismatch left by the integer mass rounding, or on the map route
+    # by summing the merged weights in another order
     residual = max(
-        float(np.abs(np.bincount(i_idx, weights=masses, minlength=n) - mu.weights).max()),
-        float(np.abs(np.bincount(j_idx, weights=masses, minlength=m) - nu.weights).max()),
+        float(np.abs(np.bincount(i_idx, weights=masses, minlength=len(mu)) - mu.weights).max()),
+        float(np.abs(np.bincount(j_idx, weights=masses, minlength=len(nu)) - nu.weights).max()),
     )
-    coupling = Coupling(
-        n_mu=n,
-        n_nu=m,
+    return Coupling(
+        n_mu=len(mu),
+        n_nu=len(nu),
         epsilon=0.0,
         i_idx=i_idx,
         j_idx=j_idx,
@@ -80,18 +85,43 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ExactOTSolution:
         in_support=np.ones(len(i_idx), dtype=bool),
         residual=residual,
     )
-    cost = coupling.cost_against(mu.atoms, nu.atoms)
-    return ExactOTSolution(
-        coupling=coupling,
-        cost=cost,
-        f_star=p / COST_SCALE,
-        g_star=q / COST_SCALE,
-        mu=mu,
-        nu=nu,
-    )
 
 
-def _ssp(Cint: np.ndarray, supply: np.ndarray, demand: np.ndarray):
+def _map_coupling(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, monge: MongeMapSpec
+) -> Optional[Coupling]:
+    """The coupling (id, T)#mu, or None unless T certifies: the images of
+    the mu-atoms, merged as pushforward merges them, must be nu bitwise.
+    A map that cannot be applied, or whose images leave the unit ball, does
+    not certify; this function never raises on the map's account."""
+    try:
+        image, labels = pushforward_labels(mu, monge)
+    except (ValueError, TypeError, ArithmeticError):  # MeasureError is a ValueError
+        return None
+    if not image.same_as(nu):
+        return None
+    return _sparse_coupling(mu, nu, np.arange(len(mu)), labels, mu.weights)
+
+
+def _ssp(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """Optimal coupling and Kantorovich potentials (coupling, f*, g*) by
+    successive shortest paths on the integer-scaled problem."""
+    n, m = len(mu), len(nu)
+    if n > ATOM_CAP or m > ATOM_CAP:
+        raise ExactOTError(f"marginals exceed the exact-solver atom cap {ATOM_CAP}")
+    C = cost_matrix(mu.atoms, nu.atoms)
+    Cint = np.floor(C * COST_SCALE).astype(np.int64)
+    supply = _integer_masses(mu.weights, MASS_SCALE)
+    demand = _integer_masses(nu.weights, MASS_SCALE)
+
+    flow, p, q = _shortest_paths(Cint, supply, demand)
+
+    i_idx, j_idx = np.nonzero(flow > 0)
+    coupling = _sparse_coupling(mu, nu, i_idx, j_idx, flow[i_idx, j_idx] / MASS_SCALE)
+    return coupling, p / COST_SCALE, q / COST_SCALE
+
+
+def _shortest_paths(Cint: np.ndarray, supply: np.ndarray, demand: np.ndarray):
     """Successive shortest paths with node potentials (all integer).
 
     Maintains dual feasibility p_i + q_j <= Cint_ij for every pair, with

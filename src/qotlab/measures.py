@@ -180,15 +180,6 @@ class MongeMapSpec:
             return pts @ self.matrix + self.offset
         raise MeasureError(f"unknown map kind {self.kind!r}")
 
-    def potential_at(self, x) -> float:
-        """Convex potential whose gradient is the map."""
-        pt = np.asarray(x, dtype=float).reshape(-1)
-        if self.kind == "identity":
-            return 0.5 * float(pt @ pt)
-        if self.kind == "affine":
-            return 0.5 * float(pt @ self.matrix @ pt) + float(self.offset @ pt)
-        raise MeasureError(f"unknown map kind {self.kind!r}")
-
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "lipschitz_L": float(self.lipschitz_L)}
         if self.kind == "affine":
@@ -224,6 +215,14 @@ def affine_map(matrix, offset=None) -> MongeMapSpec:
 def pushforward(mu: DiscreteMeasure, monge: MongeMapSpec) -> DiscreteMeasure:
     """Image measure under the map; coincident images (at 12-decimal
     resolution) merge with summed weights."""
+    return pushforward_labels(mu, monge)[0]
+
+
+def pushforward_labels(
+    mu: DiscreteMeasure, monge: MongeMapSpec
+) -> tuple[DiscreteMeasure, np.ndarray]:
+    """pushforward(mu, monge), and for each mu-atom the index of the image
+    atom it lands on."""
     images = monge(mu.atoms)
     norms = np.sqrt((np.asarray(images) ** 2).sum(-1))
     if np.any(norms > 1.0 + BALL_SLACK):
@@ -231,35 +230,36 @@ def pushforward(mu: DiscreteMeasure, monge: MongeMapSpec) -> DiscreteMeasure:
             f"pushforward image with norm {float(norms.max())!r} escapes the unit ball"
         )
     keys = _merge_keys(images)
+    # dicts keep insertion order, so groups run in order of first appearance
     groups: dict[tuple, list[int]] = {}
-    order: list[tuple] = []
     for idx, key in enumerate(keys):
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(idx)
-    if len(order) == len(keys):
+        groups.setdefault(key, []).append(idx)
+    labels = np.empty(len(keys), dtype=np.int64)
+    for k, members in enumerate(groups.values()):
+        labels[members] = k
+    if len(groups) == len(keys):
         # no merging needed; keep image bits untouched so the identity map
         # round-trips exactly
-        return DiscreteMeasure(
+        image = DiscreteMeasure(
             atoms=_frozen(np.asarray(images, dtype=float)),
             weights=mu.weights,
             dim=mu.dim,
         )
+        return image, labels
     new_atoms = []
     new_weights = []
-    for key in order:
-        members = groups[key]
+    for members in groups.values():
         # representative = lexicographically smallest exact image in the group,
         # so the merged atom does not depend on atom order
         rep = min(tuple(images[i]) for i in members)
         new_atoms.append(rep)
         new_weights.append(float(mu.weights[members].sum()))
-    return DiscreteMeasure(
+    image = DiscreteMeasure(
         atoms=_frozen(np.asarray(new_atoms, dtype=float)),
         weights=_frozen(np.asarray(new_weights)),
         dim=mu.dim,
     )
+    return image, labels
 
 
 def measure_from_dict(data: dict) -> DiscreteMeasure:

@@ -82,19 +82,8 @@ class DualPotentials:
     f_values: np.ndarray
     g_values: np.ndarray
     epsilon: float
-    normalization: str = "balanced-integrals"
     residual: float = np.nan
     sweeps: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": float(self.epsilon),
-            "f": [float(v) for v in self.f_values],
-            "g": [float(v) for v in self.g_values],
-            "normalization": self.normalization,
-            "residual": float(self.residual),
-            "sweeps": int(self.sweeps),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,16 +119,6 @@ class Coupling:
         coupling's entries (bitwise the entries of cost_matrix(X, Y))."""
         diff = X[self.i_idx] - Y[self.j_idx]
         return float((self.masses * (0.5 * (diff**2).sum(-1))).sum())
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": float(self.epsilon),
-            "entries": [
-                [int(i), int(j), float(m), float(d)]
-                for i, j, m, d in zip(self.i_idx, self.j_idx, self.masses, self.densities)
-            ],
-            "residual": float(self.residual),
-        }
 
 
 def cost_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -77,13 +77,6 @@ class ConvexSurrogate:
         pt = np.asarray(x, dtype=float).reshape(-1)
         return float((self.slopes @ pt - self.intercepts).max())
 
-    def to_dict(self) -> dict:
-        return {
-            "slopes": [list(map(float, row)) for row in self.slopes],
-            "intercepts": [float(v) for v in self.intercepts],
-            "lambda": float(self.lam),
-        }
-
 
 def _lower_hull(y: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower convex hull of the points (y_j, b_j) by Andrew's monotone chain:

@@ -176,7 +176,7 @@ class SolvedInstance:
 
     def ensure_exact(self) -> exact_ot.ExactOTSolution:
         if self.exact is None:
-            self.exact = exact_ot.solve_exact(self.mu, self.nu)
+            self.exact = exact_ot.solve_exact(self.mu, self.nu, self.monge)
         return self.exact
 
 

@@ -1,8 +1,8 @@
 """Independent oracles the test suite checks the library against.
 
 Each oracle takes a route disjoint from the implementation it validates:
-the primal QP oracle is projected gradient descent with Dykstra projections
-(the library solves the dual system), the dual oracle sweeps exact
+the primal QP oracle is accelerated projected gradient with Dykstra
+projections (the library solves the dual system), the dual oracle sweeps exact
 coordinate updates (the library runs semismooth Newton on the whole dual),
 scalar hinge roots come from sorting the thresholds (the library runs Newton
 on the active set), spread values
@@ -39,45 +39,80 @@ def _affine_marginal_projection(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> 
 
 
 def project_transport_polytope(
-    z: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float = 1e-13, max_iter: int = 200_000
-) -> np.ndarray:
+    z: np.ndarray, a: np.ndarray, b: np.ndarray, q: np.ndarray | None = None,
+    tol: float = 1e-13, max_iter: int = 200_000,
+) -> tuple[np.ndarray, np.ndarray]:
     """Dykstra's alternating projections between the marginal affine set and
-    the nonnegative orthant."""
-    x = z.copy()
-    p = np.zeros_like(z)
-    q = np.zeros_like(z)
+    the nonnegative orthant, started from the orthant correction q (zero by
+    default).  Returns the projection and the final correction, which
+    warm-starts the projection of a nearby point.
+
+    Dykstra's method is block coordinate ascent on the dual of the
+    projection, so it converges from any q <= 0.  Near a degenerate
+    projection it stalls: x stops moving while the marginals are still off,
+    and q moves by the same step every sweep until one of its entries
+    reaches 0 (for 12,000 sweeps on one 9 x 6 problem).  A step that repeats
+    is taken at once as many times as keeps q <= 0."""
+    q = np.zeros_like(z) if q is None else q
+    x = z - q
+    step = None
     for _ in range(max_iter):
-        y = _affine_marginal_projection(x + p, a, b)
-        p = x + p - y
-        x_new = np.maximum(y + q, 0.0)
-        q = y + q - x_new
+        s = _affine_marginal_projection(z - q, a, b) + q
+        x_new = np.maximum(s, 0.0)
+        q_new = s - x_new
         delta = np.abs(x_new - x).max()
         x = x_new
-        if delta <= tol:
+        if delta > tol:
+            step = None
+        else:
             viol = max(
                 np.abs(x.sum(axis=1) - a).max(), np.abs(x.sum(axis=0) - b).max()
             )
             if viol <= 1e-11:
-                return x
+                return x, q_new
+            last, step = step, q_new - q
+            rising = step > 0
+            if (
+                last is not None
+                and rising.any()
+                and np.abs(step - last).max() <= 1e-9 * np.abs(step).max()
+            ):
+                q_new = q_new + np.floor((-q_new[rising] / step[rising]).min()) * step
+        q = q_new
     raise RuntimeError("Dykstra projection did not converge")
 
 
 def qp_oracle_coupling(mu, nu, eps: float, tol: float = 1e-10, max_iter: int = 500_000):
-    """Projected-gradient minimizer of
-    sum c pi + (eps/2) sum pi^2 / (mu_i nu_j) over the transport polytope,
-    run to the given stationarity tolerance."""
+    """Minimizer of sum c pi + (eps/2) sum pi^2 / (mu_i nu_j) over the
+    transport polytope by accelerated projected gradient (FISTA, restarted
+    whenever a step goes uphill), each projection warm-started from the last.
+
+    Returns a point pi whose projected-gradient step meets the stationarity
+    test |proj(pi - tau grad(pi)) - pi|_inf / tau <= tol, with
+    tau = min(mu_i nu_j) / eps the inverse of the largest curvature."""
     diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
     C = 0.5 * (diff**2).sum(-1)
-    P = np.outer(mu.weights, nu.weights)
-    tau = P.min() / eps  # 1 / max diagonal curvature
-    pi = P.copy()
+    a, b = mu.weights, nu.weights
+    P = np.outer(a, b)
+    tau = P.min() / eps
+
+    def grad(x):
+        return C + eps * x / P
+
+    pi = prev = P.copy()
+    t, q = 1.0, None
     for _ in range(max_iter):
-        grad = C + eps * pi / P
-        nxt = project_transport_polytope(pi - tau * grad, mu.weights, nu.weights)
-        move = np.abs(nxt - pi).max() / tau
-        pi = nxt
-        if move <= tol:
-            return pi
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = pi + ((t - 1.0) / t_next) * (pi - prev)
+        nxt, q = project_transport_polytope(y - tau * grad(y), a, b, q)
+        if np.sum((y - nxt) * (nxt - pi)) > 0.0:
+            t_next = 1.0  # the step went uphill: drop the momentum
+        prev, pi, t = pi, nxt, t_next
+        if np.abs(nxt - y).max() / tau <= tol:
+            # the accelerated step is small; test the plain step from pi
+            check, q = project_transport_polytope(pi - tau * grad(pi), a, b, q)
+            if np.abs(check - pi).max() / tau <= tol:
+                return pi
     raise RuntimeError("projected gradient oracle did not reach stationarity")
 
 

@@ -57,7 +57,7 @@ def sweep(shipped_instances):
     out = {}
     for inst in shipped_instances:
         profile = build_spread(inst.mu, source=inst.name)
-        exact = solve_exact(inst.mu, inst.nu)
+        exact = solve_exact(inst.mu, inst.nu, inst.monge)
         per_eps = {}
         for eps in EPS_SWEEP:
             cfg = SolverConfig(epsilon=eps, residual_tol=RESIDUAL_TOL)

@@ -15,6 +15,7 @@ from qotlab.measures import (
     make_measure,
     measure_from_dict,
     pushforward,
+    pushforward_labels,
     save_measure,
     sq_distances,
     uniform_ball_grid,
@@ -161,6 +162,21 @@ def test_pushforward_merges_coincident_images():
     assert nu.atoms[0, 0] == 0.0
 
 
+def test_pushforward_labels_point_at_each_image():
+    # x -> (x1 + x2) / 2 along the diagonal: lattice points on each
+    # anti-diagonal share an image
+    mu = uniform_ball_grid(2, 0.5)
+    monge = affine_map([[0.25, 0.25], [0.25, 0.25]])
+    nu, labels = pushforward_labels(mu, monge)
+    assert nu.same_as(pushforward(mu, monge))
+    assert len(nu) < len(mu) and sorted(set(labels)) == list(range(len(nu)))
+    assert np.abs(nu.atoms[labels] - monge(mu.atoms)).max() <= 1e-12
+    assert np.array_equal(np.bincount(labels, weights=mu.weights), nu.weights)
+    # unmerged images: label i is atom i
+    _, labels = pushforward_labels(mu, affine_map(0.5 * np.eye(2)))
+    assert np.array_equal(labels, np.arange(len(mu)))
+
+
 def test_pushforward_escape_rejected():
     mu = make_measure([-1.0, 1.0], [0.5, 0.5])
     with pytest.raises(MeasureError, match="escapes"):
@@ -195,16 +211,11 @@ def test_affine_map_lipschitz_is_top_eigenvalue():
     assert m.lipschitz_L == 2.0
 
 
-def test_identity_map_potential():
+def test_identity_map_lipschitz():
     m = identity_map()
     assert m.lipschitz_L == 1.0
-    assert m.potential_at([0.6]) == pytest.approx(0.18)
-
-
-def test_affine_potential():
-    m = affine_map([[0.5]], [0.1])
-    # phi(x) = x^2/4 + 0.1 x
-    assert m.potential_at([2.0]) == pytest.approx(1.0 + 0.2)
+    pts = np.array([[0.6], [-0.2]])
+    assert np.array_equal(m(pts), pts)
 
 
 def test_measure_json_roundtrip(tmp_path):

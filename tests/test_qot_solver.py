@@ -430,19 +430,6 @@ def test_support_tol_override_shrinks_support():
     assert np.array_equal(tight.masses, full.masses)
 
 
-def test_coupling_export_schema():
-    cfg = SolverConfig(epsilon=0.1)
-    pot = solve(TWO_POINT, TWO_POINT, cfg)
-    cpl = assemble_coupling(pot, TWO_POINT, TWO_POINT, cfg)
-    record = cpl.to_dict()
-    assert set(record) == {"epsilon", "entries", "residual"}
-    assert all(len(entry) == 4 for entry in record["entries"])
-    pot_record = pot.to_dict()
-    assert pot_record["normalization"] == "balanced-integrals"
-    assert set(pot_record) == {"epsilon", "f", "g", "normalization", "residual", "sweeps"}
-    assert pot_record["sweeps"] == pot.sweeps >= 1
-
-
 KNIFE_EDGE = 1e-8   # |slack| at or below this is a knife-edge pair
 
 

@@ -250,13 +250,6 @@ def test_detachment_outside_hull_is_refusal(grid_surrogate):
     assert lower >= 0.0
 
 
-def test_surrogate_export_schema(grid_surrogate):
-    _, _, s = grid_surrogate
-    record = s.to_dict()
-    assert set(record) == {"slopes", "intercepts", "lambda"}
-    assert record["lambda"] == pytest.approx(s.lam)
-
-
 # Tolerances of the d=1 closed forms against the QP and LP oracles, set from
 # the oracles' own stopping rules.  HiGHS runs at feasibility tolerance
 # 1e-10, so psi* may differ by about that times the intercept scale.  The
