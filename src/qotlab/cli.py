@@ -248,13 +248,13 @@ def run_experiment(config: ExperimentConfig, base_dir: Path = Path(".")):
         if len(config.eps_list) < 4:
             raise CliConfigError("rate_fit needs at least four epsilon values")
         verify.check_rate_floor(
-            inst.mu.min_pairwise_distance(), inst.mu.dim, min(config.eps_list)
+            inst.mu.min_pairwise_distance(inst.self_cost), inst.mu.dim, min(config.eps_list)
         )
     # everything that depends on the instance alone is built once per run
-    profile = geometry.build_spread(inst.mu, source=inst.name)
+    profile = geometry.build_spread(inst.mu, source=inst.name, cost=inst.self_cost)
     exact = None
     if "CostSandwich" in config.checks:
-        exact = solve_exact(inst.mu, inst.nu, inst.monge)
+        exact = solve_exact(inst.mu, inst.nu, inst.monge, cost=inst.cost)
 
     def one_eps(eps: float):
         cfg = SolverConfig(
@@ -390,6 +390,36 @@ def write_rate_svg(fit: verify.RateFit, path: Path) -> None:
         fh.write("\n")
 
 
+def _check_output_dir(path: Path) -> None:
+    """Reject an output directory that cannot be made or written, without
+    creating it: its nearest existing ancestor (or itself) must be a
+    writable directory."""
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise CliConfigError(
+                    f"output_dir {path} cannot be created: {existing} is not a directory"
+                )
+            if not os.access(existing, os.W_OK | os.X_OK):
+                raise CliConfigError(
+                    f"output_dir {path} cannot be created: {existing} is not writable"
+                )
+            return
+
+
+def _write_outputs(out_dir: Path, records: list[dict], fits, profile_csv: str) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_reports(records, out_dir / "reports.jsonl")
+    (out_dir / "spread.csv").write_text(profile_csv, encoding="utf-8")
+    trends = trend_summary(records)
+    if trends:
+        with open(out_dir / "trends.json", "w", encoding="utf-8") as fh:
+            json.dump(trends, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    if fits:
+        _write_rates(fits, out_dir)
+
+
 def _error_record(kind: str, detail: str, **fields) -> None:
     record = {"error": kind, "detail": detail, **fields}
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
@@ -408,6 +438,7 @@ def run_command(config_path: str, eps_override=None, tol_override=None) -> int:
             if tol_override is not None and isinstance(solver, dict):
                 raw["solver"] = {**solver, "residual_tol": tol_override}
         config = ExperimentConfig.from_dict(raw, base_dir)
+        _check_output_dir(config.output_dir)
     except (OSError, json.JSONDecodeError, CliConfigError) as exc:
         _error_record("config", str(exc))
         return EXIT_CONFIG
@@ -432,16 +463,11 @@ def run_command(config_path: str, eps_override=None, tol_override=None) -> int:
         )
         return EXIT_INTERNAL
 
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_reports(records, config.output_dir / "reports.jsonl")
-    (config.output_dir / "spread.csv").write_text(profile_csv, encoding="utf-8")
-    trends = trend_summary(records)
-    if trends:
-        with open(config.output_dir / "trends.json", "w", encoding="utf-8") as fh:
-            json.dump(trends, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    if fits:
-        _write_rates(fits, config.output_dir)
+    try:
+        _write_outputs(config.output_dir, records, fits, profile_csv)
+    except OSError as exc:
+        _error_record("config", f"cannot write outputs to {config.output_dir}: {exc}")
+        return EXIT_CONFIG
 
     failed = [r for r in records if r["holds"] is False]
     if failed:

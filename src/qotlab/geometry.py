@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -49,16 +50,21 @@ class SpreadProfile:
         return buf.getvalue()
 
 
-def _pairwise_distances(mu: DiscreteMeasure) -> np.ndarray:
-    dist = sq_distances(mu.atoms, mu.atoms)
+def _pairwise_distances(mu: DiscreteMeasure, cost: Optional[np.ndarray] = None) -> np.ndarray:
+    # twice the cost |x_i - x_j|^2 / 2 is bitwise sq_distances (x 0.5 is exact)
+    dist = sq_distances(mu.atoms, mu.atoms) if cost is None else np.multiply(cost, 2.0)
     np.sqrt(dist, out=dist)
     return np.round(dist, DIST_DECIMALS, out=dist)
 
 
-def build_spread(mu: DiscreteMeasure, source: str = "") -> SpreadProfile:
+def build_spread(
+    mu: DiscreteMeasure, source: str = "", cost: Optional[np.ndarray] = None
+) -> SpreadProfile:
     """Profile of rho over all candidate radii (the distinct pairwise
-    distances, rounded to 12 decimals for order-independent breakpoints)."""
-    dist = _pairwise_distances(mu)
+    distances, rounded to 12 decimals for order-independent breakpoints).
+    cost, when given, is the matrix |x_i - x_j|^2 / 2 of mu's atoms, read
+    instead of recomputing the distances."""
+    dist = _pairwise_distances(mu, cost)
     # the distinct distances, starting at 0 (self-distances); a sort and an
     # adjacent dedupe give np.unique's values without its lazy numpy.ma import
     flat = np.sort(dist, axis=None)
@@ -105,11 +111,14 @@ def delta_st(profile: SpreadProfile, epsilon: float) -> float:
     return float(max(profile.radii[k] ** 2, epsilon / profile.rho_values[k]))
 
 
-def diameter(mu: DiscreteMeasure) -> float:
+def diameter(mu: DiscreteMeasure, cost: Optional[np.ndarray] = None) -> float:
+    """Largest distance between two atoms; cost, when given, is the matrix
+    |x_i - x_j|^2 / 2 of mu's atoms, read instead of recomputing it."""
     if len(mu) < 2:
         raise GeometryError("diameter needs at least two atoms")
+    sq_max = sq_distances(mu.atoms, mu.atoms).max() if cost is None else 2.0 * cost.max()
     # sqrt is monotone, so the root of the largest square is the largest distance
-    return float(np.sqrt(sq_distances(mu.atoms, mu.atoms).max()))
+    return float(np.sqrt(sq_max))
 
 
 def hull_faces(mu: DiscreteMeasure):

@@ -72,12 +72,15 @@ class DiscreteMeasure:
             and np.array_equal(self.weights, other.weights)
         )
 
-    def min_pairwise_distance(self) -> float:
+    def min_pairwise_distance(self, cost: Optional[np.ndarray] = None) -> float:
+        """Smallest distance between two distinct atoms.  cost, when given,
+        is the matrix |x_i - x_j|^2 / 2 of these atoms, read instead of
+        recomputing the distances: twice it is bitwise sq_distances."""
         if len(self) < 2:
             raise MeasureError("need at least two atoms for a pairwise distance")
-        sq = sq_distances(self.atoms, self.atoms)
-        np.fill_diagonal(sq, np.inf)
-        return float(np.sqrt(sq.min()))
+        sq, scale = (sq_distances(self.atoms, self.atoms), 1.0) if cost is None else (cost, 2.0)
+        off_diagonal = ~np.eye(len(self), dtype=bool)
+        return float(np.sqrt(scale * sq.min(where=off_diagonal, initial=np.inf)))
 
     def to_dict(self) -> dict:
         return {

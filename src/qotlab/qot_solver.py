@@ -11,8 +11,8 @@ convex piecewise-quadratic dual, which solve minimizes by semismooth Newton
 (Lorenz, Manns & Meyer, Appl. Math. Optim. 2021; Blondel, Seguy & Rolet,
 AISTATS 2018): each iteration solves for its direction by conjugate gradients
 on the generalized Hessian, whose pattern is the active set
-{f_i + g_j > c_ij}, and backtracks on the dual value.  The start is one
-alternating sweep of exact scalar updates.  Holding one block fixed, each
+{f_i + g_j > c_ij}, and backtracks on the dual value.  The start takes
+exact scalar updates from f = 0.  Holding one block fixed, each
 equation in the other block is a scalar convex piecewise-linear increasing
 equation, solved exactly by Newton's method on its active set
 (_hinge_root_batch); the same scalar solve extends f off the mu-atoms
@@ -22,14 +22,17 @@ For mu = nu the unknown is a single potential u = f = g, so the returned
 potentials are symmetric by construction.  Otherwise the shift degree of
 freedom is fixed by balancing the integrals, sum_i mu_i f_i = sum_j nu_j g_j.
 
-Dense n x m cost and slack matrices exist only inside solve and
-assemble_coupling.  Everything downstream, max_density and the transport
-cost included, reads the sparse Coupling.
+The dense n x m cost matrix is built once per instance (verify.Instance)
+and passed to solve and assemble_coupling, which only read it (and build
+it themselves when called without it).  Dense slack and active-set
+matrices exist only inside those two.  Everything downstream,
+max_density and the transport cost included, reads the sparse Coupling.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -180,7 +183,11 @@ def marginal_residuals(
     """Residual vectors of the two marginal equation families, from the slack
     f_i + g_j - c_ij: res_mu[i] over the nu-integral at x_i, res_nu[j] over
     the mu-integral at y_j."""
-    positive = np.maximum(slack, 0.0)
+    return _positive_residuals(np.maximum(slack, 0.0), mu_w, nu_w, eps)
+
+
+def _positive_residuals(positive, mu_w, nu_w, eps):
+    """marginal_residuals from the positive slack [f_i + g_j - c_ij]_+."""
     res_mu = np.abs(positive @ nu_w - eps)
     res_nu = np.abs(mu_w @ positive - eps)
     return res_mu, res_nu
@@ -216,10 +223,14 @@ _PHI_ROUNDOFF = 1e-13   # relative rounding allowance in comparing dual values
 _MIN_STEP = 2.0**-40
 
 
-def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig) -> DualPotentials:
+def solve(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig,
+    cost: Optional[np.ndarray] = None,
+) -> DualPotentials:
     """Semismooth Newton on the dual until both marginal residual vectors
     have sup-norm <= residual_tol; cfg.max_sweeps caps the Newton iterations,
-    and the returned `sweeps` counts them.
+    and the returned `sweeps` counts them.  cost is cost_matrix(mu.atoms,
+    nu.atoms), built here when not given; it is only read.
 
     The dual, as a minimization, is the convex piecewise quadratic
 
@@ -230,9 +241,11 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig) -> DualPo
     Hessian has the pattern of the active set A = {f_i + g_j > c_ij}: blocks
     diag(mu * A nu), diag(nu * A^T mu) and mu_i nu_j A_ij off the diagonal.
 
-    The start is one cold sweep of exact hinge roots (g from f = 0, then f
-    from g).  Each iteration solves for the direction by Jacobi-preconditioned
-    CG on the Hessian plus |residual|_inf times the weights, a term that keeps
+    The start is one batch of exact hinge roots, g from f = 0.  For mu != nu
+    a second batch gives f from g; for mu = nu the start is u = g / 2, whose
+    pair sums u_i + u_j average the roots g_i, g_j seen from f = 0 (Newton
+    converges from any start).  Each iteration solves for the direction by
+    Jacobi-preconditioned CG on the Hessian plus |residual|_inf times the weights, a term that keeps
     the system definite where a row has no active pair and vanishes at the
     solution, then halves the step until Armijo's condition on Phi holds.
     The solve stops once each |F_i| is at most residual_tol times the active
@@ -252,18 +265,18 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig) -> DualPo
     if mu.dim != nu.dim:
         raise ConfigError(f"dimension mismatch: mu has d={mu.dim}, nu has d={nu.dim}")
     eps, tol = cfg.epsilon, cfg.residual_tol
-    C = cost_matrix(mu.atoms, nu.atoms)
+    C = cost_matrix(mu.atoms, nu.atoms) if cost is None else cost
     mu_w, nu_w = mu.weights, nu.weights
     n = len(mu)
     tied = mu.same_as(nu)
     g = _hinge_root_batch(C, mu_w, eps)
-    f = _hinge_root_batch(C.T - g[:, None], nu_w, eps)
     if tied:
-        x, scale = 0.5 * (f + g), 2.0 * mu_w
+        x, scale = 0.5 * g, 2.0 * mu_w
 
         def split(z):
             return z, z
     else:
+        f = _hinge_root_batch(C.T - g[:, None], nu_w, eps)
         x, scale = np.concatenate([f, g]), np.concatenate([mu_w, nu_w])
 
         def split(z):
@@ -358,24 +371,34 @@ def evaluate_f_at(x, pot: DualPotentials, nu: DiscreteMeasure) -> float:
 
 
 def assemble_coupling(
-    pot: DualPotentials, mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig
+    pot: DualPotentials, mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig,
+    cost: Optional[np.ndarray] = None,
 ) -> Coupling:
     """Coupling masses mu_i nu_j [f_i + g_j - c_ij]_+ / eps with recomputed
-    marginal residuals attached; stale potentials are rejected."""
-    # the slack f_i + g_j - c_ij overwrites the cost matrix in place
-    slack = cost_matrix(mu.atoms, nu.atoms)
-    np.subtract(np.add.outer(pot.f_values, pot.g_values), slack, out=slack)
-    res_mu, res_nu = marginal_residuals(slack, mu.weights, nu.weights, pot.epsilon)
+    marginal residuals attached; stale potentials are rejected.  cost is
+    cost_matrix(mu.atoms, nu.atoms), built here when not given."""
+    C = cost_matrix(mu.atoms, nu.atoms) if cost is None else cost
+    # the slack f_i + g_j - c_ij, then its positive part, in one n x m buffer
+    positive = np.add.outer(pot.f_values, pot.g_values)
+    positive -= C
+    np.maximum(positive, 0.0, out=positive)
+    res_mu, res_nu = _positive_residuals(positive, mu.weights, nu.weights, pot.epsilon)
     residual = max(float(res_mu.max()), float(res_nu.max()))
     if residual > 10.0 * cfg.residual_tol:
         raise InconsistencyError(
             f"marginal residual {residual:.3e} exceeds 10 x residual_tol; stale potentials?"
         )
-    positive = slack > 0.0
-    i_idx, j_idx = np.nonzero(positive)  # row-major, deterministic
-    density = slack[i_idx, j_idx] / pot.epsilon
-    masses = mu.weights[i_idx] * nu.weights[j_idx] * density
-    in_support = slack[i_idx, j_idx] > cfg.support_tol
+    i_idx, j_idx = np.nonzero(positive > 0.0)  # row-major, deterministic
+    density = positive[i_idx, j_idx]
+    # free the dense buffer before the other support-sized arrays are built,
+    # and build those in place: at eps where most pairs are active (d = 3)
+    # they outweigh the dense buffer
+    del positive
+    in_support = density > cfg.support_tol   # still the slack here
+    density /= pot.epsilon
+    masses = mu.weights[i_idx]
+    masses *= nu.weights[j_idx]
+    masses *= density
     return Coupling(
         n_mu=len(mu),
         n_nu=len(nu),

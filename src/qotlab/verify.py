@@ -95,19 +95,32 @@ def _implied(lhs: float, factor: float) -> float:
 @dataclass(frozen=True, eq=False)
 class Instance:
     """One transport problem: the marginals and, when known, the ground-truth
-    map.  Built once per run and shared by every epsilon."""
+    map.  Built once per run and shared by every epsilon, together with the
+    read-only cost matrix c(x_i, y_j) that the solver, the coupling assembly
+    and the exact-OT fallback read; for mu = nu the diameter, the minimum
+    atom distance and the spread profile read it too."""
 
     name: str
     mu: DiscreteMeasure
     nu: DiscreteMeasure
     monge: Optional[MongeMapSpec] = None
     self_transport: bool = field(init=False)
+    cost: np.ndarray = field(init=False, repr=False)   # cost_matrix(mu.atoms, nu.atoms)
     diameter: float = field(init=False)   # of the mu-atoms; 0.0 below two atoms
 
     def __post_init__(self):
+        cost = qot_solver.cost_matrix(self.mu.atoms, self.nu.atoms)
+        cost.setflags(write=False)
         object.__setattr__(self, "self_transport", self.mu.same_as(self.nu))
-        diam = geometry.diameter(self.mu) if len(self.mu) > 1 else 0.0
+        object.__setattr__(self, "cost", cost)
+        diam = geometry.diameter(self.mu, self.self_cost) if len(self.mu) > 1 else 0.0
         object.__setattr__(self, "diameter", diam)
+
+    @property
+    def self_cost(self) -> Optional[np.ndarray]:
+        """The cost matrix of the mu-atoms against themselves when it is
+        the instance's own (mu = nu), else None."""
+        return self.cost if self.self_transport else None
 
 
 @dataclass
@@ -127,6 +140,7 @@ class SolvedInstance:
     diameter: float
     monge: Optional[MongeMapSpec] = None
     exact: Optional[exact_ot.ExactOTSolution] = None
+    cost: Optional[np.ndarray] = field(default=None, repr=False)
     _psi_mu: Optional[np.ndarray] = field(default=None, repr=False)
     _spread: Optional[float] = field(default=None, repr=False)
     # surrogate evaluations keyed on the exact bytes of the point; the
@@ -176,7 +190,7 @@ class SolvedInstance:
 
     def ensure_exact(self) -> exact_ot.ExactOTSolution:
         if self.exact is None:
-            self.exact = exact_ot.solve_exact(self.mu, self.nu, self.monge)
+            self.exact = exact_ot.solve_exact(self.mu, self.nu, self.monge, cost=self.cost)
         return self.exact
 
 
@@ -187,8 +201,8 @@ def prepare_instance(
     exact: Optional[exact_ot.ExactOTSolution] = None,
 ) -> SolvedInstance:
     """Solve inst at cfg.epsilon; profile is the spread profile of inst.mu."""
-    pot = qot_solver.solve(inst.mu, inst.nu, cfg)
-    coupling = qot_solver.assemble_coupling(pot, inst.mu, inst.nu, cfg)
+    pot = qot_solver.solve(inst.mu, inst.nu, cfg, cost=inst.cost)
+    coupling = qot_solver.assemble_coupling(pot, inst.mu, inst.nu, cfg, cost=inst.cost)
     d_eps = geometry.delta(profile, cfg.epsilon)
     surr = surrogate.build_surrogate(pot, inst.nu, d_eps)
     return SolvedInstance(
@@ -205,6 +219,7 @@ def prepare_instance(
         diameter=inst.diameter,
         monge=inst.monge,
         exact=exact,
+        cost=inst.cost,
     )
 
 

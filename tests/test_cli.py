@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qotlab import cli, geometry, qot_solver, verify
+from qotlab import cli, exact_ot, geometry, measures, qot_solver, verify
 from qotlab.geometry import GeometryError
 from qotlab.measures import load_measure
 from qotlab.qot_solver import InconsistencyError
@@ -261,9 +261,9 @@ def test_diameter_computed_once_per_run(tmp_path, monkeypatch):
     calls = []
     diameter = geometry.diameter
 
-    def counted(mu):
+    def counted(mu, *rest):
         calls.append(len(mu))
-        return diameter(mu)
+        return diameter(mu, *rest)
 
     monkeypatch.setattr(geometry, "diameter", counted)
     cfg = _write_config(
@@ -300,9 +300,23 @@ def test_support_spread_computed_once_per_eps(tmp_path, monkeypatch):
     assert sorted(calls) == sorted(eps_list)
 
 
-def test_cost_matrix_built_twice_per_eps(tmp_path, monkeypatch):
-    # only solve and assemble_coupling build an n x m cost matrix; every
-    # checker reads the sparse coupling (exact_ot's own import is not counted)
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1},
+        # the map misses nu by 1e-10, so the exact cost takes the SSP route
+        {"name": "ssp", "kind": "inline", "monge": {"kind": "affine", "a": 0.5},
+         "mu": {"dim": 1, "atoms": [[-0.8], [-0.2], [0.4], [0.9]], "weights": [0.25] * 4},
+         "nu": {"dim": 1, "atoms": [[-0.4], [-0.1], [0.2], [0.4500000001]],
+                "weights": [0.25] * 4}},
+    ],
+    ids=["map-route", "ssp-route"],
+)
+def test_cost_matrix_built_once_per_run(tmp_path, monkeypatch, instance):
+    # the instance builds the n x m cost matrix; the solver, the coupling
+    # assembly and the exact-OT reference read it, and every checker reads
+    # the sparse coupling
+    n = len(cli.build_instance(instance).mu)
     calls = []
     cost_matrix = qot_solver.cost_matrix
 
@@ -311,14 +325,73 @@ def test_cost_matrix_built_twice_per_eps(tmp_path, monkeypatch):
         return cost_matrix(X, Y)
 
     monkeypatch.setattr(qot_solver, "cost_matrix", counted)
-    eps_list = [0.1, 0.01]
+    monkeypatch.setattr(exact_ot, "cost_matrix", counted)
+    cfg = _write_config(tmp_path, instance=instance, eps_list=[0.1, 0.01])
+    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
+    assert calls == [(n, n)]
+
+
+def test_self_transport_run_computes_distances_once(tmp_path, monkeypatch):
+    # for mu = nu the diameter, the rate floor's minimum distance and the
+    # spread profile read the instance's cost matrix: one distance kernel call
+    calls = []
+    kernel = measures.sq_distances
+
+    def counted(X, Y):
+        calls.append((len(X), len(Y)))
+        return kernel(X, Y)
+
+    for module in (measures, geometry, qot_solver):
+        monkeypatch.setattr(module, "sq_distances", counted)
     cfg = _write_config(
         tmp_path,
-        instance={"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1},
-        eps_list=eps_list,
+        instance={"name": "grid", "kind": "grid", "d": 1, "h": 0.02},
+        eps_list=[10.0**-1, 10.0**-1.5, 10.0**-2, 10.0**-2.5],
+        checks=["SymUB", "SymLB", "SuppDiamM", "GradEstimate", "DensityUB"],
+        rate_fit=True,
     )
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
-    assert calls == [(21, 21)] * (2 * len(eps_list))
+    assert calls == [(101, 101)]
+
+
+def test_d3_grid_rate_checks_smoke(tmp_path):
+    cfg = _write_config(
+        tmp_path,
+        instance={"name": "grid-d3", "kind": "grid", "d": 3, "h": 0.25},
+        eps_list=[10.0**-0.5, 10.0**-1],
+        checks=["SymUB", "SymLB", "SuppDiamM", "GradEstimate", "DensityUB"],
+    )
+    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
+    lines = (tmp_path / "out" / "reports.jsonl").read_text().splitlines()
+    assert len(lines) == 10
+    assert all(json.loads(line)["holds"] is not False for line in lines)
+
+
+def test_output_dir_that_cannot_be_created_rejected_before_solving(
+    tmp_path, monkeypatch, capsys
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an unwritable output_dir must not reach the solver")
+
+    monkeypatch.setattr("qotlab.verify.qot_solver.solve", no_solve)
+    (tmp_path / "blocker").write_text("a regular file\n")
+    cfg = _write_config(tmp_path, output_dir="blocker/out")
+    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
+    assert "blocker" in record["detail"]
+
+
+def test_write_error_after_the_run_exits_config(tmp_path, monkeypatch, capsys):
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_reports", full_disk)
+    cfg = _write_config(tmp_path, checks=["DensityUB"])
+    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
+    assert "No space left on device" in record["detail"]
 
 
 def test_rate_fit_floor_enforced(tmp_path):

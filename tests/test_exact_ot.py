@@ -195,9 +195,9 @@ def ssp_calls(monkeypatch):
     calls = []
     original = exact_ot._ssp
 
-    def counted(mu, nu):
+    def counted(mu, nu, *rest):
         calls.append((len(mu), len(nu)))
-        return original(mu, nu)
+        return original(mu, nu, *rest)
 
     monkeypatch.setattr(exact_ot, "_ssp", counted)
     return calls

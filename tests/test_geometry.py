@@ -17,6 +17,7 @@ from qotlab.geometry import (
     hull_faces,
 )
 from qotlab.measures import make_measure, uniform_ball_grid
+from qotlab.qot_solver import cost_matrix
 
 
 @pytest.fixture
@@ -171,6 +172,28 @@ def test_distances_bitwise_match_broadcast(d):
     assert diameter(mu) == float(dist.max())
     expected = np.round(dist, DIST_DECIMALS)
     assert _pairwise_distances(mu).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        uniform_ball_grid(1, 0.05),
+        uniform_ball_grid(2, 0.2),
+        uniform_ball_grid(3, 0.25),
+        _random_measure(5, n=40, d=2),
+    ],
+    ids=["grid-d1", "grid-d2", "grid-d3", "random-weights-d2"],
+)
+def test_distances_from_cost_bitwise_match_standalone(mu):
+    # twice the self-cost is bitwise the squared distances, so what an
+    # instance reads off its cost matrix is what the standalone functions compute
+    cost = cost_matrix(mu.atoms, mu.atoms)
+    cost.setflags(write=False)
+    assert diameter(mu, cost) == diameter(mu)
+    assert mu.min_pairwise_distance(cost) == mu.min_pairwise_distance()
+    from_cost, standalone = build_spread(mu, cost=cost), build_spread(mu)
+    assert from_cost.radii.tobytes() == standalone.radii.tobytes()
+    assert from_cost.rho_values.tobytes() == standalone.rho_values.tobytes()
 
 
 def _assert_radii_match_unique(mu):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import alternating_solve, qp_oracle_coupling, sort_hinge_root
+from qotlab import qot_solver
 from qotlab.measures import make_measure, uniform_ball_grid
 from qotlab.qot_solver import (
     ConfigError,
@@ -417,6 +418,43 @@ def test_cost_matrix_peak_memory_stays_below_three_matrices():
         tracemalloc.stop()
     assert C.shape == (300, 200)
     assert peak <= 3 * C.nbytes
+
+
+def test_assemble_coupling_peak_memory_given_cost():
+    # given the cost, the slack and then its positive part fill one n x m
+    # buffer, freed before the support-sized arrays are built
+    mu = uniform_ball_grid(2, 0.1)
+    cfg = SolverConfig(epsilon=0.001)
+    C = cost_matrix(mu.atoms, mu.atoms)
+    pot = solve(mu, mu, cfg, cost=C)
+    tracemalloc.start()
+    try:
+        cpl = assemble_coupling(pot, mu, mu, cfg, cost=C)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cpl.in_support.sum() <= 0.1 * C.size
+    assert peak <= 2.5 * C.nbytes
+
+
+@pytest.mark.parametrize("shift", [False, True], ids=["self-transport", "mu-ne-nu"])
+def test_start_takes_one_hinge_batch_per_block(monkeypatch, shift):
+    # for mu = nu the start is u = g / 2 from the one batch g(f = 0); for
+    # mu != nu a second batch gives f from g.  Newton itself solves no
+    # hinge roots.
+    calls = []
+    batch = qot_solver._hinge_root_batch
+
+    def counted(*args):
+        calls.append(args)
+        return batch(*args)
+
+    monkeypatch.setattr(qot_solver, "_hinge_root_batch", counted)
+    mu = uniform_ball_grid(1, 0.05)
+    nu = make_measure(0.5 * mu.atoms + 0.25, mu.weights) if shift else mu
+    pot = solve(mu, nu, SolverConfig(epsilon=0.01))
+    assert pot.residual <= 1e-10
+    assert len(calls) == (2 if shift else 1)
 
 
 def test_support_tol_override_shrinks_support():
