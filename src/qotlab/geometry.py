@@ -143,20 +143,17 @@ def hull_faces(mu: DiscreteMeasure):
     raise GeometryError("hull boundary is supported for d in {1, 2}")
 
 
-def boundary_distance(x, mu: DiscreteMeasure, faces) -> float:
-    """Distance from x to the convex-hull boundary of the atoms."""
-    pt = np.asarray(x, dtype=float).reshape(-1)
+def boundary_distance(points, mu: DiscreteMeasure, faces) -> np.ndarray:
+    """Distance from each row of points to the convex-hull boundary of the atoms."""
+    pts = np.asarray(points, dtype=float).reshape(-1, mu.dim)
     if mu.dim == 1:
-        lo, hi = faces
-        return float(min(abs(pt[0] - lo), abs(pt[0] - hi)))
+        return np.abs(pts[:, 0, None] - np.array(faces)).min(axis=1)
     if mu.dim == 2:
-        best = np.inf
-        for seg in faces:
-            a, b = seg[0], seg[1]
-            ab = b - a
-            denom = float(ab @ ab)
-            t = 0.0 if denom == 0.0 else float(np.clip((pt - a) @ ab / denom, 0.0, 1.0))
-            proj = a + t * ab
-            best = min(best, float(np.linalg.norm(pt - proj)))
-        return best
+        # project each point (row) onto each segment (column), clamped to the
+        # segment; a zero-length segment projects to its end
+        a, ab = faces[:, 0], faces[:, 1] - faces[:, 0]
+        along, denom = ((pts[:, None] - a) * ab).sum(axis=2), (ab * ab).sum(axis=1)
+        t = np.divide(along, denom, out=np.zeros_like(along), where=denom != 0.0)
+        proj = a + np.clip(t, 0.0, 1.0)[..., None] * ab
+        return np.sqrt(((pts[:, None] - proj) ** 2).sum(axis=2)).min(axis=1)
     raise GeometryError("boundary distance is supported for d in {1, 2}")

@@ -10,8 +10,9 @@ ball).  Its Moreau envelope psi with parameter lam = 2 * delta(eps) is
 convex, C^1, 1-Lipschitz, and within delta(eps) of psi_tilde everywhere,
 since the envelope gap of an L-Lipschitz function is at most lam L^2 / 2.
 
-Envelope values, gradients, and the reflection resolvent all reduce to one
-simplex-constrained quadratic program
+Every evaluation takes a (k, d) array of points and returns one result per
+row.  Envelope values, gradients, and the reflection resolvent all reduce to
+one simplex-constrained quadratic program
 
     min over the simplex  (gamma/2) |Y theta|^2 - <x, Y theta> + <b, theta>
 
@@ -24,9 +25,10 @@ In d=1 that envelope is a lower hull v_0 < ... < v_K with values h_k and
 segment slopes m_k, built once per surrogate by a monotone chain.  psi* is
 interpolation on it, and the prox is closed form: vertex k wins for x in
 [gamma v_k + m_{k-1}, gamma v_k + m_k], segment k maps x to
-(x - m_k) / gamma, and one searchsorted over these breakpoints locates x.
-In d >= 2 the quadratic program is solved by a primal active-set method
-with deterministic pivoting, and psi* by a small linear program.
+(x - m_k) / gamma, and one searchsorted over these breakpoints locates a
+whole batch.  In d >= 2 the quadratic program is solved by a primal
+active-set method with deterministic pivoting, and psi* by a small linear
+program, each once per distinct point of a batch.
 """
 from __future__ import annotations
 
@@ -44,6 +46,9 @@ LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+# the d >= 2 LP admits points this far outside the slopes' hull within its
+# feasibility tolerance; d = 1 evaluates them at the nearest end vertex
+HULL_TOL = 1e-11
 
 
 class ProxError(RuntimeError):
@@ -73,9 +78,32 @@ class ConvexSurrogate:
             hull = _lower_hull(self.slopes[:, 0], self.intercepts)
         object.__setattr__(self, "hull", hull)
 
-    def psi_tilde(self, x) -> float:
-        pt = np.asarray(x, dtype=float).reshape(-1)
-        return float((self.slopes @ pt - self.intercepts).max())
+    def psi_tilde(self, x) -> np.ndarray:
+        """max_j <x, y_j> - b_j at each row of x."""
+        return (_inner(_rows(self, x), self.slopes) - self.intercepts).max(axis=1)
+
+
+def _rows(s: ConvexSurrogate, x) -> np.ndarray:
+    # x as a (k, d) array of points in the surrogate's dimension
+    return np.asarray(x, dtype=float).reshape(-1, s.slopes.shape[1])
+
+
+def _inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The matrix of <a_i, b_j>, summed one coordinate at a time, so each
+    entry is bit for bit the same whatever the batch it is computed in."""
+    out = np.multiply.outer(A[:, 0], B[:, 0])
+    for k in range(1, A.shape[1]):
+        out += np.multiply.outer(A[:, k], B[:, k])
+    return out
+
+
+def _each_distinct_row(X: np.ndarray, fn, shape: tuple = ()) -> np.ndarray:
+    """fn at every row of X, called once per distinct row."""
+    uniq, inverse = np.unique(X, axis=0, return_inverse=True)
+    out = np.empty((len(uniq),) + shape)
+    for r, row in enumerate(uniq):
+        out[r] = fn(row)
+    return out[inverse.reshape(-1)]
 
 
 def _lower_hull(y: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,52 +211,54 @@ def _simplex_qp(Y: np.ndarray, b: np.ndarray, target: np.ndarray, gamma: float,
     raise ProxError(f"active-set prox failed to converge (KKT residual {resid:.3e})", resid)
 
 
-def _prox_point(s: ConvexSurrogate, x: np.ndarray, gamma: float) -> np.ndarray:
-    """The optimal slope combination Y theta of the simplex QP at x."""
+def _prox_points(s: ConvexSurrogate, X: np.ndarray, gamma: float) -> np.ndarray:
+    """The optimal slope combination Y theta of the simplex QP at each row of X."""
     if s.hull is None:
-        return s.slopes.T @ _simplex_qp(s.slopes, s.intercepts, x, gamma)
+        return _each_distinct_row(
+            X, lambda x: s.slopes.T @ _simplex_qp(s.slopes, s.intercepts, x, gamma), X.shape[1:]
+        )
     v, _, m = s.hull
     # vertex k owns [gamma v_k + m_{k-1}, gamma v_k + m_k] and segment k the
     # open interval between gamma v_k + m_k and gamma v_{k+1} + m_k
     breaks = np.empty(2 * len(m))
     breaks[0::2] = gamma * v[:-1] + m
     breaks[1::2] = gamma * v[1:] + m
-    k, on_segment = divmod(int(np.searchsorted(breaks, x[0])), 2)
-    if not on_segment:
-        return v[k : k + 1].copy()
-    return np.clip((x - m[k]) / gamma, v[k], v[k + 1])
+    k, on_segment = np.divmod(np.searchsorted(breaks, X[:, 0]), 2)
+    out, seg = v[k], on_segment == 1
+    ks = k[seg]
+    out[seg] = np.clip((X[seg, 0] - m[ks]) / gamma, v[ks], v[ks + 1])
+    return out[:, None]
 
 
-def eval_psi(s: ConvexSurrogate, x) -> tuple[float, np.ndarray]:
-    """Moreau envelope value and gradient at x.
+def eval_psi(s: ConvexSurrogate, x) -> tuple[np.ndarray, np.ndarray]:
+    """Moreau envelope values (k,) and gradients (k, d) at the rows of x.
 
     The prox point is z = x - lam * u with u the optimal simplex combination
     of slopes; the gradient is (x - z) / lam = u.
     """
-    pt = np.asarray(x, dtype=float).reshape(-1)
-    u = _prox_point(s, pt, s.lam)
-    z = pt - s.lam * u
-    val = s.psi_tilde(z) + float(((pt - z) ** 2).sum()) / (2.0 * s.lam)
-    return val, u
+    X = _rows(s, x)
+    U = _prox_points(s, X, s.lam)
+    Z = X - s.lam * U
+    return s.psi_tilde(Z) + ((X - Z) ** 2).sum(axis=1) / (2.0 * s.lam), U
 
 
-def eval_psi_star(s: ConvexSurrogate, y) -> float:
-    """Convex conjugate of the envelope: conj(psi_tilde)(y) + (lam/2)|y|^2,
-    +inf outside the convex hull of the slopes.
+def eval_psi_star(s: ConvexSurrogate, y) -> np.ndarray:
+    """Convex conjugate of the envelope at the rows of y: conj(psi_tilde)(y) +
+    (lam/2)|y|^2, +inf outside the convex hull of the slopes (by HULL_TOL).
 
     conj(psi_tilde) is the lower convex envelope of the intercepts over the
     slope points: interpolation on the lower hull in d=1, a small linear
     program in d >= 2.
     """
-    pt = np.asarray(y, dtype=float).reshape(-1)
+    Y = _rows(s, y)
     if s.hull is None:
-        low = _psi_star_lp(s, pt)
+        low = _each_distinct_row(Y, lambda pt: _psi_star_lp(s, pt))
     else:
         v, h, _ = s.hull
-        low = float(np.interp(pt[0], v, h)) if v[0] <= pt[0] <= v[-1] else math.inf
-    if math.isinf(low):
-        return math.inf
-    return low + 0.5 * s.lam * float(pt @ pt)
+        # np.interp holds the end values beyond [v_0, v_K]
+        low = np.interp(Y[:, 0], v, h)
+        low[(Y[:, 0] < v[0] - HULL_TOL) | (Y[:, 0] > v[-1] + HULL_TOL)] = math.inf
+    return low + 0.5 * s.lam * (Y * Y).sum(axis=1)
 
 
 def _psi_star_lp(s: ConvexSurrogate, pt: np.ndarray) -> float:
@@ -247,42 +277,40 @@ def _psi_star_lp(s: ConvexSurrogate, pt: np.ndarray) -> float:
     return float(res.fun)
 
 
-def eval_psi_prime(s: ConvexSurrogate, mu: DiscreteMeasure, y, psi_at_atoms=None) -> float:
-    """Conjugate restricted to the mu-atoms: max_i <x_i, y> - psi(x_i)."""
-    pt = np.asarray(y, dtype=float).reshape(-1)
-    if psi_at_atoms is None:
-        psi_at_atoms = np.array([eval_psi(s, atom)[0] for atom in mu.atoms])
-    return float((mu.atoms @ pt - psi_at_atoms).max())
+def eval_psi_prime(mu: DiscreteMeasure, psi_at_atoms: np.ndarray, y) -> np.ndarray:
+    """Conjugate restricted to the mu-atoms, max_i <x_i, y> - psi(x_i), at
+    the rows of y; psi_at_atoms holds psi at the mu-atoms."""
+    return (_inner(np.asarray(y, dtype=float).reshape(-1, mu.dim), mu.atoms)
+            - psi_at_atoms).max(axis=1)
 
 
 def minty_reflect(s: ConvexSurrogate, u) -> tuple[np.ndarray, np.ndarray]:
-    """Solve x' + grad psi(x') = u and return (x', grad psi(x')).
+    """Solve x' + grad psi(x') = u at each row of u; return (x', grad psi(x')).
 
     x' is the prox of the envelope at u; composing envelopes gives it from
     the same simplex QP with curvature lam + 1, as x' = u - Y theta with
     grad psi(x') = Y theta.
     """
-    pt = np.asarray(u, dtype=float).reshape(-1)
-    g = _prox_point(s, pt, s.lam + 1.0)
-    return pt - g, g
+    U = _rows(s, u)
+    G = _prox_points(s, U, s.lam + 1.0)
+    return U - G, G
 
 
 def minty_map(s: ConvexSurrogate, u) -> np.ndarray:
-    """The 1-Lipschitz reflection F(u) = x' - grad psi(x') = 2 x' - u."""
+    """The 1-Lipschitz reflection F(u) = x' - grad psi(x') = 2 x' - u, per row."""
     x_prime, g = minty_reflect(s, u)
     return x_prime - g
 
 
-def quadratic_detachment(s: ConvexSurrogate, x, y) -> tuple[float, float]:
-    """Duality gap psi(x) + psi*(y) - <x, y> and its quadratic lower bound
-    |x - y - F(x + y)|^2 / 4; raises if the gap undercuts the bound."""
-    px = np.asarray(x, dtype=float).reshape(-1)
-    py = np.asarray(y, dtype=float).reshape(-1)
-    star = eval_psi_star(s, py)
-    val, _ = eval_psi(s, px)
-    gap = val + star - float(px @ py)
-    F = minty_map(s, px + py)
-    lower = 0.25 * float(((px - py - F) ** 2).sum())
-    if not math.isinf(gap) and gap < lower - 1e-8:
-        raise DetachmentError(f"duality gap {gap!r} below quadratic bound {lower!r}")
+def quadratic_detachment(s: ConvexSurrogate, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Duality gaps psi(x) + psi*(y) - <x, y> and their quadratic lower bounds
+    |x - y - F(x + y)|^2 / 4 over paired rows of x and y; raises if a gap
+    undercuts its bound."""
+    X, Y = _rows(s, x), _rows(s, y)
+    gap = eval_psi(s, X)[0] + eval_psi_star(s, Y) - (X * Y).sum(axis=1)
+    F = minty_map(s, X + Y)
+    lower = 0.25 * ((X - Y - F) ** 2).sum(axis=1)
+    if np.any(gap < lower - 1e-8):
+        k = int(np.argmin(gap - lower))
+        raise DetachmentError(f"duality gap {gap[k]!r} below quadratic bound {lower[k]!r}")
     return gap, lower

@@ -142,11 +142,8 @@ class SolvedInstance:
     exact: Optional[exact_ot.ExactOTSolution] = None
     cost: Optional[np.ndarray] = field(default=None, repr=False)
     _psi_mu: Optional[np.ndarray] = field(default=None, repr=False)
+    _stars: Optional[tuple] = field(default=None, repr=False)
     _spread: Optional[float] = field(default=None, repr=False)
-    # surrogate evaluations keyed on the exact bytes of the point; the
-    # surrogate is fixed per epsilon, so a repeated point is a repeated answer
-    _reflect_memo: dict = field(default_factory=dict, repr=False)
-    _star_memo: dict = field(default_factory=dict, repr=False)
 
     @property
     def epsilon(self) -> float:
@@ -157,28 +154,17 @@ class SolvedInstance:
 
     def psi_at_mu(self) -> np.ndarray:
         if self._psi_mu is None:
-            self._psi_mu = np.array(
-                [surrogate.eval_psi(self.surr, x)[0] for x in self.mu.atoms]
-            )
+            self._psi_mu = surrogate.eval_psi(self.surr, self.mu.atoms)[0]
         return self._psi_mu
 
-    def reflect(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """surrogate.minty_reflect at u, solved once per distinct point; the
-        returned arrays are shared between callers and must not be mutated."""
-        key = np.ascontiguousarray(u, dtype=float).tobytes()
-        if key not in self._reflect_memo:
-            self._reflect_memo[key] = surrogate.minty_reflect(self.surr, u)
-        return self._reflect_memo[key]
-
-    def star(self, y) -> float:
-        """surrogate.eval_psi_star at y, solved once per distinct point."""
-        key = np.ascontiguousarray(y, dtype=float).tobytes()
-        if key not in self._star_memo:
-            self._star_memo[key] = surrogate.eval_psi_star(self.surr, y)
-        return self._star_memo[key]
-
-    def star_at_nu(self) -> np.ndarray:
-        return np.array([self.star(y) for y in self.nu.atoms])
+    def stars(self) -> tuple[np.ndarray, np.ndarray]:
+        """psi* at the nu-atoms and at the map's images of the mu-atoms (none
+        without a map), from one batch, so a point that is both is solved once."""
+        if self._stars is None:
+            images = [] if self.monge is None else [self.monge(self.mu.atoms)]
+            star = surrogate.eval_psi_star(self.surr, np.concatenate([self.nu.atoms, *images]))
+            self._stars = star[: len(self.nu)], star[len(self.nu):]
+        return self._stars
 
     def support_spread(self) -> float:
         """Largest |x_i - y_j| over the support pairs, 0 on an empty support;
@@ -347,7 +333,7 @@ def check_cost_sandwich(inst: SolvedInstance) -> BoundReport:
 def check_approx_conj(inst: SolvedInstance) -> list[BoundReport]:
     """Both 6-delta conjugacy defects plus the 12-delta support inclusion."""
     psi_mu = inst.psi_at_mu()
-    star_nu = inst.star_at_nu()
+    star_nu = inst.stars()[0]
     half_mu = 0.5 * (inst.mu.atoms**2).sum(-1)
     half_nu = 0.5 * (inst.nu.atoms**2).sum(-1)
     lhs_mu = float(np.abs(half_mu - inst.pot.f_values - psi_mu).max())
@@ -389,15 +375,8 @@ def check_approx_conj(inst: SolvedInstance) -> list[BoundReport]:
 
 def check_restricted_conj(inst: SolvedInstance) -> BoundReport:
     """Conjugate restricted to mu-atoms versus the full conjugate, 22 delta."""
-    psi_mu = inst.psi_at_mu()
-    star_nu = inst.star_at_nu()
-    prime = np.array(
-        [
-            surrogate.eval_psi_prime(inst.surr, inst.mu, y, psi_at_atoms=psi_mu)
-            for y in inst.nu.atoms
-        ]
-    )
-    lhs = float(np.abs(star_nu - prime).max())
+    prime = surrogate.eval_psi_prime(inst.mu, inst.psi_at_mu(), inst.nu.atoms)
+    lhs = float(np.abs(inst.stars()[0] - prime).max())
     rhs = 22.0 * inst.d_eps
     return BoundReport(
         bound_id="RestrictedConj",
@@ -411,17 +390,14 @@ def check_restricted_conj(inst: SolvedInstance) -> BoundReport:
 
 def check_concentration(inst: SolvedInstance) -> BoundReport:
     """Distance from each support pair to the gradient graph of the envelope,
-    via the reflection resolvent at x + y; bound sqrt(24 delta).  The
-    resolvent depends on the pair only through x + y, so its cost scales
-    with the number of distinct sums, not of support pairs."""
+    via the reflection resolvent at x + y; bound sqrt(24 delta).  One
+    resolvent call takes every pair's x + y; in d >= 2 it solves once per
+    distinct sum, not once per support pair."""
     ii, jj = _support_arrays(inst)
-    worst = 0.0
-    for i, j in zip(ii, jj):
-        x = inst.mu.atoms[i]
-        y = inst.nu.atoms[j]
-        x_prime, grad = inst.reflect(x + y)
-        dist = math.sqrt(float(((x - x_prime) ** 2).sum() + ((y - grad) ** 2).sum()))
-        worst = max(worst, dist)
+    X, Y = inst.mu.atoms[ii], inst.nu.atoms[jj]
+    x_prime, grad = surrogate.minty_reflect(inst.surr, X + Y)
+    dist = np.sqrt(((X - x_prime) ** 2).sum(axis=1) + ((Y - grad) ** 2).sum(axis=1))
+    worst = float(dist.max()) if len(dist) else 0.0
     rhs = math.sqrt(24.0 * inst.d_eps)
     ctx = inst.base_context()
     ctx["support_pairs"] = int(len(ii))
@@ -494,12 +470,11 @@ def check_bias(inst: SolvedInstance) -> list[BoundReport]:
     integral gap, and the interior/boundary support bias bounds."""
     if inst.monge is None:
         raise VerifyError("bias checks require a ground-truth map")
-    monge = inst.monge
-    L = float(monge.lipschitz_L)
-    grad_phi = np.asarray(monge(inst.mu.atoms), dtype=float)
+    L = float(inst.monge.lipschitz_L)
+    grad_phi = np.asarray(inst.monge(inst.mu.atoms), dtype=float)
 
     psi_mu = inst.psi_at_mu()
-    star_imgs = np.array([inst.star(im) for im in grad_phi])
+    star_imgs = inst.stars()[1]
     dots = (inst.mu.atoms * grad_phi).sum(-1)
     gaps = psi_mu + star_imgs - dots
     alpha = float(gaps.max())
@@ -512,10 +487,7 @@ def check_bias(inst: SolvedInstance) -> list[BoundReport]:
 
     try:
         faces = geometry.hull_faces(inst.mu)
-        bdist = np.array(
-            [geometry.boundary_distance(x, inst.mu, faces) for x in inst.mu.atoms]
-        )
-        interior = bdist > r_general
+        interior = geometry.boundary_distance(inst.mu.atoms, inst.mu, faces) > r_general
     except geometry.GeometryError:
         # degenerate hull has empty interior: every atom is a boundary point
         interior = np.zeros(len(inst.mu), dtype=bool)

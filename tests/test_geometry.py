@@ -232,15 +232,36 @@ def test_radii_bitwise_match_unique_on_lattice(points):
 def test_boundary_distance_d1():
     mu = uniform_ball_grid(1, 0.5)
     faces = hull_faces(mu)
-    assert boundary_distance([1.0], mu, faces) == 0.0  # hull vertex
-    assert boundary_distance([0.0], mu, faces) == pytest.approx(1.0)
+    # a hull vertex, then the center
+    dist = boundary_distance([[1.0], [0.0]], mu, faces)
+    assert dist[0] == 0.0
+    assert dist[1] == pytest.approx(1.0)
 
 
 def test_boundary_distance_d2():
     mu = make_measure([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1 / 3, 1 / 3, 1 / 3])
     faces = hull_faces(mu)
-    assert boundary_distance([0.0, 0.0], mu, faces) == 0.0
-    assert boundary_distance([0.25, 0.25], mu, faces) == pytest.approx(0.25)
+    dist = boundary_distance([[0.0, 0.0], [0.25, 0.25]], mu, faces)
+    assert dist[0] == 0.0
+    assert dist[1] == pytest.approx(0.25)
+
+
+def test_boundary_distance_d2_matches_per_segment_reference():
+    mu = _random_measure(5, n=40, d=2)
+    # the hull's segments plus a zero-length one, which projects to its end
+    faces = hull_faces(mu)
+    faces = np.concatenate([faces, faces[:1, :1].repeat(2, axis=1)])
+    pts = np.concatenate([np.random.default_rng(6).uniform(-1.0, 1.0, size=(30, 2)), mu.atoms])
+    want = []
+    for pt in pts:
+        best = np.inf
+        for a, b in faces:
+            ab = b - a
+            denom = float(ab @ ab)
+            t = 0.0 if denom == 0.0 else float(np.clip((pt - a) @ ab / denom, 0.0, 1.0))
+            best = min(best, float(np.linalg.norm(pt - (a + t * ab))))
+        want.append(best)
+    assert np.allclose(boundary_distance(pts, mu, faces), want, rtol=0.0, atol=1e-15)
 
 
 def test_hull_degenerate_d2():

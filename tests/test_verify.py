@@ -176,9 +176,9 @@ def _counting(monkeypatch, name: str) -> list:
     calls = []
     fn = getattr(surrogate, name)
 
-    def counted(s, pt):
-        calls.append(pt)
-        return fn(s, pt)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(surrogate, name, counted)
     return calls
@@ -191,7 +191,7 @@ def test_concentration_matches_per_pair_reference():
     for i, j in zip(ii, jj):
         x = inst.mu.atoms[i]
         y = inst.nu.atoms[j]
-        x_prime, grad = surrogate.minty_reflect(inst.surr, x + y)
+        (x_prime,), (grad,) = surrogate.minty_reflect(inst.surr, (x + y)[None])
         dist = math.sqrt(float(((x - x_prime) ** 2).sum() + ((y - grad) ** 2).sum()))
         worst = max(worst, dist)
     rep = check_concentration(inst)
@@ -294,21 +294,35 @@ def test_self_transport_streams_match_per_row_reference(name, block, monkeypatch
     assert by_id["GradEstimate"].holds is True
 
 
+def _grid_d2_half_map_solved():
+    # a d=2 grid against itself with the map x -> x / 2: some images are
+    # grid atoms and some are not, and many support pairs share a sum x + y
+    mu = uniform_ball_grid(2, 0.25)
+    return _prepare(Instance("grid-d2-half", mu, mu, affine_map(0.5 * np.eye(2))), 0.05)
+
+
+def _distinct(points) -> set:
+    return {tuple(p) for p in np.asarray(points).tolist()}
+
+
 def test_concentration_solves_each_distinct_sum_once(monkeypatch):
-    inst = _affine_a2_solved(0.1)
-    calls = _counting(monkeypatch, "minty_reflect")
+    inst = _grid_d2_half_map_solved()
+    calls = _counting(monkeypatch, "_simplex_qp")
     ii, jj = _support_arrays(inst)
-    sums = {(inst.mu.atoms[i] + inst.nu.atoms[j]).tobytes() for i, j in zip(ii, jj)}
+    sums = _distinct(inst.mu.atoms[ii] + inst.nu.atoms[jj])
     check_concentration(inst)
     assert len(calls) == len(sums) < len(ii)
-    check_concentration(inst)
-    assert len(calls) == len(sums)
 
 
 def test_bias_reuses_star_at_nu_atoms(monkeypatch):
-    inst = _affine_a2_solved(0.01)
-    calls = _counting(monkeypatch, "eval_psi_star")
+    inst = _grid_d2_half_map_solved()
+    assert inst._stars is None and inst._psi_mu is None
+    lps = _counting(monkeypatch, "_psi_star_lp")
+    qps = _counting(monkeypatch, "_simplex_qp")
     check_approx_conj(inst)
     check_bias(inst)
-    # the images a * x_i of the affine map are bit for bit the nu-atoms
-    assert len(calls) == len(inst.nu)
+    # one LP per distinct point among the nu-atoms and the map's images,
+    # one QP per distinct mu-atom
+    points = _distinct(np.concatenate([inst.nu.atoms, inst.monge(inst.mu.atoms)]))
+    assert len(inst.nu) < len(lps) == len(points) < len(inst.nu) + len(inst.mu)
+    assert len(qps) == len(inst.mu)
