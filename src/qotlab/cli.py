@@ -235,9 +235,10 @@ def _report_sort_key(record: dict):
     )
 
 
-def run_experiment(config: ExperimentConfig, base_dir: Path = Path(".")):
-    """Solve the instance across the eps sweep, run the requested checks,
-    and return (report records, rate fits, spread-profile CSV text)."""
+def run_experiment(config: ExperimentConfig, base_dir: Path, threads: int):
+    """Solve the instance across the eps sweep, at most `threads` epsilons at
+    a time, run the requested checks, and return (report records, rate fits,
+    spread-profile CSV text)."""
     inst = build_instance(config.instance, base_dir)
     if config.rate_fit:
         # fail a misconfigured rate sweep before any epsilon is solved
@@ -267,7 +268,7 @@ def run_experiment(config: ExperimentConfig, base_dir: Path = Path(".")):
         reports = verify.run_checks(solved, config.checks)
         return reports, solved.support_spread() if config.rate_fit else None
 
-    with ThreadPoolExecutor(max_workers=min(_thread_count(), len(config.eps_list))) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(config.eps_list))) as pool:
         results = list(pool.map(one_eps, config.eps_list))
 
     records = []
@@ -439,12 +440,14 @@ def run_command(config_path: str, eps_override=None, tol_override=None) -> int:
                 raw["solver"] = {**solver, "residual_tol": tol_override}
         config = ExperimentConfig.from_dict(raw, base_dir)
         _check_output_dir(config.output_dir)
+        # a malformed QOTLAB_THREADS fails here, before any instance work
+        threads = _thread_count()
     except (OSError, json.JSONDecodeError, CliConfigError) as exc:
         _error_record("config", str(exc))
         return EXIT_CONFIG
 
     try:
-        records, fits, profile_csv = run_experiment(config, base_dir)
+        records, fits, profile_csv = run_experiment(config, base_dir, threads)
     except ConvergenceError as exc:
         _error_record(
             "no-convergence", str(exc), sweeps=exc.sweeps, residual=exc.residual,

@@ -8,6 +8,18 @@ r with breakpoints at the pairwise atom distances.  The spread functions
     delta_st(eps) = inf{r > 0 : r * rho(sqrt(r)) > eps}
 
 are computed in closed form on each constancy interval of rho.
+
+The profile streams over row blocks of the rounded distance matrix, so no
+n x n array is held.  On an equal-weight measure (every lattice grid) it
+needs no per-row mass table: with each row of distances sorted, let q[m] be
+the largest over all rows of the row's (m+1)-th smallest distance.  The
+fewest atoms in any closed ball of radius r is then #{m : q[m] <= r}, and the
+profile at a breakpoint r is cumsum(w)[#{m : q[m] <= r} - 1].  That is bit
+for bit the per-row value, since a running sum of equal weights depends only
+on how many terms it has, and the running sum never decreases, so the
+smallest count gives the smallest mass.  Unequal weights take a second pass
+over the blocks, with per-row stable sorts and running sums evaluated at the
+breakpoints, which the first pass collects.
 """
 from __future__ import annotations
 
@@ -50,11 +62,34 @@ class SpreadProfile:
         return buf.getvalue()
 
 
-def _pairwise_distances(mu: DiscreteMeasure, cost: Optional[np.ndarray] = None) -> np.ndarray:
-    # twice the cost |x_i - x_j|^2 / 2 is bitwise sq_distances (x 0.5 is exact)
-    dist = sq_distances(mu.atoms, mu.atoms) if cost is None else np.multiply(cost, 2.0)
-    np.sqrt(dist, out=dist)
-    return np.round(dist, DIST_DECIMALS, out=dist)
+# distance entries per row block when the profile streams over the matrix
+_BLOCK_ENTRIES = 2**15
+
+
+def _distance_blocks(mu: DiscreteMeasure, cost: Optional[np.ndarray], width: int):
+    """The distances between mu's atoms rounded to DIST_DECIMALS, in blocks
+    of whole rows of about _BLOCK_ENTRIES // width rows each (at least one)."""
+    n = len(mu)
+    rows = max(1, _BLOCK_ENTRIES // width)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        if cost is None:
+            dist = sq_distances(mu.atoms[lo:hi], mu.atoms)
+        else:
+            # twice the cost |x_i - x_j|^2 / 2 is bitwise sq_distances (x 0.5 is exact)
+            dist = np.multiply(cost[lo:hi], 2.0)
+        np.sqrt(dist, out=dist)
+        yield np.round(dist, DIST_DECIMALS, out=dist)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values: a sort and an adjacent dedupe give
+    np.unique's values without its lazy numpy.ma import."""
+    flat = np.sort(values, axis=None)
+    keep = np.empty(len(flat), dtype=bool)
+    keep[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    return flat[keep]
 
 
 def build_spread(
@@ -63,26 +98,39 @@ def build_spread(
     """Profile of rho over all candidate radii (the distinct pairwise
     distances, rounded to 12 decimals for order-independent breakpoints).
     cost, when given, is the matrix |x_i - x_j|^2 / 2 of mu's atoms, read
-    instead of recomputing the distances."""
-    dist = _pairwise_distances(mu, cost)
-    # the distinct distances, starting at 0 (self-distances); a sort and an
-    # adjacent dedupe give np.unique's values without its lazy numpy.ma import
-    flat = np.sort(dist, axis=None)
-    keep = np.empty(len(flat), dtype=bool)
-    keep[0] = True
-    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
-    radii = flat[keep]
-    n = len(mu)
-    masses = np.empty((n, len(radii)))
-    for a in range(n):
-        order = np.argsort(dist[a], kind="stable")
-        ds = dist[a][order]
-        cw = np.cumsum(mu.weights[order])
-        # mass of the closed ball of radius radii[k]; the open ball of any
-        # r in (radii[k], radii[k+1]] contains exactly these atoms
-        pos = np.searchsorted(ds, radii, side="right") - 1
-        masses[a] = cw[pos]
-    rho = masses.min(axis=0)
+    instead of recomputing the distances.
+
+    rho at radii[k] is the smallest mass of a closed ball of radius
+    radii[k] about an atom; the open ball of any r in (radii[k], radii[k+1]]
+    contains exactly these atoms."""
+    n, w = len(mu), mu.weights
+    # q[m] = the largest over all rows of the row's (m+1)-th smallest distance
+    q = np.zeros(n)
+    parts = []
+    for dist in _distance_blocks(mu, cost, n):
+        dist.sort(axis=1)
+        np.maximum(q, dist.max(axis=0), out=q)
+        parts.append(_distinct(dist))
+    # every row holds its self-distance 0, so radii[0] = 0 and each count >= 1
+    radii = _distinct(np.concatenate(parts))
+    if (w == w[0]).all():
+        rho = np.cumsum(w)[np.searchsorted(q, radii, side="right") - 1]
+        return SpreadProfile(radii=radii, rho_values=rho, source=source)
+    R = len(radii)
+    rho = np.full(R, np.inf)
+    # a block holds about _BLOCK_ENTRIES entries of the n x R mass table
+    for dist in _distance_blocks(mu, cost, max(n, R)):
+        order = np.argsort(dist, axis=1, kind="stable")
+        cw = np.cumsum(w[order], axis=1)
+        # each sorted distance is one of the radii: pos is its exact index
+        pos = np.searchsorted(radii, np.take_along_axis(dist, order, axis=1))
+        # atoms within radii[k] of each row's atom: a histogram of pos per
+        # row (each row offset into its own range of R bins), summed up
+        rows = len(dist)
+        pos += np.arange(rows)[:, None] * R
+        within = np.bincount(pos.ravel(), minlength=rows * R).reshape(rows, R).cumsum(axis=1)
+        within -= 1
+        np.minimum(rho, np.take_along_axis(cw, within, axis=1).min(axis=0), out=rho)
     return SpreadProfile(radii=radii, rho_values=rho, source=source)
 
 

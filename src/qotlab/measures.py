@@ -90,24 +90,34 @@ class DiscreteMeasure:
         }
 
 
+# entries of the row-block scratch buffer in sq_distances
+_SCRATCH_ENTRIES = 2**15
+
+
 def sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """The n x m matrix of squared distances |x_i - y_j|^2 between the rows
     of X (n, d) and Y (m, d).
 
     The squared coordinate differences are added one coordinate at a time,
-    with one n x m scratch buffer, so no (n, m, d) array is ever built.  For
-    d < 8 this is bit for bit ((X[:, None] - Y[None]) ** 2).sum(-1), since
-    numpy adds fewer than eight terms in order; from d = 8 on numpy sums
+    block of rows by block of rows, through one scratch buffer of about
+    2^15 entries, so no (n, m, d) array and no second n x m array is ever
+    built.  For d < 8 this is bit for bit ((X[:, None] - Y[None]) ** 2).sum(-1),
+    since numpy adds fewer than eight terms in order; from d = 8 on numpy sums
     pairwise and the two can differ in the last bits.
     """
     out = np.subtract.outer(X[:, 0], Y[:, 0])
     out *= out
     if X.shape[1] > 1:
-        scratch = np.empty_like(out)
-        for k in range(1, X.shape[1]):
-            np.subtract.outer(X[:, k], Y[:, k], out=scratch)
-            scratch *= scratch
-            out += scratch
+        n, m = out.shape
+        rows = max(1, _SCRATCH_ENTRIES // m)
+        scratch = np.empty((min(rows, n), m))
+        for lo in range(0, n, rows):
+            block = out[lo:lo + rows]
+            tmp = scratch[: len(block)]
+            for k in range(1, X.shape[1]):
+                np.subtract.outer(X[lo:lo + rows, k], Y[:, k], out=tmp)
+                tmp *= tmp
+                block += tmp
     return out
 
 

@@ -144,12 +144,25 @@ def _hinge_root_batch(S: np.ndarray, w: np.ndarray, eps: float, t=None) -> np.nd
     an empty active set.  A warm start t may lie on either side of the root:
     its first step is taken unconditionally and capped at the cold start.
     """
-    cold = np.min(S + (eps / w)[:, None], axis=0)
+    # one n x m float buffer serves the cold start and every step.  It is
+    # viewed in C order for the 0/1 mask (numpy casts the bool operand of
+    # w @ active to a C-ordered float array) and in S's order for the masked
+    # thresholds (the order of np.where(active, S, 0.0)), so each product
+    # sums in the order it did with fresh arrays, and the roots keep their bits
+    flat = np.empty(S.size)
+    mask = flat.reshape(S.shape)
+    masked = flat.reshape(S.shape, order="F" if np.isfortran(S) else "C")
+    active = np.empty_like(S, dtype=bool)
+    np.add(S, (eps / w)[:, None], out=masked)
+    cold = masked.min(axis=0)
 
     def newton(t):
-        active = S < t
-        cw = w @ active
-        cs = w @ np.where(active, S, 0.0)
+        np.less(S, t, out=active)
+        np.copyto(mask, active)
+        cw = w @ mask
+        # S where active and +-0.0 elsewhere; a zero's sign cannot move cs
+        np.multiply(S, active, out=masked)
+        cs = w @ masked
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(cw > 0, (eps + cs) / cw, cold)
 

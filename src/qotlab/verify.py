@@ -138,9 +138,9 @@ class SolvedInstance:
     surr: surrogate.ConvexSurrogate
     self_transport: bool
     diameter: float
+    cost: np.ndarray = field(repr=False)   # the instance's cost_matrix(mu.atoms, nu.atoms)
     monge: Optional[MongeMapSpec] = None
     exact: Optional[exact_ot.ExactOTSolution] = None
-    cost: Optional[np.ndarray] = field(default=None, repr=False)
     _psi_mu: Optional[np.ndarray] = field(default=None, repr=False)
     _stars: Optional[tuple] = field(default=None, repr=False)
     _spread: Optional[float] = field(default=None, repr=False)
@@ -237,20 +237,14 @@ def _support_blocks(coupling: qot_solver.Coupling):
 
 
 def _support_spread(inst: SolvedInstance) -> float:
-    X, Y = inst.mu.atoms.T, inst.nu.atoms.T
+    # the cost c_ij = |x_i - y_j|^2 / 2 read at the support pairs: twice it is
+    # bitwise the squared distance (x 0.5 is exact), and sqrt is monotone, so
+    # the root of twice the largest cost is the largest distance
     worst = 0.0
     for ii, jj in _support_blocks(inst.coupling):
         if len(ii):
-            # |x_i - y_j|^2 one coordinate at a time, the order in which
-            # numpy sums fewer than eight coordinates (see sq_distances)
-            sq = np.zeros(len(ii))
-            for x, y in zip(X, Y):
-                diff = x[ii] - y[jj]
-                diff *= diff
-                sq += diff
-            worst = max(worst, float(sq.max()))
-    # sqrt is monotone: the root of the largest square is the largest distance
-    return math.sqrt(worst)
+            worst = max(worst, float(inst.cost[ii, jj].max()))
+    return math.sqrt(2.0 * worst)
 
 
 def _grad_estimate_lhs(inst: SolvedInstance) -> float:

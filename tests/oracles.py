@@ -6,7 +6,9 @@ projections (the library solves the dual system), the dual oracle sweeps exact
 coordinate updates (the library runs semismooth Newton on the whole dual),
 scalar hinge roots come from sorting the thresholds (the library runs Newton
 on the active set), spread values
-come from a direct double loop, spread inverses from bisection, envelope
+come from a direct double loop and spread profiles from a dense per-row loop
+(the library streams row blocks and, for equal weights, reads order
+statistics), spread inverses from bisection, envelope
 gradients from finite differences, exact-transport costs from matching
 enumeration or an LP, and squared distances from the (n, m, d) broadcast
 (the library adds one coordinate at a time).
@@ -14,10 +16,12 @@ enumeration or an LP, and squared distances from the (n, m, d) broadcast
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog
 
+from qotlab.geometry import DIST_DECIMALS
 from qotlab.qot_solver import _hinge_root_batch, cost_matrix, marginal_residuals
 
 
@@ -114,6 +118,27 @@ def qp_oracle_coupling(mu, nu, eps: float, tol: float = 1e-10, max_iter: int = 5
             if np.abs(check - pi).max() / tau <= tol:
                 return pi
     raise RuntimeError("projected gradient oracle did not reach stationarity")
+
+
+def fresh_hinge_root_batch(S: np.ndarray, w: np.ndarray, eps: float, t=None) -> np.ndarray:
+    """qot_solver._hinge_root_batch as it was before its Newton steps shared
+    buffers: each step builds its active set and masked thresholds anew."""
+    cold = np.min(S + (eps / w)[:, None], axis=0)
+
+    def newton(t):
+        active = S < t
+        cw = w @ active
+        cs = w @ np.where(active, S, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(cw > 0, (eps + cs) / cw, cold)
+
+    t = cold if t is None else np.minimum(newton(t), cold)
+    while True:
+        nxt = newton(t)
+        down = nxt < t
+        if not down.any():
+            return t
+        t = np.where(down, nxt, t)
 
 
 def sort_hinge_root(S: np.ndarray, w: np.ndarray, eps: float) -> np.ndarray:
@@ -214,6 +239,37 @@ def brute_force_rho(mu, r: float) -> float:
                 mass += mu.weights[j]
         best = min(best, mass)
     return float(best)
+
+
+def loop_spread(mu, cost=None) -> tuple[np.ndarray, np.ndarray]:
+    """(radii, rho) of the spread profile from the dense rounded distance
+    matrix and one stable sort, running sum and search per row: the per-row
+    loop that geometry.build_spread replaced."""
+    dist = broadcast_sq_distances(mu.atoms, mu.atoms) if cost is None else np.multiply(cost, 2.0)
+    dist = np.round(np.sqrt(dist), DIST_DECIMALS)
+    radii = np.unique(dist)
+    masses = np.empty((len(mu), len(radii)))
+    for a in range(len(mu)):
+        order = np.argsort(dist[a], kind="stable")
+        cw = np.cumsum(mu.weights[order])
+        masses[a] = cw[np.searchsorted(dist[a][order], radii, side="right") - 1]
+    return radii, masses.min(axis=0)
+
+
+def coordinate_support_spread(inst) -> float:
+    """Largest |x_i - y_j| over the support pairs of a SolvedInstance, 0 on
+    an empty support, from the squared coordinate differences added one
+    coordinate at a time: the loop that verify._support_spread replaced."""
+    cpl = inst.coupling
+    ii, jj = cpl.i_idx[cpl.in_support], cpl.j_idx[cpl.in_support]
+    if not len(ii):
+        return 0.0
+    sq = np.zeros(len(ii))
+    for x, y in zip(inst.mu.atoms.T, inst.nu.atoms.T):
+        diff = x[ii] - y[jj]
+        diff *= diff
+        sq += diff
+    return math.sqrt(float(sq.max()))
 
 
 def bisect_delta_st(profile, eps: float, iters: int = 200) -> float:

@@ -603,8 +603,19 @@ def test_run_path_loads_no_scipy(tmp_path):
 
 
 def test_thread_env_validation(tmp_path, monkeypatch):
+    # a malformed QOTLAB_THREADS exits 2 before the instance is built
+    built = []
+    build = cli.build_instance
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_instance", counted)
     monkeypatch.setenv("QOTLAB_THREADS", "not-a-number")
     cfg = _write_config(tmp_path, checks=["DensityUB"])
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_CONFIG
+    assert built == []
     monkeypatch.setenv("QOTLAB_THREADS", "2")
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
+    assert len(built) == 1

@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bisect_delta_st, broadcast_sq_distances, brute_force_rho
+from oracles import bisect_delta_st, broadcast_sq_distances, brute_force_rho, loop_spread
+from qotlab import geometry
 from qotlab.cli import build_instance
 from qotlab.geometry import (
     DIST_DECIMALS,
     GeometryError,
-    _pairwise_distances,
+    _distance_blocks,
     boundary_distance,
     build_spread,
     delta,
@@ -166,12 +169,14 @@ def test_diameter():
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_distances_bitwise_match_broadcast(d):
+def test_distances_bitwise_match_broadcast(d, monkeypatch):
+    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 7 * 30)  # blocks of 7 rows
     mu = _random_measure(d, n=30, d=d)
     dist = np.sqrt(broadcast_sq_distances(mu.atoms, mu.atoms))
     assert diameter(mu) == float(dist.max())
     expected = np.round(dist, DIST_DECIMALS)
-    assert _pairwise_distances(mu).tobytes() == expected.tobytes()
+    blocks = np.concatenate(list(_distance_blocks(mu, None, len(mu))))
+    assert blocks.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -196,10 +201,92 @@ def test_distances_from_cost_bitwise_match_standalone(mu):
     assert from_cost.rho_values.tobytes() == standalone.rho_values.tobytes()
 
 
+def _assert_spread_matches_loop(mu):
+    # read off the atoms, and off the cost matrix as a self-transport run does
+    for cost in (None, cost_matrix(mu.atoms, mu.atoms)):
+        radii, rho = loop_spread(mu, cost)
+        prof = build_spread(mu, cost=cost)
+        assert prof.radii.tobytes() == radii.tobytes()
+        assert prof.rho_values.tobytes() == rho.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        make_measure([0.3], [1.0]),
+        make_measure([-1.0, 1.0], [0.5, 0.5]),
+        make_measure([[0.0, 0.1], [0.2, 0.0]], [0.25, 0.75]),
+    ],
+    ids=["one-atom", "two-atom-equal", "two-atom-weighted"],
+)
+def test_spread_bitwise_matches_loop_on_tiny_measures(mu):
+    _assert_spread_matches_loop(mu)
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, 64])
+@pytest.mark.parametrize(
+    "mu",
+    [uniform_ball_grid(2, 0.2), uniform_ball_grid(3, 0.5), _random_measure(5, n=40, d=2)],
+    ids=["grid-d2", "grid-d3", "random-weights-d2"],
+)
+def test_spread_bitwise_matches_loop_across_block_edges(mu, block_rows, monkeypatch):
+    # blocks of a row or a few rows, so block edges fall inside the matrix
+    # (the weighted pass takes fewer rows per block once R > n)
+    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", block_rows * len(mu))
+    _assert_spread_matches_loop(mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda d: st.tuples(
+            st.lists(
+                st.tuples(*[st.integers(min_value=-4, max_value=4)] * d),
+                min_size=1, max_size=25, unique=True,
+            ),
+            st.lists(st.integers(min_value=1, max_value=4), min_size=25, max_size=25),
+            st.booleans(),
+            st.integers(min_value=1, max_value=40),
+        )
+    )
+)
+def test_spread_bitwise_matches_loop_weighted(case):
+    # lattice atoms tie many distances; a jitter off the lattice breaks the ties
+    points, raw_weights, on_lattice, block_rows = case
+    atoms = 0.1 * np.array(points, dtype=float)
+    if not on_lattice:
+        atoms += np.random.default_rng(len(points)).uniform(-0.03, 0.03, size=atoms.shape)
+    w = np.array(raw_weights[: len(atoms)], dtype=float)
+    mu = make_measure(atoms, w / w.sum())
+    old = geometry._BLOCK_ENTRIES
+    geometry._BLOCK_ENTRIES = block_rows * len(mu)
+    try:
+        _assert_spread_matches_loop(mu)
+    finally:
+        geometry._BLOCK_ENTRIES = old
+
+
+@pytest.mark.parametrize("d, h", [(2, 0.07), (3, 0.2)])
+def test_spread_holds_no_dense_matrix(d, h):
+    # the per-row loop peaked at 2.56 and 2.30 n^2 floats on these grids
+    mu = uniform_ball_grid(d, h)
+    cost = cost_matrix(mu.atoms, mu.atoms)
+    tracemalloc.start()
+    try:
+        build_spread(mu, cost=cost)
+        peak = tracemalloc.get_traced_memory()[1] / 8.0
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * len(mu) ** 2
+
+
 def _assert_radii_match_unique(mu):
-    # np.unique is the oracle for the distinct pairwise distances
-    expected = np.unique(_pairwise_distances(mu))
+    # np.unique is the oracle for the distinct pairwise distances, and the
+    # per-row loop for the whole profile
+    dist = np.sqrt(broadcast_sq_distances(mu.atoms, mu.atoms))
+    expected = np.unique(np.round(dist, DIST_DECIMALS))
     assert build_spread(mu).radii.tobytes() == expected.tobytes()
+    _assert_spread_matches_loop(mu)
 
 
 @pytest.mark.parametrize("d, h", [(1, 0.02), (2, 0.1), (3, 0.25)])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import broadcast_sq_distances
+from qotlab import measures
 from qotlab.measures import (
     MeasureError,
     affine_map,
@@ -129,6 +131,30 @@ def test_sq_distances_bitwise_matches_broadcast(data, n, extra, d):
         got = sq_distances(A, B)
         assert got.shape == (len(A), len(B))
         assert got.tobytes() == broadcast_sq_distances(A, B).tobytes()
+
+
+@pytest.mark.parametrize("scratch_entries", [1, 13, 40])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_sq_distances_bitwise_across_scratch_blocks(d, scratch_entries, monkeypatch):
+    # scratch blocks of one row, a few rows, or a part of the matrix
+    monkeypatch.setattr(measures, "_SCRATCH_ENTRIES", scratch_entries)
+    rng = np.random.default_rng(d)
+    X, Y = rng.uniform(-1.0, 1.0, size=(23, d)), rng.uniform(-1.0, 1.0, size=(11, d))
+    for A, B in ((X, Y), (Y, X)):
+        assert sq_distances(A, B).tobytes() == broadcast_sq_distances(A, B).tobytes()
+
+
+@pytest.mark.parametrize("d, h", [(2, 0.07), (3, 0.2)])
+def test_sq_distances_holds_one_matrix(d, h):
+    # the result plus a row-block scratch; a full n x m scratch would be 2.0
+    mu = uniform_ball_grid(d, h)
+    tracemalloc.start()
+    try:
+        sq_distances(mu.atoms, mu.atoms)
+        peak = tracemalloc.get_traced_memory()[1] / 8.0
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * len(mu) ** 2
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import alternating_solve, qp_oracle_coupling, sort_hinge_root
+from oracles import (
+    alternating_solve,
+    fresh_hinge_root_batch,
+    qp_oracle_coupling,
+    sort_hinge_root,
+)
 from qotlab import qot_solver
 from qotlab.measures import make_measure, uniform_ball_grid
 from qotlab.qot_solver import (
@@ -103,10 +108,46 @@ def test_hinge_root_matches_sort_oracle(n, m, seed, log_eps, root_on_knot, start
     else:
         t0 = S.min(axis=0) - rng.uniform(0.0, 3.0, size=m)
     t = _hinge_root_batch(S, w, eps, t0)
+    # the shared buffers keep the fresh-array roots' bits, in either layout
+    assert t.tobytes() == fresh_hinge_root_batch(S, w, eps, t0).tobytes()
+    S_f = np.asfortranarray(S)
+    got = _hinge_root_batch(S_f, w, eps, t0)
+    assert got.tobytes() == fresh_hinge_root_batch(S_f, w, eps, t0).tobytes()
     scale = np.maximum(np.abs(ref), np.abs(S).max(axis=0)) + eps
     assert np.all(np.abs(t - ref) <= HINGE_RTOL * scale)
     h = (w[:, None] * np.maximum(t - S, 0.0)).sum(axis=0)
     assert np.all(np.abs(h - eps) <= HINGE_RTOL * (w.sum() * scale))
+
+
+def _hinge_starts(S, w, eps, rng):
+    """A cold start, and warm starts above and below each column's root."""
+    ref = sort_hinge_root(S, w, eps)
+    lowest = S.min(axis=0)
+    return {
+        "cold": None,
+        "above": ref + rng.uniform(0.0, 1.0, size=S.shape[1]),
+        "below": lowest + rng.uniform(0.05, 0.95, size=S.shape[1]) * (ref - lowest),
+        "empty": lowest - rng.uniform(0.0, 1.0, size=S.shape[1]),
+    }
+
+
+@pytest.mark.parametrize("d, h", [(1, 0.05), (2, 0.1)])
+def test_hinge_root_batch_bitwise_matches_fresh_buffers(d, h):
+    # the start batches the solver takes: g from f = 0 on C, and the mu != nu
+    # f-batch on C.T - g, whose negative thresholds give -0.0 lanes
+    rng = np.random.default_rng(d)
+    mu = uniform_ball_grid(d, h)
+    nu = make_measure(0.5 * mu.atoms + 0.25, mu.weights)
+    C = cost_matrix(mu.atoms, nu.atoms)
+    for eps in (1e-1, 1e-3):
+        g = _hinge_root_batch(C, mu.weights, eps)
+        S_f = C.T - g[:, None]
+        assert (S_f < 0.0).any()
+        for S, w in ((C, mu.weights), (S_f, nu.weights)):
+            for start, t0 in _hinge_starts(S, w, eps, rng).items():
+                got = _hinge_root_batch(S, w, eps, t0)
+                want = fresh_hinge_root_batch(S, w, eps, t0)
+                assert got.tobytes() == want.tobytes(), (eps, start)
 
 
 def test_config_validation():

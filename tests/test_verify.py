@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import coordinate_support_spread
 from qotlab import cli, surrogate, verify
 from qotlab.geometry import build_spread
 from qotlab.measures import affine_map, identity_map, make_measure, pushforward, uniform_ball_grid
@@ -292,6 +293,18 @@ def test_self_transport_streams_match_per_row_reference(name, block, monkeypatch
     assert np.float64(inst.support_spread()).tobytes() == np.float64(spread).tobytes()
     assert np.float64(by_id["SymUB"].lhs).tobytes() == np.float64(spread).tobytes()
     assert by_id["GradEstimate"].holds is True
+
+
+@pytest.mark.parametrize("d, h, eps", [(1, 0.05, 0.05), (2, 0.1, 0.03), (3, 0.25, 0.1)])
+def test_support_spread_from_cost_matches_coordinate_loop(d, h, eps):
+    mu = uniform_ball_grid(d, h)
+    inst = prepare_instance(
+        Instance(f"grid-d{d}", mu, mu, identity_map()), SolverConfig(epsilon=eps), build_spread(mu)
+    )
+    assert 0 < inst.coupling.in_support.sum() < len(mu) ** 2
+    want = coordinate_support_spread(inst)
+    assert want > 0.0
+    assert np.float64(inst.support_spread()).tobytes() == np.float64(want).tobytes()
 
 
 def _grid_d2_half_map_solved():
