@@ -69,6 +69,7 @@ def _sparse_coupling(
     mu: DiscreteMeasure, nu: DiscreteMeasure, i_idx: np.ndarray, j_idx: np.ndarray,
     masses: np.ndarray,
 ) -> Coupling:
+    """The coupling of the entries (i_idx, j_idx, masses), given in row-major order."""
     densities = masses / (mu.weights[i_idx] * nu.weights[j_idx])
     # marginal mismatch left by the integer mass rounding, or on the map route
     # by summing the merged weights in another order
@@ -76,12 +77,14 @@ def _sparse_coupling(
         float(np.abs(np.bincount(i_idx, weights=masses, minlength=len(mu)) - mu.weights).max()),
         float(np.abs(np.bincount(j_idx, weights=masses, minlength=len(nu)) - nu.weights).max()),
     )
+    indptr = np.zeros(len(mu) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i_idx, minlength=len(mu)), out=indptr[1:])
     return Coupling(
         n_mu=len(mu),
         n_nu=len(nu),
         epsilon=0.0,
-        i_idx=i_idx,
-        j_idx=j_idx,
+        indptr=indptr,
+        j_idx=j_idx.astype(np.int32),
         masses=masses,
         densities=densities,
         in_support=np.ones(len(i_idx), dtype=bool),

@@ -159,6 +159,20 @@ def delta_st(profile: SpreadProfile, epsilon: float) -> float:
     return float(max(profile.radii[k] ** 2, epsilon / profile.rho_values[k]))
 
 
+def hinge_root_bound(profile: SpreadProfile, epsilon: float) -> float:
+    """A bound at or above every root t of h_j(t) = sum_i w_i (t - c_ij)_+
+    = eps, the hinge equations of the self-transport start (f = 0), with w
+    and c_ij = |x_i - x_j|^2 / 2 from the measure of the profile.
+
+    For any r the atoms closer than r to x_j carry mass at least rho(r), and
+    each contributes at least t - r^2 / 2, so h_j(t) >= (t - r^2 / 2) rho(r).
+    On (radii[k], radii[k+1]] rho is rho_values[k], so taking r = radii[k+1]
+    gives h_j >= eps at radii[k+1]^2 / 2 + eps / rho_values[k]; the bound is
+    the smallest of these (+inf for a single atom)."""
+    tops = 0.5 * profile.radii[1:] ** 2 + epsilon / profile.rho_values[:-1]
+    return float(tops.min(initial=np.inf))
+
+
 def diameter(mu: DiscreteMeasure, cost: Optional[np.ndarray] = None) -> float:
     """Largest distance between two atoms; cost, when given, is the matrix
     |x_i - x_j|^2 / 2 of mu's atoms, read instead of recomputing it."""

@@ -76,11 +76,23 @@ class DiscreteMeasure:
         """Smallest distance between two distinct atoms.  cost, when given,
         is the matrix |x_i - x_j|^2 / 2 of these atoms, read instead of
         recomputing the distances: twice it is bitwise sq_distances."""
-        if len(self) < 2:
+        n = len(self)
+        if n < 2:
             raise MeasureError("need at least two atoms for a pairwise distance")
-        sq, scale = (sq_distances(self.atoms, self.atoms), 1.0) if cost is None else (cost, 2.0)
-        off_diagonal = ~np.eye(len(self), dtype=bool)
-        return float(np.sqrt(scale * sq.min(where=off_diagonal, initial=np.inf)))
+        # the minimum over blocks of rows, each with its diagonal entries set
+        # to +inf, so no n x n array is held; x 2 is exact, so scaling each
+        # entry gives the scaled minimum
+        rows = max(1, _SCRATCH_ENTRIES // n)
+        best = np.inf
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            if cost is None:
+                block = sq_distances(self.atoms[lo:hi], self.atoms)
+            else:
+                block = np.multiply(cost[lo:hi], 2.0)
+            block[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+            best = min(best, float(block.min()))
+        return float(np.sqrt(best))
 
     def to_dict(self) -> dict:
         return {

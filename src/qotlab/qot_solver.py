@@ -91,22 +91,30 @@ class DualPotentials:
 
 @dataclass(frozen=True, eq=False)
 class Coupling:
-    """Sparse coupling: entries are the atom pairs with positive mass, in
-    row-major order; support flags mark density strictly above support_tol."""
+    """Sparse coupling in compressed sparse row (CSR) form.  The entries are
+    the atom pairs with positive mass, in row-major order: row i holds
+    entries indptr[i]:indptr[i + 1] (indptr has n_mu + 1 int64 pointers),
+    and j_idx holds each entry's column as int32.  No per-entry row array is
+    stored; rows() derives one.  Support flags mark density strictly above
+    support_tol."""
 
     n_mu: int
     n_nu: int
     epsilon: float
-    i_idx: np.ndarray
+    indptr: np.ndarray
     j_idx: np.ndarray
     masses: np.ndarray
     densities: np.ndarray
     in_support: np.ndarray
     residual: float
 
+    def rows(self) -> np.ndarray:
+        """The row of each entry, as intp."""
+        return np.repeat(np.arange(self.n_mu), np.diff(self.indptr))
+
     @property
     def row_sums(self) -> np.ndarray:
-        return np.bincount(self.i_idx, weights=self.masses, minlength=self.n_mu)
+        return np.bincount(self.rows(), weights=self.masses, minlength=self.n_mu)
 
     @property
     def col_sums(self) -> np.ndarray:
@@ -114,13 +122,13 @@ class Coupling:
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_mu, self.n_nu))
-        dense[self.i_idx, self.j_idx] = self.masses
+        dense[self.rows(), self.j_idx] = self.masses
         return dense
 
     def cost_against(self, X: np.ndarray, Y: np.ndarray) -> float:
         """Transport cost sum pi_ij c(x_i, y_j), with c evaluated only at the
         coupling's entries (bitwise the entries of cost_matrix(X, Y))."""
-        diff = X[self.i_idx] - Y[self.j_idx]
+        diff = X[self.rows()] - Y[self.j_idx]
         return float((self.masses * (0.5 * (diff**2).sum(-1))).sum())
 
 
@@ -131,7 +139,9 @@ def cost_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return C
 
 
-def _hinge_root_batch(S: np.ndarray, w: np.ndarray, eps: float, t=None) -> np.ndarray:
+def _hinge_root_batch(
+    S: np.ndarray, w: np.ndarray, eps: float, t=None, upper=None
+) -> np.ndarray:
     """Per column j of S, the unique t with h_j(t) = sum_i w_i (t - S_ij)_+ = eps.
 
     Newton on the active set A = {i : S_ij < t}: t <- (eps + sum_A w_i S_ij)
@@ -143,6 +153,12 @@ def _hinge_root_batch(S: np.ndarray, w: np.ndarray, eps: float, t=None) -> np.nd
     min_i (S_ij + eps / w_i) is at or above the root and is the fallback for
     an empty active set.  A warm start t may lie on either side of the root:
     its first step is taken unconditionally and capped at the cold start.
+
+    upper, when given, is a bound at or above every root (a scalar, or one
+    per column) that replaces the cold start and saves its n x m pass: the
+    first step from it is taken unconditionally, so a bound that rounding
+    puts just below a root still lands above it.  Every path ends with the
+    step of the root's own active set, so the roots keep their bits.
     """
     # one n x m float buffer serves the cold start and every step.  It is
     # viewed in C order for the 0/1 mask (numpy casts the bool operand of
@@ -153,8 +169,11 @@ def _hinge_root_batch(S: np.ndarray, w: np.ndarray, eps: float, t=None) -> np.nd
     mask = flat.reshape(S.shape)
     masked = flat.reshape(S.shape, order="F" if np.isfortran(S) else "C")
     active = np.empty_like(S, dtype=bool)
-    np.add(S, (eps / w)[:, None], out=masked)
-    cold = masked.min(axis=0)
+    if upper is None:
+        np.add(S, (eps / w)[:, None], out=masked)
+        cold = masked.min(axis=0)
+    else:
+        cold = np.broadcast_to(np.asarray(upper, dtype=float), S.shape[1:])
 
     def newton(t):
         np.less(S, t, out=active)
@@ -166,7 +185,12 @@ def _hinge_root_batch(S: np.ndarray, w: np.ndarray, eps: float, t=None) -> np.nd
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(cw > 0, (eps + cs) / cw, cold)
 
-    t = cold if t is None else np.minimum(newton(t), cold)
+    if upper is not None:
+        t = newton(cold)
+    elif t is None:
+        t = cold
+    else:
+        t = np.minimum(newton(t), cold)
     while True:
         nxt = newton(t)
         down = nxt < t
@@ -238,12 +262,14 @@ _MIN_STEP = 2.0**-40
 
 def solve(
     mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig,
-    cost: Optional[np.ndarray] = None,
+    cost: Optional[np.ndarray] = None, root_bound: Optional[float] = None,
 ) -> DualPotentials:
     """Semismooth Newton on the dual until both marginal residual vectors
     have sup-norm <= residual_tol; cfg.max_sweeps caps the Newton iterations,
     and the returned `sweeps` counts them.  cost is cost_matrix(mu.atoms,
-    nu.atoms), built here when not given; it is only read.
+    nu.atoms), built here when not given; it is only read.  root_bound, read
+    only for mu = nu, is a bound at or above every hinge root of the start
+    (geometry.hinge_root_bound), from which the start's roots are solved.
 
     The dual, as a minimization, is the convex piecewise quadratic
 
@@ -282,7 +308,7 @@ def solve(
     mu_w, nu_w = mu.weights, nu.weights
     n = len(mu)
     tied = mu.same_as(nu)
-    g = _hinge_root_batch(C, mu_w, eps)
+    g = _hinge_root_batch(C, mu_w, eps, upper=root_bound if tied else None)
     if tied:
         x, scale = 0.5 * g, 2.0 * mu_w
 
@@ -383,13 +409,17 @@ def evaluate_f_at(x, pot: DualPotentials, nu: DiscreteMeasure) -> float:
     return solve_scalar_update(thresholds, nu.weights, pot.epsilon)
 
 
+# dense entries per row block of the coupling assembly
+_BLOCK_ENTRIES = 2**16
+
+
 def assemble_coupling(
     pot: DualPotentials, mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig,
     cost: Optional[np.ndarray] = None,
 ) -> Coupling:
-    """Coupling masses mu_i nu_j [f_i + g_j - c_ij]_+ / eps with recomputed
-    marginal residuals attached; stale potentials are rejected.  cost is
-    cost_matrix(mu.atoms, nu.atoms), built here when not given."""
+    """Coupling masses mu_i nu_j [f_i + g_j - c_ij]_+ / eps, in CSR form, with
+    recomputed marginal residuals attached; stale potentials are rejected.
+    cost is cost_matrix(mu.atoms, nu.atoms), built here when not given."""
     C = cost_matrix(mu.atoms, nu.atoms) if cost is None else cost
     # the slack f_i + g_j - c_ij, then its positive part, in one n x m buffer
     positive = np.add.outer(pot.f_values, pot.g_values)
@@ -401,22 +431,39 @@ def assemble_coupling(
         raise InconsistencyError(
             f"marginal residual {residual:.3e} exceeds 10 x residual_tol; stale potentials?"
         )
-    i_idx, j_idx = np.nonzero(positive > 0.0)  # row-major, deterministic
-    density = positive[i_idx, j_idx]
-    # free the dense buffer before the other support-sized arrays are built,
-    # and build those in place: at eps where most pairs are active (d = 3)
-    # they outweigh the dense buffer
+    # one boolean mask of the positive slack gives the row pointers and,
+    # by row-major boolean extraction, the densities (still the slack here)
+    active = positive > 0.0
+    counts = active.sum(axis=1)
+    indptr = np.zeros(len(mu) + 1, dtype=np.int64)
+    counts.cumsum(out=indptr[1:])
+    density = positive[active]
+    # free the dense buffer before the other support-sized arrays are built:
+    # at eps where most pairs are active (d = 3) they outweigh it
     del positive
-    in_support = density > cfg.support_tol   # still the slack here
+    in_support = density > cfg.support_tol
     density /= pot.epsilon
-    masses = mu.weights[i_idx]
-    masses *= nu.weights[j_idx]
-    masses *= density
+    # columns, extracted as int32 from a broadcast row of column numbers, and
+    # masses mu_i nu_j density_ij, by blocks of rows, so the only
+    # support-sized arrays are the coupling's own
+    n, m = active.shape
+    j_idx = np.empty(len(density), dtype=np.int32)
+    masses = np.empty(len(density))
+    columns = np.broadcast_to(np.arange(m, dtype=np.int32), (n, m))
+    rows = max(1, _BLOCK_ENTRIES // m)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        span = slice(indptr[lo], indptr[hi])
+        cols = columns[lo:hi][active[lo:hi]]
+        j_idx[span] = cols
+        out = masses[span]
+        np.multiply(mu.weights[lo:hi].repeat(counts[lo:hi]), nu.weights[cols], out=out)
+        out *= density[span]
     return Coupling(
-        n_mu=len(mu),
-        n_nu=len(nu),
+        n_mu=n,
+        n_nu=m,
         epsilon=pot.epsilon,
-        i_idx=i_idx,
+        indptr=indptr,
         j_idx=j_idx,
         masses=masses,
         densities=density,

@@ -135,12 +135,13 @@ class SolvedInstance:
     coupling: qot_solver.Coupling
     profile: geometry.SpreadProfile
     d_eps: float
-    surr: surrogate.ConvexSurrogate
     self_transport: bool
     diameter: float
     cost: np.ndarray = field(repr=False)   # the instance's cost_matrix(mu.atoms, nu.atoms)
     monge: Optional[MongeMapSpec] = None
     exact: Optional[exact_ot.ExactOTSolution] = None
+    _surr: Optional[surrogate.ConvexSurrogate] = field(default=None, repr=False)
+    _pairs: Optional[tuple] = field(default=None, repr=False)
     _psi_mu: Optional[np.ndarray] = field(default=None, repr=False)
     _stars: Optional[tuple] = field(default=None, repr=False)
     _spread: Optional[float] = field(default=None, repr=False)
@@ -151,6 +152,25 @@ class SolvedInstance:
 
     def base_context(self) -> dict:
         return {"instance": self.name, "epsilon": float(self.epsilon)}
+
+    @property
+    def surr(self) -> surrogate.ConvexSurrogate:
+        """The convex surrogate built from the potentials, on first read: the
+        rate checks never read it."""
+        if self._surr is None:
+            self._surr = surrogate.build_surrogate(self.pot, self.nu, self.d_eps)
+        return self._surr
+
+    def support_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support pairs (ii, jj) as intp arrays in row-major order,
+        derived once per epsilon for the checkers that gather by pair."""
+        if self._pairs is None:
+            cpl = self.coupling
+            ii, jj = cpl.rows(), cpl.j_idx.astype(np.intp)
+            if not cpl.in_support.all():
+                ii, jj = ii[cpl.in_support], jj[cpl.in_support]
+            self._pairs = ii, jj
+        return self._pairs
 
     def psi_at_mu(self) -> np.ndarray:
         if self._psi_mu is None:
@@ -186,11 +206,11 @@ def prepare_instance(
     profile: geometry.SpreadProfile,
     exact: Optional[exact_ot.ExactOTSolution] = None,
 ) -> SolvedInstance:
-    """Solve inst at cfg.epsilon; profile is the spread profile of inst.mu."""
-    pot = qot_solver.solve(inst.mu, inst.nu, cfg, cost=inst.cost)
+    """Solve inst at cfg.epsilon; profile is the spread profile of inst.mu.
+    For mu = nu it also bounds the start's hinge roots."""
+    bound = geometry.hinge_root_bound(profile, cfg.epsilon) if inst.self_transport else None
+    pot = qot_solver.solve(inst.mu, inst.nu, cfg, cost=inst.cost, root_bound=bound)
     coupling = qot_solver.assemble_coupling(pot, inst.mu, inst.nu, cfg, cost=inst.cost)
-    d_eps = geometry.delta(profile, cfg.epsilon)
-    surr = surrogate.build_surrogate(pot, inst.nu, d_eps)
     return SolvedInstance(
         name=inst.name,
         mu=inst.mu,
@@ -199,8 +219,7 @@ def prepare_instance(
         pot=pot,
         coupling=coupling,
         profile=profile,
-        d_eps=d_eps,
-        surr=surr,
+        d_eps=geometry.delta(profile, cfg.epsilon),
         self_transport=inst.self_transport,
         diameter=inst.diameter,
         monge=inst.monge,
@@ -209,30 +228,32 @@ def prepare_instance(
     )
 
 
-def _support_arrays(inst: SolvedInstance):
-    mask = inst.coupling.in_support
-    ii = inst.coupling.i_idx[mask]
-    jj = inst.coupling.j_idx[mask]
-    return ii, jj
-
-
 # coupling entries per block when a checker streams over the support
 _BLOCK_PAIRS = 2**15
 
 
 def _support_blocks(coupling: qot_solver.Coupling):
-    """The support pairs (ii, jj) in row-major order, in blocks that each
-    hold whole rows of at most _BLOCK_PAIRS coupling entries (a longer row
-    is a block of its own), so no support-sized array is ever built."""
-    # the entries are row-major: row r holds entries indptr[r]:indptr[r + 1]
-    indptr = np.searchsorted(coupling.i_idx, np.arange(coupling.n_mu + 1))
+    """The support in row-major order, in blocks (lo, counts, jj) that each
+    hold whole rows lo, lo + 1, ... of at most _BLOCK_PAIRS coupling entries
+    (a longer row is a block of its own): counts[k] support pairs in row
+    lo + k, and their columns jj as intp.  No support-sized array is built."""
+    indptr = coupling.indptr
     row = 0
     while row < coupling.n_mu:
         end = int(np.searchsorted(indptr, indptr[row] + _BLOCK_PAIRS, side="right")) - 1
         end = max(end, row + 1)
         lo, hi = indptr[row], indptr[end]
+        jj = coupling.j_idx[lo:hi].astype(np.intp)
         keep = coupling.in_support[lo:hi]
-        yield coupling.i_idx[lo:hi][keep], coupling.j_idx[lo:hi][keep]
+        if keep.all():
+            counts = np.diff(indptr[row:end + 1])
+        else:
+            # support pairs per row: differences of the running count of kept
+            # entries at the row pointers
+            kept = np.concatenate([[0], np.cumsum(keep)])
+            counts = np.diff(kept[indptr[row:end + 1] - lo])
+            jj = jj[keep]
+        yield row, counts, jj
         row = end
 
 
@@ -240,10 +261,15 @@ def _support_spread(inst: SolvedInstance) -> float:
     # the cost c_ij = |x_i - y_j|^2 / 2 read at the support pairs: twice it is
     # bitwise the squared distance (x 0.5 is exact), and sqrt is monotone, so
     # the root of twice the largest cost is the largest distance
+    flat_cost = inst.cost.ravel()
+    m = inst.cost.shape[1]
     worst = 0.0
-    for ii, jj in _support_blocks(inst.coupling):
-        if len(ii):
-            worst = max(worst, float(inst.cost[ii, jj].max()))
+    for lo, counts, jj in _support_blocks(inst.coupling):
+        if len(jj):
+            # entry (i, j) of the row-major cost sits at i * m + j
+            flat = np.repeat(np.arange(lo, lo + len(counts)) * m, counts)
+            flat += jj
+            worst = max(worst, float(flat_cost.take(flat).max()))
     return math.sqrt(2.0 * worst)
 
 
@@ -260,16 +286,16 @@ def _grad_estimate_lhs(inst: SolvedInstance) -> float:
     """
     nu = inst.nu
     worst = 0.0
-    for ii, jj in _support_blocks(inst.coupling):
-        if not len(ii):
+    for _, counts, jj in _support_blocks(inst.coupling):
+        if not len(jj):
             continue
-        first = np.diff(ii, prepend=-1) != 0
-        starts = np.flatnonzero(first)
-        rows = list(zip(starts.tolist(), starts[1:].tolist() + [len(ii)]))
-        seg = np.cumsum(first) - 1
+        counts = counts[counts > 0]
+        ends = np.cumsum(counts)
+        rows = list(zip((ends - counts).tolist(), ends.tolist()))
+        seg = np.repeat(np.arange(len(counts)), counts)
         w = nu.weights[jj]
         total = np.array([w[a:b].sum() for a, b in rows])
-        sq = np.zeros(len(ii))
+        sq = np.zeros(len(jj))
         for coord in nu.atoms.T:
             y = coord[jj]
             weighted = w * y
@@ -347,7 +373,7 @@ def check_approx_conj(inst: SolvedInstance) -> list[BoundReport]:
                 context=ctx,
             )
         )
-    ii, jj = _support_arrays(inst)
+    ii, jj = inst.support_pairs()
     dots = (inst.mu.atoms[ii] * inst.nu.atoms[jj]).sum(-1)
     gaps = psi_mu[ii] + star_nu[jj] - dots
     lhs12 = float(gaps.max()) if len(gaps) else 0.0
@@ -387,7 +413,7 @@ def check_concentration(inst: SolvedInstance) -> BoundReport:
     via the reflection resolvent at x + y; bound sqrt(24 delta).  One
     resolvent call takes every pair's x + y; in d >= 2 it solves once per
     distinct sum, not once per support pair."""
-    ii, jj = _support_arrays(inst)
+    ii, jj = inst.support_pairs()
     X, Y = inst.mu.atoms[ii], inst.nu.atoms[jj]
     x_prime, grad = surrogate.minty_reflect(inst.surr, X + Y)
     dist = np.sqrt(((X - x_prime) ** 2).sum(axis=1) + ((Y - grad) ** 2).sum(axis=1))
@@ -486,7 +512,7 @@ def check_bias(inst: SolvedInstance) -> list[BoundReport]:
         # degenerate hull has empty interior: every atom is a boundary point
         interior = np.zeros(len(inst.mu), dtype=bool)
 
-    ii, jj = _support_arrays(inst)
+    ii, jj = inst.support_pairs()
     devs = np.sqrt(((inst.nu.atoms[jj] - grad_phi[ii]) ** 2).sum(-1))
     all_bias = float(devs.max()) if len(devs) else 0.0
     interior_mask = interior[ii]

@@ -10,8 +10,10 @@ come from a direct double loop and spread profiles from a dense per-row loop
 (the library streams row blocks and, for equal weights, reads order
 statistics), spread inverses from bisection, envelope
 gradients from finite differences, exact-transport costs from matching
-enumeration or an LP, and squared distances from the (n, m, d) broadcast
-(the library adds one coordinate at a time).
+enumeration or an LP, squared distances from the (n, m, d) broadcast
+(the library adds one coordinate at a time), and coupling entries from
+np.nonzero with int64 row and column arrays (the library builds row
+pointers and int32 columns by blocks of rows).
 """
 from __future__ import annotations
 
@@ -241,6 +243,28 @@ def brute_force_rho(mu, r: float) -> float:
     return float(best)
 
 
+def nonzero_coupling(pot, mu, nu, cfg) -> dict:
+    """The coupling entries as qot_solver.assemble_coupling built them before
+    it stored row pointers: int64 rows and columns from np.nonzero of the
+    positive slack, in row-major order, with densities, masses and support
+    flags gathered at them."""
+    positive = np.maximum(
+        pot.f_values[:, None] + pot.g_values[None, :] - cost_matrix(mu.atoms, nu.atoms), 0.0
+    )
+    i_idx, j_idx = np.nonzero(positive > 0.0)
+    slack = positive[i_idx, j_idx]
+    masses = mu.weights[i_idx]
+    masses *= nu.weights[j_idx]
+    masses *= slack / pot.epsilon
+    return {
+        "rows": i_idx,
+        "columns": j_idx,
+        "masses": masses,
+        "densities": slack / pot.epsilon,
+        "in_support": slack > cfg.support_tol,
+    }
+
+
 def loop_spread(mu, cost=None) -> tuple[np.ndarray, np.ndarray]:
     """(radii, rho) of the spread profile from the dense rounded distance
     matrix and one stable sort, running sum and search per row: the per-row
@@ -261,7 +285,7 @@ def coordinate_support_spread(inst) -> float:
     an empty support, from the squared coordinate differences added one
     coordinate at a time: the loop that verify._support_spread replaced."""
     cpl = inst.coupling
-    ii, jj = cpl.i_idx[cpl.in_support], cpl.j_idx[cpl.in_support]
+    ii, jj = cpl.rows()[cpl.in_support], cpl.j_idx[cpl.in_support]
     if not len(ii):
         return 0.0
     sq = np.zeros(len(ii))

@@ -123,7 +123,7 @@ def _assert_map_matches_ssp(mu, nu, monge):
     sol = solve_exact(mu, nu, monge)
     assert sol.cost == map_cpl.cost_against(mu.atoms, nu.atoms)
     # one entry per mu-atom, carrying its whole mass
-    assert np.array_equal(sol.coupling.i_idx, np.arange(len(mu)))
+    assert np.array_equal(sol.coupling.indptr, np.arange(len(mu) + 1))
     assert np.array_equal(sol.coupling.masses, mu.weights)
     ssp_cpl, _, _ = _ssp(mu, nu)
     ssp_cost = ssp_cpl.cost_against(mu.atoms, nu.atoms)

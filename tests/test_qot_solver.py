@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,13 +10,16 @@ from hypothesis import strategies as st
 from oracles import (
     alternating_solve,
     fresh_hinge_root_batch,
+    nonzero_coupling,
     qp_oracle_coupling,
     sort_hinge_root,
 )
 from qotlab import qot_solver
+from qotlab.geometry import build_spread, hinge_root_bound
 from qotlab.measures import make_measure, uniform_ball_grid
 from qotlab.qot_solver import (
     ConfigError,
+    Coupling,
     ConvergenceError,
     DualPotentials,
     InconsistencyError,
@@ -82,7 +87,7 @@ HINGE_RTOL = 1e-12
     seed=st.integers(min_value=0, max_value=10_000),
     log_eps=st.floats(min_value=-6.0, max_value=1.0),
     root_on_knot=st.booleans(),
-    start=st.sampled_from(["cold", "above", "below", "empty"]),
+    start=st.sampled_from(["cold", "above", "below", "empty", "upper"]),
 )
 def test_hinge_root_matches_sort_oracle(n, m, seed, log_eps, root_on_knot, start):
     # differential test of the Newton root against the sort-based oracle;
@@ -105,14 +110,18 @@ def test_hinge_root_matches_sort_oracle(n, m, seed, log_eps, root_on_knot, start
     elif start == "below":
         # strictly between the smallest threshold and the root
         t0 = S.min(axis=0) + rng.uniform(0.05, 0.95, size=m) * (ref - S.min(axis=0))
-    else:
+    elif start == "empty":
         t0 = S.min(axis=0) - rng.uniform(0.0, 3.0, size=m)
-    t = _hinge_root_batch(S, w, eps, t0)
-    # the shared buffers keep the fresh-array roots' bits, in either layout
-    assert t.tobytes() == fresh_hinge_root_batch(S, w, eps, t0).tobytes()
-    S_f = np.asfortranarray(S)
-    got = _hinge_root_batch(S_f, w, eps, t0)
-    assert got.tobytes() == fresh_hinge_root_batch(S_f, w, eps, t0).tobytes()
+    if start == "upper":
+        # a bound above every root, replacing the cold start
+        t = _hinge_root_batch(S, w, eps, upper=float(ref.max()) + rng.uniform(0.0, 3.0))
+    else:
+        t = _hinge_root_batch(S, w, eps, t0)
+        # the shared buffers keep the fresh-array roots' bits, in either layout
+        assert t.tobytes() == fresh_hinge_root_batch(S, w, eps, t0).tobytes()
+        S_f = np.asfortranarray(S)
+        got = _hinge_root_batch(S_f, w, eps, t0)
+        assert got.tobytes() == fresh_hinge_root_batch(S_f, w, eps, t0).tobytes()
     scale = np.maximum(np.abs(ref), np.abs(S).max(axis=0)) + eps
     assert np.all(np.abs(t - ref) <= HINGE_RTOL * scale)
     h = (w[:, None] * np.maximum(t - S, 0.0)).sum(axis=0)
@@ -368,7 +377,7 @@ def test_cost_against_matches_dense_cost_bitwise():
     cfg = SolverConfig(epsilon=0.05)
     cpl = assemble_coupling(solve(mu, nu, cfg), mu, nu, cfg)
     C = cost_matrix(mu.atoms, nu.atoms)
-    dense = float((cpl.masses * C[cpl.i_idx, cpl.j_idx]).sum())
+    dense = float((cpl.masses * C[cpl.rows(), cpl.j_idx]).sum())
     assert cpl.cost_against(mu.atoms, nu.atoms) == dense
 
 
@@ -486,9 +495,9 @@ def test_start_takes_one_hinge_batch_per_block(monkeypatch, shift):
     calls = []
     batch = qot_solver._hinge_root_batch
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return batch(*args)
+        return batch(*args, **kwargs)
 
     monkeypatch.setattr(qot_solver, "_hinge_root_batch", counted)
     mu = uniform_ball_grid(1, 0.05)
@@ -597,3 +606,130 @@ def test_newton_matches_alternating_oracle(n, m, d, seed, log_eps, layout, pairi
     bound = np.sqrt(P * sum(taus) * gap) / eps + 1e-14 * P / eps
     dpi = P * np.abs(np.maximum(slack, 0.0) - np.maximum(slack0, 0.0)) / eps
     assert np.all(dpi <= bound)
+
+
+def _assert_valid_csr(cpl):
+    # n_mu + 1 nondecreasing int64 row pointers from 0 to the entry count,
+    # int32 columns strictly increasing within each row, no stored rows
+    assert "i_idx" not in {f.name for f in dataclasses.fields(Coupling)}
+    assert cpl.indptr.dtype == np.int64 and cpl.j_idx.dtype == np.int32
+    assert cpl.indptr.shape == (cpl.n_mu + 1,)
+    assert cpl.indptr[0] == 0 and cpl.indptr[-1] == len(cpl.masses)
+    assert np.all(np.diff(cpl.indptr) >= 0)
+    assert len(cpl.j_idx) == len(cpl.densities) == len(cpl.in_support) == len(cpl.masses)
+    assert np.all((cpl.j_idx >= 0) & (cpl.j_idx < cpl.n_nu))
+    same_row = np.diff(cpl.rows()) == 0
+    assert np.all(np.diff(cpl.j_idx.astype(np.int64))[same_row] > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    m=st.integers(min_value=2, max_value=12),
+    d=st.sampled_from([1, 2]),
+    seed=st.integers(min_value=0, max_value=10_000),
+    log_eps=st.floats(min_value=-3.0, max_value=0.0),
+    layout=st.sampled_from(["lattice", "jitter", "clusters"]),
+    pairing=st.sampled_from(["self", "shifted", "independent"]),
+    support_tol=st.sampled_from([0.0, 1e-3, 1e-2]),
+    block=st.sampled_from([None, 1, 7]),
+)
+def test_csr_assembly_matches_nonzero_oracle(
+    n, m, d, seed, log_eps, layout, pairing, support_tol, block
+):
+    # differential test of the row-pointer assembly against the np.nonzero
+    # assembly it replaced: every per-entry array bitwise; block=1 makes
+    # each row a block of its own, 7 cuts blocks of part of a row's width
+    rng = np.random.default_rng(seed)
+    atoms = _random_atoms(rng, n, d, layout)
+    mu = make_measure(atoms, (w := rng.integers(1, 4, size=n)) / w.sum())
+    if pairing == "self":
+        nu = mu
+    elif pairing == "shifted":
+        nu = make_measure(0.9 * atoms + 0.02, mu.weights)
+    else:
+        nu_atoms = _random_atoms(rng, m, d, layout)
+        nu = make_measure(nu_atoms, (v := rng.uniform(0.1, 1.0, size=m)) / v.sum())
+    cfg = SolverConfig(epsilon=10.0**log_eps, support_tol=support_tol)
+    pot = solve(mu, nu, cfg)
+    with mock.patch.object(qot_solver, "_BLOCK_ENTRIES", block or qot_solver._BLOCK_ENTRIES):
+        cpl = assemble_coupling(pot, mu, nu, cfg)
+    _assert_valid_csr(cpl)
+    want = nonzero_coupling(pot, mu, nu, cfg)
+    assert np.array_equal(cpl.rows(), want["rows"])
+    assert np.array_equal(cpl.j_idx, want["columns"])
+    assert cpl.masses.tobytes() == want["masses"].tobytes()
+    assert cpl.densities.tobytes() == want["densities"].tobytes()
+    assert np.array_equal(cpl.in_support, want["in_support"])
+
+
+def test_csr_assembly_of_a_grid_with_empty_support_rows():
+    # a positive support_tol empties the support flags of some entries but
+    # keeps every positive-mass entry; the grid spans many row blocks
+    mu = uniform_ball_grid(2, 0.07)
+    cfg = SolverConfig(epsilon=0.01, support_tol=0.004)
+    pot = solve(mu, mu, cfg)
+    cpl = assemble_coupling(pot, mu, mu, cfg)
+    _assert_valid_csr(cpl)
+    assert len(mu) ** 2 > 4 * qot_solver._BLOCK_ENTRIES
+    assert 0 < cpl.in_support.sum() < len(cpl.masses)
+    want = nonzero_coupling(pot, mu, mu, cfg)
+    assert np.array_equal(cpl.rows(), want["rows"])
+    assert np.array_equal(cpl.j_idx, want["columns"])
+    assert cpl.masses.tobytes() == want["masses"].tobytes()
+    assert np.array_equal(cpl.in_support, want["in_support"])
+
+
+def _jittered_weighted(rng, d):
+    side = np.arange(-8, 9) * 0.1 if d == 1 else np.arange(-4, 5) * 0.2
+    pts = np.array(np.meshgrid(*[side] * d)).reshape(d, -1).T
+    pts = pts[np.linalg.norm(pts, axis=1) <= 0.8]
+    pts = pts + rng.uniform(-0.03, 0.03, size=pts.shape)
+    w = rng.uniform(0.1, 1.0, size=len(pts))
+    return make_measure(pts, w / w.sum())
+
+
+HINGE_BOUND_GRIDS = {1: (0.02, 0.05, 0.1), 2: (0.1, 0.15, 0.2), 3: (0.25, 0.35)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    measure=st.sampled_from(["jitter-d1", "jitter-d2", "grid-d1", "grid-d2", "grid-d3"]),
+    seed=st.integers(min_value=0, max_value=10_000),
+    log_eps=st.floats(min_value=-5.0, max_value=0.0),
+)
+def test_hinge_root_bound_is_above_every_cold_root(measure, seed, log_eps):
+    # the spread-profile bound of the self-transport start lies at or above
+    # each column's root, and the roots solved from it keep the cold start's bits
+    rng = np.random.default_rng(seed)
+    kind, d = measure.split("-d")
+    d = int(d)
+    if kind == "jitter":
+        mu = _jittered_weighted(rng, d)
+    else:
+        mu = uniform_ball_grid(d, float(rng.choice(HINGE_BOUND_GRIDS[d])))
+    eps = 10.0**log_eps
+    C = cost_matrix(mu.atoms, mu.atoms)
+    bound = hinge_root_bound(build_spread(mu, cost=C), eps)
+    cold = _hinge_root_batch(C, mu.weights, eps)
+    assert bound >= cold.max()
+    assert bound >= sort_hinge_root(C, mu.weights, eps).max()
+    assert _hinge_root_batch(C, mu.weights, eps, upper=bound).tobytes() == cold.tobytes()
+
+
+@pytest.mark.parametrize("d, h, eps", [(1, 0.01, 10.0**-3.5), (2, 0.07, 10.0**-0.5), (3, 0.25, 0.01)])
+def test_solve_from_hinge_root_bound_keeps_the_potentials(d, h, eps):
+    mu = uniform_ball_grid(d, h)
+    C = cost_matrix(mu.atoms, mu.atoms)
+    cfg = SolverConfig(epsilon=eps)
+    cold = solve(mu, mu, cfg, cost=C)
+    warm = solve(mu, mu, cfg, cost=C, root_bound=hinge_root_bound(build_spread(mu, cost=C), eps))
+    assert warm.f_values.tobytes() == cold.f_values.tobytes()
+    assert warm.sweeps == cold.sweeps
+
+
+def test_hinge_root_bound_of_a_single_atom_is_infinite():
+    # no breakpoint beyond r = 0: every start is admissible
+    assert hinge_root_bound(build_spread(SINGLETON), 0.1) == np.inf
+    got = _hinge_root_batch(np.zeros((1, 1)), np.ones(1), 0.1, upper=np.inf)
+    assert got.tobytes() == _hinge_root_batch(np.zeros((1, 1)), np.ones(1), 0.1).tobytes()

@@ -14,7 +14,6 @@ from qotlab.verify import (
     EXPLICIT_BOUND_IDS,
     Instance,
     VerifyError,
-    _support_arrays,
     check_approx_conj,
     check_bias,
     check_concentration,
@@ -185,9 +184,20 @@ def _counting(monkeypatch, name: str) -> list:
     return calls
 
 
+def test_surrogate_is_built_on_first_read(monkeypatch):
+    calls = _counting(monkeypatch, "build_surrogate")
+    mu = uniform_ball_grid(1, 0.05)
+    inst = _prepare(Instance("grid-d1", mu, mu, identity_map()), 0.01)
+    run_checks(inst, ["SymUB", "SymLB", "SuppDiamM", "GradEstimate", "DensityUB"])
+    assert calls == []   # no rate check reads it
+    assert inst.surr is inst.surr
+    assert len(calls) == 1
+    assert inst.surr.lam == 2.0 * inst.d_eps
+
+
 def test_concentration_matches_per_pair_reference():
     inst = _affine_a2_solved(0.01)
-    ii, jj = _support_arrays(inst)
+    ii, jj = inst.support_pairs()
     worst = 0.0
     for i, j in zip(ii, jj):
         x = inst.mu.atoms[i]
@@ -207,10 +217,10 @@ def test_grad_estimate_matches_per_row_reference():
     inst = prepare_instance(Instance("grid-d2", mu, mu, identity_map()), cfg, build_spread(mu))
     cpl = inst.coupling
     assert not cpl.in_support.all()  # the support flags narrow some rows
-    ii, jj = _support_arrays(inst)
+    ii, jj = inst.support_pairs()
     worst = 0.0
     for i in np.unique(ii):
-        mask = (cpl.i_idx == i) & cpl.in_support
+        mask = (cpl.rows() == i) & cpl.in_support
         w = mu.weights[cpl.j_idx[mask]]
         bary = (w[:, None] * mu.atoms[cpl.j_idx[mask]]).sum(axis=0) / w.sum()
         cols = jj[ii == i]
@@ -253,10 +263,10 @@ def _per_row_mask_reference(inst):
     """GradEstimate lhs and support spread, one row of the support at a time,
     each row's columns picked by a mask over the whole coupling."""
     cpl = inst.coupling
-    ii, _ = _support_arrays(inst)
+    ii, _ = inst.support_pairs()
     worst_dev = spread = 0.0
     for i in np.unique(ii):
-        cols = cpl.j_idx[(cpl.i_idx == i) & cpl.in_support]
+        cols = cpl.j_idx[(cpl.rows() == i) & cpl.in_support]
         w = inst.nu.weights[cols]
         bary = (w[:, None] * inst.nu.atoms[cols]).sum(axis=0) / w.sum()
         devs = np.sqrt(((bary[None, :] - inst.nu.atoms[cols]) ** 2).sum(-1))
@@ -280,12 +290,23 @@ def test_self_transport_streams_match_per_row_reference(name, block, monkeypatch
     blocks = list(verify._support_blocks(cpl))
     if block is None and name == "d2-grid-many-blocks":
         assert len(blocks) >= 3
-    # the blocks partition the support in order and never split a row
-    ii, jj = _support_arrays(inst)
-    assert np.array_equal(np.concatenate([b[0] for b in blocks]), ii)
-    assert np.array_equal(np.concatenate([b[1] for b in blocks]), jj)
-    rows = [b[0] for b in blocks if len(b[0])]
-    assert all(a[-1] < b[0] for a, b in zip(rows, rows[1:]))
+    # the blocks partition the support in order and never split a row: they
+    # cover consecutive row ranges, each of at most the block size in
+    # coupling entries unless it is a single row
+    size = verify._BLOCK_PAIRS
+    starts = [lo for lo, _, _ in blocks]
+    ends = [lo + len(counts) for lo, counts, _ in blocks]
+    assert starts[0] == 0 and ends[-1] == cpl.n_mu and starts[1:] == ends[:-1]
+    assert all(
+        cpl.indptr[b] - cpl.indptr[a] <= size or b == a + 1 for a, b in zip(starts, ends)
+    )
+    assert all(counts.sum() == len(jj) and jj.dtype == np.intp for _, counts, jj in blocks)
+    ii, jj = cpl.rows()[cpl.in_support], cpl.j_idx[cpl.in_support]
+    rows = [np.repeat(np.arange(lo, lo + len(counts)), counts) for lo, counts, _ in blocks]
+    assert np.array_equal(np.concatenate(rows), ii)
+    assert np.array_equal(np.concatenate([b[2] for b in blocks]), jj)
+    pairs = inst.support_pairs()
+    assert np.array_equal(pairs[0], ii) and np.array_equal(pairs[1], jj)
 
     worst_dev, spread = _per_row_mask_reference(inst)
     by_id = {r.bound_id: r for r in check_self_transport(inst)}
@@ -321,7 +342,7 @@ def _distinct(points) -> set:
 def test_concentration_solves_each_distinct_sum_once(monkeypatch):
     inst = _grid_d2_half_map_solved()
     calls = _counting(monkeypatch, "_simplex_qp")
-    ii, jj = _support_arrays(inst)
+    ii, jj = inst.support_pairs()
     sums = _distinct(inst.mu.atoms[ii] + inst.nu.atoms[jj])
     check_concentration(inst)
     assert len(calls) == len(sums) < len(ii)
