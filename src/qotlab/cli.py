@@ -236,9 +236,14 @@ def _report_sort_key(record: dict):
 
 
 def run_experiment(config: ExperimentConfig, base_dir: Path, threads: int):
-    """Solve the instance across the eps sweep, at most `threads` epsilons at
-    a time, run the requested checks, and return (report records, rate fits,
-    spread-profile CSV text)."""
+    """Solve the instance across the eps sweep, run the requested checks, and
+    return (report records, rate fits, spread-profile CSV text).
+
+    For mu = nu the epsilons are independent and run at most `threads` at a
+    time.  For mu != nu they run as one continuation chain in the config's
+    descending order: the first epsilon from the cold start, each later one
+    warm-started from its predecessor's potentials, so the outputs do not
+    depend on `threads` either way."""
     inst = build_instance(config.instance, base_dir)
     if config.rate_fit:
         # fail a misconfigured rate sweep before any epsilon is solved
@@ -257,19 +262,25 @@ def run_experiment(config: ExperimentConfig, base_dir: Path, threads: int):
     if "CostSandwich" in config.checks:
         exact = solve_exact(inst.mu, inst.nu, inst.monge, cost=inst.cost)
 
-    def one_eps(eps: float):
+    def one_eps(eps: float, start=None):
         cfg = SolverConfig(
             epsilon=eps,
             max_sweeps=config.max_sweeps,
             residual_tol=config.residual_tol,
             support_tol=config.support_tol,
         )
-        solved = verify.prepare_instance(inst, cfg, profile, exact)
+        solved = verify.prepare_instance(inst, cfg, profile, exact, start=start)
         reports = verify.run_checks(solved, config.checks)
-        return reports, solved.support_spread() if config.rate_fit else None
+        return solved.pot, (reports, solved.support_spread() if config.rate_fit else None)
 
-    with ThreadPoolExecutor(max_workers=min(threads, len(config.eps_list))) as pool:
-        results = list(pool.map(one_eps, config.eps_list))
+    if inst.self_transport:
+        with ThreadPoolExecutor(max_workers=min(threads, len(config.eps_list))) as pool:
+            results = [out for _, out in pool.map(one_eps, config.eps_list)]
+    else:
+        results, start = [], None
+        for eps in config.eps_list:
+            start, out = one_eps(eps, start)
+            results.append(out)
 
     records = []
     for (reports, _), eps in zip(results, config.eps_list):
@@ -452,6 +463,7 @@ def run_command(config_path: str, eps_override=None, tol_override=None) -> int:
         _error_record(
             "no-convergence", str(exc), sweeps=exc.sweeps, residual=exc.residual,
             residual_mu=exc.residual_mu, residual_nu=exc.residual_nu,
+            epsilon=exc.epsilon, start=exc.start,
         )
         return EXIT_NO_CONVERGENCE
     except (CliConfigError, ConfigError, MeasureError, verify.VerifyError, ExactOTError) as exc:

@@ -11,12 +11,19 @@ convex piecewise-quadratic dual, which solve minimizes by semismooth Newton
 (Lorenz, Manns & Meyer, Appl. Math. Optim. 2021; Blondel, Seguy & Rolet,
 AISTATS 2018): each iteration solves for its direction by conjugate gradients
 on the generalized Hessian, whose pattern is the active set
-{f_i + g_j > c_ij}, and backtracks on the dual value.  The start takes
-exact scalar updates from f = 0.  Holding one block fixed, each
+{f_i + g_j > c_ij}, and backtracks on the dual value.
+
+Newton converges from any start; solve takes one of three.  The cold start
+takes exact scalar updates from f = 0: holding one block fixed, each
 equation in the other block is a scalar convex piecewise-linear increasing
 equation, solved exactly by Newton's method on its active set
 (_hinge_root_batch); the same scalar solve extends f off the mu-atoms
-(evaluate_f_at).
+(evaluate_f_at).  For mu = nu the hinge-bound start solves the same roots
+from a bound above all of them (geometry.hinge_root_bound).  For mu != nu
+the warm start is the potentials of a nearby larger epsilon, which an
+epsilon sweep passes down as a continuation chain: at small epsilon the
+cold start leaves some nu-atoms with no active pair, and Newton then takes
+a regularization-sized first step.
 
 For mu = nu the unknown is a single potential u = f = g, so the returned
 potentials are symmetric by construction.  Otherwise the shift degree of
@@ -44,16 +51,22 @@ class ConfigError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The Newton iteration budget (max_sweeps) ran out; residual_mu and
+    """The Newton iteration budget (max_sweeps) ran out at `epsilon`, from
+    `start` ("cold", "hinge-bound" or "warm"; see solve); residual_mu and
     residual_nu are the sup-norms of the last iterate's two residual vectors,
     residual their max."""
 
-    def __init__(self, message: str, residual_mu: float, residual_nu: float, sweeps: int):
+    def __init__(
+        self, message: str, residual_mu: float, residual_nu: float, sweeps: int,
+        epsilon: float, start: str,
+    ):
         super().__init__(message)
         self.residual_mu = residual_mu
         self.residual_nu = residual_nu
         self.residual = max(residual_mu, residual_nu)
         self.sweeps = sweeps
+        self.epsilon = epsilon
+        self.start = start
 
 
 class InconsistencyError(RuntimeError):
@@ -139,9 +152,7 @@ def cost_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return C
 
 
-def _hinge_root_batch(
-    S: np.ndarray, w: np.ndarray, eps: float, t=None, upper=None
-) -> np.ndarray:
+def _hinge_root_batch(S: np.ndarray, w: np.ndarray, eps: float, upper=None) -> np.ndarray:
     """Per column j of S, the unique t with h_j(t) = sum_i w_i (t - S_ij)_+ = eps.
 
     Newton on the active set A = {i : S_ij < t}: t <- (eps + sum_A w_i S_ij)
@@ -151,8 +162,7 @@ def _hinge_root_batch(
     when its step no longer decreases it; a step that decreases it shrinks
     its active set, so this takes finitely many steps.  The cold start
     min_i (S_ij + eps / w_i) is at or above the root and is the fallback for
-    an empty active set.  A warm start t may lie on either side of the root:
-    its first step is taken unconditionally and capped at the cold start.
+    an empty active set.
 
     upper, when given, is a bound at or above every root (a scalar, or one
     per column) that replaces the cold start and saves its n x m pass: the
@@ -185,12 +195,7 @@ def _hinge_root_batch(
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(cw > 0, (eps + cs) / cw, cold)
 
-    if upper is not None:
-        t = newton(cold)
-    elif t is None:
-        t = cold
-    else:
-        t = np.minimum(newton(t), cold)
+    t = cold if upper is None else newton(cold)
     while True:
         nxt = newton(t)
         down = nxt < t
@@ -263,6 +268,7 @@ _MIN_STEP = 2.0**-40
 def solve(
     mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig,
     cost: Optional[np.ndarray] = None, root_bound: Optional[float] = None,
+    start: Optional[DualPotentials] = None,
 ) -> DualPotentials:
     """Semismooth Newton on the dual until both marginal residual vectors
     have sup-norm <= residual_tol; cfg.max_sweeps caps the Newton iterations,
@@ -270,6 +276,9 @@ def solve(
     nu.atoms), built here when not given; it is only read.  root_bound, read
     only for mu = nu, is a bound at or above every hinge root of the start
     (geometry.hinge_root_bound), from which the start's roots are solved.
+    start, only for mu != nu, is a warm start: the potentials solve returned
+    for the same (mu, nu) at another epsilon, usually the next larger one of
+    a sweep.  Its shapes must match the atoms, and mu = nu takes none.
 
     The dual, as a minimization, is the convex piecewise quadratic
 
@@ -280,10 +289,12 @@ def solve(
     Hessian has the pattern of the active set A = {f_i + g_j > c_ij}: blocks
     diag(mu * A nu), diag(nu * A^T mu) and mu_i nu_j A_ij off the diagonal.
 
-    The start is one batch of exact hinge roots, g from f = 0.  For mu != nu
-    a second batch gives f from g; for mu = nu the start is u = g / 2, whose
-    pair sums u_i + u_j average the roots g_i, g_j seen from f = 0 (Newton
-    converges from any start).  Each iteration solves for the direction by
+    Without a warm start, the start is one batch of exact hinge roots, g
+    from f = 0.  For mu != nu a second batch gives f from g (the cold start);
+    for mu = nu the start is u = g / 2, whose pair sums u_i + u_j average the
+    roots g_i, g_j seen from f = 0 (the hinge-bound start when root_bound is
+    given, else the cold start).  A warm start (f, g) is taken as it is.
+    Each iteration solves for the direction by
     Jacobi-preconditioned CG on the Hessian plus |residual|_inf times the weights, a term that keeps
     the system definite where a row has no active pair and vanishes at the
     solution, then halves the step until Armijo's condition on Phi holds.
@@ -308,14 +319,26 @@ def solve(
     mu_w, nu_w = mu.weights, nu.weights
     n = len(mu)
     tied = mu.same_as(nu)
-    g = _hinge_root_batch(C, mu_w, eps, upper=root_bound if tied else None)
     if tied:
-        x, scale = 0.5 * g, 2.0 * mu_w
+        if start is not None:
+            raise ConfigError("a warm start is for mu != nu; mu = nu starts from its hinge roots")
+        start_kind = "cold" if root_bound is None else "hinge-bound"
+        x, scale = 0.5 * _hinge_root_batch(C, mu_w, eps, upper=root_bound), 2.0 * mu_w
 
         def split(z):
             return z, z
     else:
-        f = _hinge_root_batch(C.T - g[:, None], nu_w, eps)
+        if start is None:
+            start_kind = "cold"
+            g = _hinge_root_batch(C, mu_w, eps)
+            f = _hinge_root_batch(C.T - g[:, None], nu_w, eps)
+        elif start.f_values.shape != (n,) or start.g_values.shape != (len(nu),):
+            raise ConfigError(
+                f"warm start shapes {start.f_values.shape} and {start.g_values.shape} "
+                f"do not match {n} mu-atoms and {len(nu)} nu-atoms"
+            )
+        else:
+            start_kind, f, g = "warm", start.f_values, start.g_values
         x, scale = np.concatenate([f, g]), np.concatenate([mu_w, nu_w])
 
         def split(z):
@@ -392,11 +415,14 @@ def solve(
             )
     res_mu, res_nu = float(np.abs(F).max()), float(np.abs(G).max())
     raise ConvergenceError(
-        f"no convergence within {cfg.max_sweeps} sweeps (Newton iterations; "
-        f"last residual {max(res_mu, res_nu):.3e})",
+        f"no convergence at epsilon {eps!r} from the {start_kind} start within "
+        f"{cfg.max_sweeps} sweeps (Newton iterations; last residual "
+        f"{max(res_mu, res_nu):.3e})",
         residual_mu=res_mu,
         residual_nu=res_nu,
         sweeps=cfg.max_sweeps,
+        epsilon=eps,
+        start=start_kind,
     )
 
 

@@ -205,11 +205,14 @@ def prepare_instance(
     cfg: qot_solver.SolverConfig,
     profile: geometry.SpreadProfile,
     exact: Optional[exact_ot.ExactOTSolution] = None,
+    start: Optional[qot_solver.DualPotentials] = None,
 ) -> SolvedInstance:
     """Solve inst at cfg.epsilon; profile is the spread profile of inst.mu.
-    For mu = nu it also bounds the start's hinge roots."""
+    For mu = nu it also bounds the start's hinge roots.  start, for mu != nu
+    only, warm-starts the solve from another epsilon's potentials (see
+    qot_solver.solve)."""
     bound = geometry.hinge_root_bound(profile, cfg.epsilon) if inst.self_transport else None
-    pot = qot_solver.solve(inst.mu, inst.nu, cfg, cost=inst.cost, root_bound=bound)
+    pot = qot_solver.solve(inst.mu, inst.nu, cfg, cost=inst.cost, root_bound=bound, start=start)
     coupling = qot_solver.assemble_coupling(pot, inst.mu, inst.nu, cfg, cost=inst.cost)
     return SolvedInstance(
         name=inst.name,

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from qotlab.geometry import DIST_DECIMALS
-from qotlab.qot_solver import _hinge_root_batch, cost_matrix, marginal_residuals
+from qotlab.qot_solver import cost_matrix, marginal_residuals
 
 
 def broadcast_sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -124,7 +124,11 @@ def qp_oracle_coupling(mu, nu, eps: float, tol: float = 1e-10, max_iter: int = 5
 
 def fresh_hinge_root_batch(S: np.ndarray, w: np.ndarray, eps: float, t=None) -> np.ndarray:
     """qot_solver._hinge_root_batch as it was before its Newton steps shared
-    buffers: each step builds its active set and masked thresholds anew."""
+    buffers: each step builds its active set and masked thresholds anew.
+
+    It keeps the warm start t the library no longer takes, for
+    alternating_solve: t may lie on either side of the root, so its first
+    step is taken unconditionally and capped at the cold start."""
     cold = np.min(S + (eps / w)[:, None], axis=0)
 
     def newton(t):
@@ -203,8 +207,8 @@ def alternating_solve(mu, nu, eps: float, residual_tol: float = 1e-10,
     best, stalled = np.inf, 0
     last, frozen = None, 0
     for sweep in range(1, max_sweeps + 1):
-        g = _hinge_root_batch(C - f[:, None], mu_w, eps, g)
-        f = _hinge_root_batch(C.T - g[:, None], nu_w, eps, f if sweep > 1 else None)
+        g = fresh_hinge_root_batch(C - f[:, None], mu_w, eps, g)
+        f = fresh_hinge_root_batch(C.T - g[:, None], nu_w, eps, f if sweep > 1 else None)
         if self_transport:
             u = 0.5 * (f + g)
             res_mu, res_nu = marginal_residuals(u[:, None] + u[None, :] - C, mu_w, nu_w, eps)
@@ -223,7 +227,7 @@ def alternating_solve(mu, nu, eps: float, residual_tol: float = 1e-10,
         if not self_transport:
             shift = 0.5 * (float(nu_w @ g) - float(mu_w @ f))
             return f + shift, g - shift, residual, sweep
-        step = _hinge_root_batch(C.T - u[:, None], nu_w, eps, u)
+        step = fresh_hinge_root_batch(C.T - u[:, None], nu_w, eps, u)
         if np.max(np.abs(step - u)) <= residual_tol:
             return u, u.copy(), residual, sweep
     raise RuntimeError(f"alternating oracle did not converge within {max_sweeps} sweeps")

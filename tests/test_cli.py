@@ -151,28 +151,36 @@ def test_run_missing_config():
 
 
 @pytest.mark.parametrize(
-    "instance, eps, max_sweeps",
+    "instance, eps_list, max_sweeps, start",
     [
         # 3 and 5 Newton iterations are needed; each cap stops the solve short
-        ({"name": "grid", "kind": "grid", "d": 1, "h": 0.1}, 0.1, 1),
-        ({"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1}, 0.01, 3),
+        ({"name": "grid", "kind": "grid", "d": 1, "h": 0.1}, [0.1], 1, "hinge-bound"),
+        ({"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1}, [0.01], 3, "cold"),
+        # eps = 0.1 converges in 3 iterations; eps = 0.01, started from its
+        # potentials, needs 6
+        ({"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1}, [0.1, 0.01], 5, "warm"),
     ],
-    ids=["self-transport", "affine"],
+    ids=["self-transport", "affine", "affine-warm"],
 )
 def test_no_convergence_record_carries_sweeps_and_residual(
-    tmp_path, capsys, instance, eps, max_sweeps
+    tmp_path, capsys, instance, eps_list, max_sweeps, start
 ):
     cfg = _write_config(
         tmp_path,
         instance=instance,
-        eps_list=[eps],
+        eps_list=eps_list,
         solver={"max_sweeps": max_sweeps},
         checks=["DensityUB"],
     )
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_NO_CONVERGENCE
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert set(record) == {"error", "detail", "sweeps", "residual", "residual_mu", "residual_nu"}
+    assert set(record) == {
+        "error", "detail", "sweeps", "residual", "residual_mu", "residual_nu", "epsilon", "start",
+    }
     assert record["error"] == "no-convergence"
+    # the epsilon that failed, and the start it was solved from
+    assert record["epsilon"] == eps_list[-1]
+    assert record["start"] == start
     assert record["sweeps"] == max_sweeps
     assert isinstance(record["residual"], float) and record["residual"] > 1e-10
     # per-side sup-norms of the last sweep; the residual is the larger one
@@ -619,3 +627,43 @@ def test_thread_env_validation(tmp_path, monkeypatch):
     monkeypatch.setenv("QOTLAB_THREADS", "2")
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1},
+        {"name": "grid", "kind": "grid", "d": 1, "h": 0.1},
+    ],
+    ids=["mu-ne-nu", "self-transport"],
+)
+def test_mu_ne_nu_sweep_is_one_warm_start_chain(tmp_path, monkeypatch, instance, threads):
+    # mu != nu: the first epsilon starts cold and each later one from its
+    # predecessor's potentials, in the config's order, on any pool size;
+    # mu = nu: every epsilon starts from its hinge roots
+    calls = []
+    prepare = verify.prepare_instance
+
+    def recorded(inst, cfg, *args, start=None, **kwargs):
+        solved = prepare(inst, cfg, *args, start=start, **kwargs)
+        calls.append((cfg.epsilon, start, solved.pot))
+        return solved
+
+    monkeypatch.setattr(verify, "prepare_instance", recorded)
+    eps_list = [1e-1, 1e-2, 1e-3, 1e-4]
+    config = cli.ExperimentConfig.from_dict(
+        {"instance": instance, "eps_list": eps_list, "checks": ["DensityUB"],
+         "output_dir": "out"},
+        tmp_path,
+    )
+    records, _, _ = cli.run_experiment(config, tmp_path, threads)
+    assert all(rec["holds"] for rec in records)
+    if instance["kind"] == "grid":
+        assert sorted(eps for eps, _, _ in calls) == sorted(eps_list)
+        assert all(start is None for _, start, _ in calls)
+        return
+    assert [eps for eps, _, _ in calls] == eps_list
+    assert calls[0][1] is None
+    for (_, _, previous), (_, start, _) in zip(calls, calls[1:]):
+        assert start is previous

@@ -8,7 +8,7 @@ from oracles import coordinate_support_spread
 from qotlab import cli, surrogate, verify
 from qotlab.geometry import build_spread
 from qotlab.measures import affine_map, identity_map, make_measure, pushforward, uniform_ball_grid
-from qotlab.qot_solver import SolverConfig
+from qotlab.qot_solver import ConfigError, SolverConfig
 from qotlab.verify import (
     BOUND_IDS,
     EXPLICIT_BOUND_IDS,
@@ -360,3 +360,17 @@ def test_bias_reuses_star_at_nu_atoms(monkeypatch):
     points = _distinct(np.concatenate([inst.nu.atoms, inst.monge(inst.mu.atoms)]))
     assert len(inst.nu) < len(lps) == len(points) < len(inst.nu) + len(inst.mu)
     assert len(qps) == len(inst.mu)
+
+
+def test_prepare_instance_takes_a_warm_start_for_mu_ne_nu_only():
+    mu = uniform_ball_grid(1, 0.1)
+    shift = affine_map(0.5 * np.eye(1), [0.25])
+    pushed = Instance("shift", mu, pushforward(mu, shift), shift)
+    first = _prepare(pushed, 0.1)
+    warm = prepare_instance(
+        pushed, SolverConfig(epsilon=0.01), build_spread(mu), start=first.pot
+    )
+    assert warm.coupling.residual <= 1e-10
+    tied = Instance("grid", mu, mu, identity_map())
+    with pytest.raises(ConfigError, match="mu != nu"):
+        prepare_instance(tied, SolverConfig(epsilon=0.01), build_spread(mu), start=first.pot)
