@@ -3,9 +3,8 @@ bound checkers over an epsilon sweep, and emit reports and plots.
 
 Exit codes: 0 all explicit-constant checks pass, 1 a check failed,
 2 configuration error, 3 solver non-convergence, 4 internal or numerical
-error (a prox that does not converge, an inconsistent coupling, a geometry
-failure, or any other unexpected exception).  Errors also emit one
-machine-readable JSON record on stderr.
+error (an inconsistent coupling, a geometry failure, or any other unexpected
+exception).  Errors also emit one machine-readable JSON record on stderr.
 """
 from __future__ import annotations
 

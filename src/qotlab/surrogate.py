@@ -11,27 +11,29 @@ convex, C^1, 1-Lipschitz, and within delta(eps) of psi_tilde everywhere,
 since the envelope gap of an L-Lipschitz function is at most lam L^2 / 2.
 
 Every evaluation takes a (k, d) array of points and returns one result per
-row.  Envelope values, gradients, and the reflection resolvent all reduce to
-one simplex-constrained quadratic program
+row.  Envelope gradients and the reflection resolvent both minimize
 
-    min over the simplex  (gamma/2) |Y theta|^2 - <x, Y theta> + <b, theta>
+    conj(psi_tilde)(y) + (gamma/2)|y|^2 - <x, y>
 
-(gamma is lam for the envelope prox and lam + 1 for the resolvent), whose
-optimal slope combination Y theta minimizes conj(psi_tilde)(y) +
-(gamma/2)|y|^2 - <x, y>.  conj(psi_tilde) is the lower convex envelope of
-the lifted points (y_j, b_j), finite only on the convex hull of the slopes.
+over y (gamma is lam for the envelope prox and lam + 1 for the resolvent),
+and the minimizer is the gradient.  conj(psi_tilde) is the lower convex
+envelope of the lifted points (y_j, b_j), finite only on the convex hull of
+the slopes, and each surrogate builds that lower hull once.
 
-In d=1 that envelope is a lower hull v_0 < ... < v_K with values h_k and
-segment slopes m_k, built once per surrogate by a monotone chain.  psi* is
-interpolation on it, and the prox is closed form: vertex k wins for x in
-[gamma v_k + m_{k-1}, gamma v_k + m_k], segment k maps x to
-(x - m_k) / gamma, and one searchsorted over these breakpoints locates a
-whole batch.  In d >= 2 the quadratic program is solved by a primal
-active-set method with deterministic pivoting, and psi* by a small linear
-program, each once per distinct point of a batch.
+In d=1 the hull is v_0 < ... < v_K with values h_k and segment slopes m_k,
+from a monotone chain.  psi* is interpolation on it, and the prox is closed
+form: vertex k wins for x in [gamma v_k + m_{k-1}, gamma v_k + m_k], segment
+k maps x to (x - m_k) / gamma, and one searchsorted over these breakpoints
+locates a whole batch.  In d >= 2 the hull is a list of faces: Qhull's lower
+facets and all their sub-faces.  On each face's affine span the minimizer is
+one small linear solve; a face keeps it only if it lies inside the face, and
+the kept minimizer of least objective is exact, since the true one is kept
+by its own face.  psi* finds the nearest point of the slopes' hull with the
+same routine and interpolates the intercepts there.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -41,20 +43,14 @@ from .geometry import GeometryError
 from .measures import DiscreteMeasure
 from .qot_solver import DualPotentials
 
-KKT_TOL = 1e-10
-LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
-# the d >= 2 LP admits points this far outside the slopes' hull within its
-# feasibility tolerance; d = 1 evaluates them at the nearest end vertex
+# psi* counts points this far outside the slopes' hull as inside, at the
+# value of their nearest point of the hull (an end vertex in d = 1)
 HULL_TOL = 1e-11
-
-
-class ProxError(RuntimeError):
-    def __init__(self, message: str, kkt_residual: float):
-        super().__init__(message)
-        self.kkt_residual = kkt_residual
+# singular values below this fraction of the largest count as zero when the
+# d >= 2 hull is built
+_FLAT = 1e-12
+# (point, face) pairs per block of the d >= 2 face routine
+_BLOCK = 2**15
 
 
 class DetachmentError(AssertionError):
@@ -66,16 +62,17 @@ class ConvexSurrogate:
     slopes: np.ndarray      # (m, d) nu-atoms
     intercepts: np.ndarray  # (m,)
     lam: float              # Moreau parameter, 2 * delta(eps)
-    # d=1 only: lower hull of the lifted points (y_j, b_j), as vertices
-    # v_0 < ... < v_K, their values h_k and the K segment slopes m_k
-    hull: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        init=False, repr=False
-    )
+    # lower hull of the lifted points (y_j, b_j).  d=1: vertices
+    # v_0 < ... < v_K, their values h_k and the K segment slopes m_k.
+    # d >= 2: per face size, the faces' vertex indices and the inverse Gram
+    # matrices of their edges (see _lower_faces)
+    hull: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        hull = None
         if self.slopes.shape[1] == 1:
             hull = _lower_hull(self.slopes[:, 0], self.intercepts)
+        else:
+            hull = _lower_faces(self.slopes, self.intercepts)
         object.__setattr__(self, "hull", hull)
 
     def psi_tilde(self, x) -> np.ndarray:
@@ -95,15 +92,6 @@ def _inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for k in range(1, A.shape[1]):
         out += np.multiply.outer(A[:, k], B[:, k])
     return out
-
-
-def _each_distinct_row(X: np.ndarray, fn, shape: tuple = ()) -> np.ndarray:
-    """fn at every row of X, called once per distinct row."""
-    uniq, inverse = np.unique(X, axis=0, return_inverse=True)
-    out = np.empty((len(uniq),) + shape)
-    for r, row in enumerate(uniq):
-        out[r] = fn(row)
-    return out[inverse.reshape(-1)]
 
 
 def _lower_hull(y: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,6 +118,46 @@ def _lower_hull(y: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return v, h, np.diff(h) / np.diff(v)
 
 
+def _lower_faces(Y: np.ndarray, b: np.ndarray) -> tuple:
+    """Faces of the lower convex hull of the lifted points (y_j, b_j) in
+    d >= 2.  For k = 0 ... r, with r the dimension of the slopes' affine span:
+    the (F, k+1) vertex indices of the k-faces and the (F, k, k) inverse Gram
+    matrices of their edges y_{j_i} - y_{j_0}."""
+    # scipy loads here, on the first d >= 2 surrogate: d=1 never needs it
+    from scipy.spatial import ConvexHull, QhullError
+
+    centred = Y - Y.mean(axis=0)
+    _, sv, vt = np.linalg.svd(centred, full_matrices=False)
+    r = int((sv > _FLAT * sv[0]).sum())
+    if r == 0:
+        simplices = np.array([[np.argmin(b)]])
+    else:
+        # Qhull in the span's coordinates and without joggling, so the faces
+        # are deterministic.  A point above every lifted point keeps a
+        # coplanar lifted set full-dimensional, and no lower facet holds it.
+        lifted = np.column_stack([centred @ vt[:r].T, b])
+        apex = np.append(np.zeros(r), b.max() + 1.0)
+        try:
+            hull = ConvexHull(np.vstack([lifted, apex]))
+        except QhullError as exc:
+            raise GeometryError(f"degenerate lower hull: {exc}") from exc
+        # the facets that face down and have full-dimensional shadows:
+        # vertical facets from collinear boundary atoms, and the zero-volume
+        # simplices that Qhull's triangulation leaves on cospherical lifted
+        # points, cast flat ones, and the rest tile the slopes' hull
+        lower = hull.simplices[hull.equations[:, r] < 0.0]
+        sv = np.linalg.svd(Y[lower[:, 1:]] - Y[lower[:, :1]], compute_uv=False)
+        simplices = lower[sv[:, -1] > _FLAT * sv[:, 0]]
+    faces = sorted({sub for simplex in simplices.tolist() for k in range(1, r + 2)
+                    for sub in itertools.combinations(sorted(simplex), k)})
+    groups = []
+    for k in range(r + 1):
+        idx = np.array([f for f in faces if len(f) == k + 1], dtype=np.intp).reshape(-1, k + 1)
+        E = Y[idx[:, 1:]] - Y[idx[:, :1]]
+        groups.append((idx, np.linalg.inv(E @ E.transpose(0, 2, 1))))
+    return tuple(groups)
+
+
 def build_surrogate(pot: DualPotentials, nu: DiscreteMeasure, delta_eps: float) -> ConvexSurrogate:
     if not (delta_eps > 0):
         raise GeometryError("delta_eps must be positive")
@@ -137,86 +165,11 @@ def build_surrogate(pot: DualPotentials, nu: DiscreteMeasure, delta_eps: float) 
     return ConvexSurrogate(slopes=nu.atoms, intercepts=b, lam=2.0 * delta_eps)
 
 
-def _simplex_qp(Y: np.ndarray, b: np.ndarray, target: np.ndarray, gamma: float,
-                kkt_tol: float = KKT_TOL) -> np.ndarray:
-    """Active-set minimizer of (gamma/2)|Y theta|^2 - <target, Y theta> + <b, theta>
-    over the probability simplex.  Singular reduced systems are resolved with
-    the minimum-norm solution; pivots break ties by lowest index.
-    """
-    m = len(b)
-    lin = Y @ target - b
-    active = [int(np.argmax(lin))]
-    theta_act = np.array([1.0])
-    max_iter = 20 * m + 200
-
-    def _drop_along(direction: np.ndarray) -> None:
-        # largest feasible step along a descent direction of the working set,
-        # then drop the blocking coordinate (lowest index on ties)
-        nonlocal theta_act
-        closing = np.where(direction < -1e-15)[0]
-        ratios = theta_act[closing] / (-direction[closing])
-        pick = int(np.argmin(ratios))
-        theta_act = theta_act + float(ratios[pick]) * direction
-        drop = int(closing[pick])
-        del active[drop]
-        theta_act = np.delete(theta_act, drop)
-
-    for _ in range(max_iter):
-        YA = Y[active]
-        k = len(active)
-        # affinely dependent active slopes make the working-set problem
-        # unbounded whenever the intercepts slope along a null direction;
-        # exchange a coordinate out before solving
-        if k > 1:
-            A = np.vstack([YA.T, np.ones((1, k))])
-            _, svals, vt = np.linalg.svd(A)
-            null_mask = np.zeros(len(vt), dtype=bool)
-            null_mask[len(svals):] = True
-            null_mask[: len(svals)] |= svals < 1e-12 * max(svals[0], 1.0)
-            escaped = False
-            for d in vt[null_mask]:
-                slope = float(b[active] @ d)
-                if abs(slope) > 1e-13:
-                    _drop_along(-np.sign(slope) * d)
-                    escaped = True
-                    break
-            if escaped:
-                continue
-        K = np.zeros((k + 1, k + 1))
-        K[:k, :k] = gamma * (YA @ YA.T)
-        K[:k, k] = 1.0
-        K[k, :k] = 1.0
-        rhs = np.append(lin[active], 1.0)
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-        cand = sol[:k]
-        if cand.min() >= -1e-13:
-            theta_act = np.clip(cand, 0.0, None)
-            u = YA.T @ theta_act
-            grad = gamma * (Y @ u) - lin
-            level = float(grad[active].min())
-            j_new = int(np.argmin(grad))
-            if grad[j_new] >= level - kkt_tol:
-                theta = np.zeros(m)
-                theta[active] = theta_act
-                return theta
-            active.append(j_new)
-            theta_act = np.append(theta_act, 0.0)
-        else:
-            _drop_along(cand - theta_act)
-    theta = np.zeros(m)
-    theta[active] = theta_act
-    u = Y.T @ theta
-    grad = gamma * (Y @ u) - lin
-    resid = float(max(0.0, grad[theta > 0].max() - grad.min()))
-    raise ProxError(f"active-set prox failed to converge (KKT residual {resid:.3e})", resid)
-
-
 def _prox_points(s: ConvexSurrogate, X: np.ndarray, gamma: float) -> np.ndarray:
-    """The optimal slope combination Y theta of the simplex QP at each row of X."""
-    if s.hull is None:
-        return _each_distinct_row(
-            X, lambda x: s.slopes.T @ _simplex_qp(s.slopes, s.intercepts, x, gamma), X.shape[1:]
-        )
+    """The minimizer y of conj(psi_tilde)(y) + (gamma/2)|y|^2 - <x, y> at each
+    row of X."""
+    if s.slopes.shape[1] > 1:
+        return _hull_argmin(s, X / gamma, 1.0 / gamma)[0]
     v, _, m = s.hull
     # vertex k owns [gamma v_k + m_{k-1}, gamma v_k + m_k] and segment k the
     # open interval between gamma v_k + m_k and gamma v_{k+1} + m_k
@@ -230,11 +183,62 @@ def _prox_points(s: ConvexSurrogate, X: np.ndarray, gamma: float) -> np.ndarray:
     return out[:, None]
 
 
+def _hull_argmin(s: ConvexSurrogate, X: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """The minimizer y over the slopes' hull of w conj(psi_tilde)(y) +
+    |y - x|^2 / 2 at each row x of X, and conj(psi_tilde)(y), in d >= 2.
+    Each distinct row reaches _face_argmin once, in blocks of rows, so no
+    array grows with the batch times the faces."""
+    uniq, inverse = np.unique(X, axis=0, return_inverse=True)
+    step = max(1, _BLOCK // sum(len(idx) for idx, _ in s.hull))
+    Y, low = np.empty_like(uniq), np.empty(len(uniq))
+    for lo in range(0, len(uniq), step):
+        Y[lo:lo + step], low[lo:lo + step] = _face_argmin(s, uniq[lo:lo + step], w)
+    inverse = inverse.reshape(-1)
+    return Y[inverse], low[inverse]
+
+
+def _face_argmin(s: ConvexSurrogate, X: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """_hull_argmin by face enumeration.  On the span y = y_0 + sum_i t_i e_i
+    of a face the objective is quadratic in t, minimal where
+    G t = E (x - y_0) - w beta, with G the Gram matrix of the edges e_i and
+    beta_i = b_i - b_0.  Sums run one coordinate at a time, as in _inner."""
+    d, rows = X.shape[1], np.arange(len(X))
+    # objectives are compared about c, x pulled into the unit ball, which
+    # keeps their rounding small both near points inside the hull and far
+    # outside it
+    C = X / np.maximum(np.sqrt(sum(X[:, c] ** 2 for c in range(d))), 1.0)[:, None]
+    XC = X - C
+    best, Y, low = np.full(len(X), np.inf), np.empty_like(X), np.empty(len(X))
+    for idx, ginv in s.hull:
+        k = idx.shape[1] - 1
+        Y0, b0 = s.slopes[idx[:, 0]], s.intercepts[idx[:, 0]]
+        E = s.slopes[idx[:, 1:]] - Y0[:, None]
+        beta = s.intercepts[idx[:, 1:]] - b0[:, None]
+        rhs = [sum(E[:, i, c] * (X[:, c, None] - Y0[:, c]) for c in range(d)) - w * beta[:, i]
+               for i in range(k)]
+        t = [sum(ginv[:, i, l] * rhs[l] for l in range(k)) for i in range(k)]
+        rel = [Y0[:, c] - C[:, c, None] + sum(t[i] * E[:, i, c] for i in range(k))
+               for c in range(d)]
+        val = b0 + sum(t[i] * beta[:, i] for i in range(k))
+        obj = w * val + sum(rel[c] * (0.5 * rel[c] - XC[:, c, None]) for c in range(d))
+        # a face keeps its minimizer only inside it: barycentric coordinates
+        # 1 - sum_i t_i and t_i all nonnegative
+        if k:
+            obj[(1.0 - sum(t) < 0.0) | np.any(np.array(t) < 0.0, axis=0)] = np.inf
+        j = np.argmin(obj, axis=1)
+        won = obj[rows, j] < best
+        best[won] = obj[rows, j][won]
+        tj = [t_i[rows, j] for t_i in t]
+        Y[won] = (Y0[j] + sum(tj[i][:, None] * E[j, i] for i in range(k)))[won]
+        low[won] = (b0[j] + sum(tj[i] * beta[j, i] for i in range(k)))[won]
+    return Y, low
+
+
 def eval_psi(s: ConvexSurrogate, x) -> tuple[np.ndarray, np.ndarray]:
     """Moreau envelope values (k,) and gradients (k, d) at the rows of x.
 
-    The prox point is z = x - lam * u with u the optimal simplex combination
-    of slopes; the gradient is (x - z) / lam = u.
+    The prox point is z = x - lam * u with u the minimizer of
+    conj(psi_tilde)(u) + (lam/2)|u|^2 - <x, u>; the gradient is (x - z) / lam = u.
     """
     X = _rows(s, x)
     U = _prox_points(s, X, s.lam)
@@ -247,34 +251,22 @@ def eval_psi_star(s: ConvexSurrogate, y) -> np.ndarray:
     (lam/2)|y|^2, +inf outside the convex hull of the slopes (by HULL_TOL).
 
     conj(psi_tilde) is the lower convex envelope of the intercepts over the
-    slope points: interpolation on the lower hull in d=1, a small linear
-    program in d >= 2.
+    slope points: interpolation on the lower hull, at the nearest point of
+    the slopes' hull for points within HULL_TOL outside it.
     """
     Y = _rows(s, y)
-    if s.hull is None:
-        low = _each_distinct_row(Y, lambda pt: _psi_star_lp(s, pt))
+    if s.slopes.shape[1] > 1:
+        P, low = _hull_argmin(s, Y, 0.0)
+        off = np.sqrt(sum((Y[:, c] - P[:, c]) ** 2 for c in range(Y.shape[1])))
+        # d=1 compares y with the rounded v_K + HULL_TOL; a rounded point
+        # HULL_TOL outside is up to a spacing of its coordinates further out
+        low[off > HULL_TOL + np.spacing(np.abs(Y).max(axis=1))] = math.inf
     else:
         v, h, _ = s.hull
         # np.interp holds the end values beyond [v_0, v_K]
         low = np.interp(Y[:, 0], v, h)
         low[(Y[:, 0] < v[0] - HULL_TOL) | (Y[:, 0] > v[-1] + HULL_TOL)] = math.inf
     return low + 0.5 * s.lam * (Y * Y).sum(axis=1)
-
-
-def _psi_star_lp(s: ConvexSurrogate, pt: np.ndarray) -> float:
-    """conj(psi_tilde)(pt) as min <b, theta> over the simplex subject to
-    Y theta = pt; +inf when infeasible."""
-    # scipy loads here, on the first d >= 2 conjugate: d=1 never needs it
-    from scipy.optimize import linprog
-
-    m, _ = s.slopes.shape
-    A_eq = np.vstack([s.slopes.T, np.ones(m)])
-    b_eq = np.append(pt, 1.0)
-    res = linprog(s.intercepts, A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs", options=LP_OPTIONS)
-    if not res.success:
-        return math.inf
-    return float(res.fun)
 
 
 def eval_psi_prime(mu: DiscreteMeasure, psi_at_atoms: np.ndarray, y) -> np.ndarray:
@@ -288,8 +280,8 @@ def minty_reflect(s: ConvexSurrogate, u) -> tuple[np.ndarray, np.ndarray]:
     """Solve x' + grad psi(x') = u at each row of u; return (x', grad psi(x')).
 
     x' is the prox of the envelope at u; composing envelopes gives it from
-    the same simplex QP with curvature lam + 1, as x' = u - Y theta with
-    grad psi(x') = Y theta.
+    the same minimization as the envelope prox with curvature lam + 1, as
+    x' = u - y with grad psi(x') = y.
     """
     U = _rows(s, u)
     G = _prox_points(s, U, s.lam + 1.0)

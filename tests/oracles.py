@@ -13,7 +13,9 @@ gradients from finite differences, exact-transport costs from matching
 enumeration or an LP, squared distances from the (n, m, d) broadcast
 (the library adds one coordinate at a time), and coupling entries from
 np.nonzero with int64 row and column arrays (the library builds row
-pointers and int32 columns by blocks of rows).
+pointers and int32 columns by blocks of rows), and the surrogate's envelope
+prox and conjugate from an active-set QP over the simplex of slopes and a
+HiGHS LP (the library enumerates the faces of the lifted points' lower hull).
 """
 from __future__ import annotations
 
@@ -354,3 +356,87 @@ def lp_transport_cost(mu, nu) -> float:
     assert res.success
     return float(res.fun)
 
+
+
+def simplex_qp(Y: np.ndarray, b: np.ndarray, target: np.ndarray, gamma: float,
+               kkt_tol: float = 1e-10) -> np.ndarray:
+    """Active-set minimizer of (gamma/2)|Y theta|^2 - <target, Y theta> + <b, theta>
+    over the probability simplex.  Singular reduced systems are resolved with
+    the minimum-norm solution; pivots break ties by lowest index.
+    """
+    m = len(b)
+    lin = Y @ target - b
+    active = [int(np.argmax(lin))]
+    theta_act = np.array([1.0])
+    max_iter = 20 * m + 200
+
+    def _drop_along(direction: np.ndarray) -> None:
+        # largest feasible step along a descent direction of the working set,
+        # then drop the blocking coordinate (lowest index on ties)
+        nonlocal theta_act
+        closing = np.where(direction < -1e-15)[0]
+        ratios = theta_act[closing] / (-direction[closing])
+        pick = int(np.argmin(ratios))
+        theta_act = theta_act + float(ratios[pick]) * direction
+        drop = int(closing[pick])
+        del active[drop]
+        theta_act = np.delete(theta_act, drop)
+
+    for _ in range(max_iter):
+        YA = Y[active]
+        k = len(active)
+        # affinely dependent active slopes make the working-set problem
+        # unbounded whenever the intercepts slope along a null direction;
+        # exchange a coordinate out before solving
+        if k > 1:
+            A = np.vstack([YA.T, np.ones((1, k))])
+            _, svals, vt = np.linalg.svd(A)
+            null_mask = np.zeros(len(vt), dtype=bool)
+            null_mask[len(svals):] = True
+            null_mask[: len(svals)] |= svals < 1e-12 * max(svals[0], 1.0)
+            escaped = False
+            for d in vt[null_mask]:
+                slope = float(b[active] @ d)
+                if abs(slope) > 1e-13:
+                    _drop_along(-np.sign(slope) * d)
+                    escaped = True
+                    break
+            if escaped:
+                continue
+        K = np.zeros((k + 1, k + 1))
+        K[:k, :k] = gamma * (YA @ YA.T)
+        K[:k, k] = 1.0
+        K[k, :k] = 1.0
+        rhs = np.append(lin[active], 1.0)
+        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+        cand = sol[:k]
+        if cand.min() >= -1e-13:
+            theta_act = np.clip(cand, 0.0, None)
+            u = YA.T @ theta_act
+            grad = gamma * (Y @ u) - lin
+            level = float(grad[active].min())
+            j_new = int(np.argmin(grad))
+            if grad[j_new] >= level - kkt_tol:
+                theta = np.zeros(m)
+                theta[active] = theta_act
+                return theta
+            active.append(j_new)
+            theta_act = np.append(theta_act, 0.0)
+        else:
+            _drop_along(cand - theta_act)
+    raise AssertionError("active-set QP oracle did not converge")
+
+
+def psi_star_lp(s, pt: np.ndarray) -> float:
+    """conj(psi_tilde)(pt) of a surrogate as min <b, theta> over the simplex
+    subject to Y theta = pt (HiGHS at feasibility tolerance 1e-10); +inf when
+    infeasible."""
+    m, _ = s.slopes.shape
+    A_eq = np.vstack([s.slopes.T, np.ones(m)])
+    b_eq = np.append(pt, 1.0)
+    res = linprog(s.intercepts, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if not res.success:
+        return math.inf
+    return float(res.fun)

@@ -6,12 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
 from qotlab import cli, exact_ot, geometry, measures, qot_solver, verify
 from qotlab.geometry import GeometryError
 from qotlab.measures import load_measure
 from qotlab.qot_solver import InconsistencyError
-from qotlab.surrogate import ProxError
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -131,13 +131,13 @@ def test_run_overrides_on_malformed_config(tmp_path, monkeypatch, capsys, config
     assert record["error"] == "config"
 
 
-def test_d1_surrogate_runs_without_qp_or_lp(tmp_path, monkeypatch):
+def test_d1_surrogate_never_enumerates_faces(tmp_path, monkeypatch):
     # every d=1 surrogate evaluation is closed form on the lower hull
-    def no_solver(*args, **kwargs):
-        raise AssertionError("a d=1 surrogate must not call the QP or the LP")
+    def no_faces(*args, **kwargs):
+        raise AssertionError("a d=1 surrogate must not enumerate hull faces")
 
-    monkeypatch.setattr("qotlab.surrogate._simplex_qp", no_solver)
-    monkeypatch.setattr("scipy.optimize.linprog", no_solver)
+    monkeypatch.setattr("qotlab.surrogate._lower_faces", no_faces)
+    monkeypatch.setattr("qotlab.surrogate._face_argmin", no_faces)
     cfg = _write_config(
         tmp_path,
         instance={"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1},
@@ -189,27 +189,37 @@ def test_no_convergence_record_carries_sweeps_and_residual(
     assert f"within {max_sweeps} sweeps" in record["detail"]
 
 
+_GRID_D2 = {"name": "grid", "kind": "grid", "d": 2, "h": 0.5}
+
+
 @pytest.mark.parametrize(
-    "target, checks, error",
+    "target, overrides, error, recorded",
     [
-        ("qotlab.verify.surrogate.minty_reflect", ["Concentration"], ProxError("prox", 1.0)),
-        ("qotlab.verify.qot_solver.assemble_coupling", ["DensityUB"], InconsistencyError("row")),
-        ("qotlab.verify.geometry.delta", ["DensityUB"], GeometryError("hull")),
-        ("qotlab.verify.qot_solver.max_density", ["DensityUB"], ZeroDivisionError("boom")),
+        # Qhull fails on the d=2 surrogate's lower hull, which the
+        # surrogate reports as a GeometryError
+        ("scipy.spatial.ConvexHull", {"instance": _GRID_D2, "checks": ["Concentration"]},
+         QhullError("flat"), ("GeometryError", "degenerate lower hull: flat")),
+        ("qotlab.verify.qot_solver.assemble_coupling", {"checks": ["DensityUB"]},
+         InconsistencyError("row"), ("InconsistencyError", "row")),
+        ("qotlab.verify.geometry.delta", {"checks": ["DensityUB"]},
+         GeometryError("hull"), ("GeometryError", "hull")),
+        ("qotlab.verify.qot_solver.max_density", {"checks": ["DensityUB"]},
+         ZeroDivisionError("boom"), ("ZeroDivisionError", "boom")),
     ],
-    ids=["ProxError", "InconsistencyError", "GeometryError", "unexpected"],
+    ids=["QhullError", "InconsistencyError", "GeometryError", "unexpected"],
 )
-def test_run_exit_four_on_internal_error(tmp_path, monkeypatch, capsys, target, checks, error):
+def test_run_exit_four_on_internal_error(
+    tmp_path, monkeypatch, capsys, target, overrides, error, recorded
+):
     def fail(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(target, fail)
-    cfg = _write_config(tmp_path, checks=checks)
+    cfg = _write_config(tmp_path, **overrides)
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_INTERNAL
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "internal"
-    assert record["type"] == type(error).__name__
-    assert record["detail"] == str(error)
+    assert (record["type"], record["detail"]) == recorded
     assert "Traceback" in record["traceback"]
     assert not (tmp_path / "out").exists()
 
@@ -581,7 +591,8 @@ def test_run_path_loads_no_scipy(tmp_path):
             "instance": {"name": "grid", "kind": "grid", "d": 2, "h": 0.2},
             "checks": ["SymUB", "SymLB", "SuppDiamM", "GradEstimate", "DensityUB"],
         },
-        # the d >= 2 hull and psi* LP import scipy on first use
+        # the d = 2 support hull and the d >= 2 surrogate's lower hull import
+        # scipy.spatial on first use
         "grid-d2-bias": {
             "instance": {"name": "grid", "kind": "grid", "d": 2, "h": 0.2},
             "eps_list": [0.1],
@@ -607,7 +618,8 @@ def test_run_path_loads_no_scipy(tmp_path):
     for name, run in numpy_only:
         assert run == {"code": cli.EXIT_OK, "loaded": []}, name
     assert bias[1]["code"] == cli.EXIT_OK
-    assert {"scipy.optimize", "scipy.spatial"} <= set(bias[1]["loaded"])
+    assert "scipy.spatial" in bias[1]["loaded"]
+    assert not [m for m in bias[1]["loaded"] if m.startswith("scipy.optimize")]
 
 
 def test_thread_env_validation(tmp_path, monkeypatch):

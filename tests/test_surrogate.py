@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradient
+from oracles import fd_gradient, psi_star_lp, simplex_qp
 from qotlab.geometry import build_spread, delta
 from qotlab.measures import make_measure, uniform_ball_grid
 from qotlab.qot_solver import DualPotentials, SolverConfig, solve
 from qotlab.surrogate import (
     HULL_TOL,
     ConvexSurrogate,
-    _psi_star_lp,
-    _simplex_qp,
     build_surrogate,
     eval_psi,
     eval_psi_prime,
@@ -36,8 +35,8 @@ def grid_surrogate():
 
 @pytest.fixture(scope="module")
 def grid_surrogate_d2():
-    """Surrogate of a solved d=2 self-transport grid: the active-set QP and
-    LP path, which d=1 surrogates no longer take."""
+    """Surrogate of a solved d=2 self-transport grid: the face-enumeration
+    path, which d=1 surrogates do not take."""
     mu = uniform_ball_grid(2, 0.25)
     cfg = SolverConfig(epsilon=0.01)
     pot = solve(mu, mu, cfg)
@@ -163,6 +162,25 @@ def test_psi_star_boundary_rule_is_shared_across_dimensions():
     assert np.isinf(eval_psi_star(_TRIANGLE, far)).all()
 
 
+def test_psi_star_takes_the_nearest_hull_value_in_every_dimension():
+    # with intercepts, a point 1e-11 beyond the edge's end takes the end
+    # vertex's value in d=2 as in d=1, not a value extrapolated along the
+    # edge; 1e-10 beyond either end is outside in both dimensions
+    tri = ConvexSurrogate(slopes=_TRIANGLE.slopes, intercepts=np.array([0.1, -0.2, 0.3]), lam=0.1)
+    edge = ConvexSurrogate(slopes=_EDGE.slopes, intercepts=np.array([0.1, -0.2]), lam=0.1)
+    near = np.array([[-1e-11, 0.0]])
+    assert abs(eval_psi_star(tri, near)[0] - eval_psi_star(edge, near[:, :1])[0]) <= 1e-15
+    far = np.array([[-1e-10, 0.0], [1.0 + 1e-10, 0.0]])
+    assert np.isinf(eval_psi_star(tri, far)).all()
+    assert np.isinf(eval_psi_star(edge, far[:, :1])).all()
+    # points just inside the edge take the triangle's affine value, not the
+    # edge's (nor +inf, for the edge's point 1e-8 away)
+    t, h = np.meshgrid(np.linspace(0.05, 0.9, 50), [1e-9, 1e-8])
+    inside = np.column_stack([t.ravel(), h.ravel()])
+    exact = 0.1 - 0.3 * inside[:, 0] + 0.2 * inside[:, 1] + 0.05 * (inside**2).sum(axis=1)
+    assert np.abs(eval_psi_star(tri, inside) - exact).max() <= 1e-15
+
+
 def test_fenchel_young(any_surrogate):
     mu, _, s = any_surrogate
     rng = np.random.default_rng(21)
@@ -281,13 +299,13 @@ def test_batch_equals_rows_one_at_a_time(any_surrogate):
             assert got[k].tobytes() == want[0].tobytes(), k
 
 
-# Tolerances of the d=1 closed forms against the QP and LP oracles, set from
-# the oracles' own stopping rules.  HiGHS runs at feasibility tolerance
-# 1e-10, so psi* may differ by about that times the intercept scale.  The
-# active-set QP stops once no slope undercuts its working set by more than
-# KKT_TOL = 1e-10, which moves the optimal slope by at most
-# KKT_TOL / (gamma * spacing) <= 1e-10 / (0.01 * 1/8) = 8e-8 for the slope
-# lattice and lam range below, and the envelope value by 2 lam times that.
+# Tolerances of the surrogate against the QP and LP oracles, set from the
+# oracles' own stopping rules.  HiGHS runs at feasibility tolerance 1e-10, so
+# psi* may differ by about that times the intercept scale.  The active-set QP
+# stops once no slope undercuts its working set by more than kkt_tol = 1e-10,
+# which moves the optimal slope by at most
+# kkt_tol / (gamma * spacing) <= 1e-10 / (0.01 * 1/8) = 8e-8 for the slope
+# lattices and lam range below, and the envelope value by 2 lam times that.
 STAR_TOL = 1e-9
 GRAD_TOL = 1e-7
 VALUE_TOL = 1e-8
@@ -346,36 +364,99 @@ def test_d1_closed_forms_match_qp_and_lp(s, extra, outside):
     assert np.all(np.diff(v) > 0) and np.all(np.diff(m) > 0)
     assert np.all(np.interp(y, v, h) <= b + 1e-12)
 
-    # one batch per evaluation; every batch repeats rows (the slopes and
-    # their extremes, then the whole batch reversed) and holds rows outside
-    # the hull
+    # the slopes, the midpoints between sorted slopes, the extremes, and
+    # points beyond either end
     sorted_y = np.unique(y)
     star_probes = np.concatenate([
         y, 0.5 * (sorted_y[:-1] + sorted_y[1:]), [y.min(), y.max()],
         [y.min() - outside, y.max() + outside],
     ])
-    star_probes = np.concatenate([star_probes, star_probes[::-1]])
-    for pt, got in zip(star_probes, eval_psi_star(s, star_probes[:, None])):
-        ref = _psi_star_lp(s, np.array([pt]))
+    _assert_matches_oracles(
+        s, star_probes[:, None], lambda gamma: _prox_probes(s, gamma, extra)[:, None]
+    )
+
+
+def _twice(fn, probes) -> list:
+    """The parts of fn's result on one batch that holds every probe twice,
+    the second time in reverse order; both copies of a row agree bit for bit."""
+    out = fn(np.concatenate([probes, probes[::-1]]))
+    n = len(probes)
+    parts = out if isinstance(out, tuple) else (out,)
+    for part in parts:
+        assert part[:n].tobytes() == part[n:][::-1].tobytes()
+    return [part[:n] for part in parts]
+
+
+def _assert_matches_oracles(s, star_probes, prox_probes):
+    """psi* against the LP at star_probes, and the resolvent, grad psi and psi
+    against the QP at prox_probes(gamma), gamma = lam + 1 and lam."""
+    Y, b = s.slopes, s.intercepts
+    for pt, got in zip(star_probes, _twice(lambda p: eval_psi_star(s, p), star_probes)[0]):
+        ref = psi_star_lp(s, pt)
         if math.isinf(ref):
             assert math.isinf(got), pt
         else:
-            assert abs(got - (ref + 0.5 * s.lam * pt * pt)) <= STAR_TOL, pt
+            assert abs(got - (ref + 0.5 * s.lam * pt @ pt)) <= STAR_TOL, pt
 
-    probes = _prox_probes(s, s.lam + 1.0, extra)
-    probes = np.concatenate([probes, probes[::-1]])
-    x_prime, g = minty_reflect(s, probes[:, None])
-    for u, xp_u, g_u in zip(probes, x_prime[:, 0], g[:, 0]):
-        ref = y @ _simplex_qp(s.slopes, b, np.array([u]), s.lam + 1.0)
-        assert abs(g_u - ref) <= GRAD_TOL, u
-        assert abs(xp_u - (u - ref)) <= GRAD_TOL, u
+    probes = prox_probes(s.lam + 1.0)
+    for u, xp_u, g_u in zip(probes, *_twice(lambda p: minty_reflect(s, p), probes)):
+        ref = Y.T @ simplex_qp(Y, b, u, s.lam + 1.0)
+        assert np.abs(g_u - ref).max() <= GRAD_TOL, u
+        assert np.abs(xp_u - (u - ref)).max() <= GRAD_TOL, u
 
-    probes = _prox_probes(s, s.lam, extra)
-    probes = np.concatenate([probes, probes[::-1]])
-    vals, g = eval_psi(s, probes[:, None])
-    for x, val, g_x in zip(probes, vals, g[:, 0]):
-        ref = y @ _simplex_qp(s.slopes, b, np.array([x]), s.lam)
-        z = x - s.lam * ref
-        ref_val = s.psi_tilde([z])[0] + 0.5 * s.lam * ref * ref
-        assert abs(g_x - ref) <= GRAD_TOL, x
+    probes = prox_probes(s.lam)
+    for x, val, g_x in zip(probes, *_twice(lambda p: eval_psi(s, p), probes)):
+        ref = Y.T @ simplex_qp(Y, b, x, s.lam)
+        ref_val = s.psi_tilde(x - s.lam * ref)[0] + 0.5 * s.lam * ref @ ref
+        assert np.abs(g_x - ref).max() <= GRAD_TOL, x
         assert abs(val - ref_val) <= VALUE_TOL, x
+
+
+@st.composite
+def lattice_surrogates(draw, d):
+    """1-12 slopes on a 1/8 lattice in [-1/4, 1/4]^d, so repeated, collinear,
+    coplanar and cocircular slopes are common, or a whole 5x5 or 3x3x3
+    lattice; with random or lattice intercepts, or with every lifted point
+    exactly on one hyperplane or one paraboloid (cocircular slopes then give
+    coplanar lifted points, and Qhull's triangulation of a whole 3x3x3
+    lattice's paraboloid leaves zero-volume simplices)."""
+    if draw(st.booleans()):
+        w = 2 if d == 2 else 1
+        Y = np.array(list(itertools.product(range(-w, w + 1), repeat=d))) / 8.0
+        m = len(Y)
+    else:
+        m = draw(st.integers(1, 12))
+        cells = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+        Y = np.array(draw(st.lists(cells, min_size=m, max_size=m))) / 8.0
+    kind = draw(st.sampled_from(["random", "lattice", "affine", "paraboloid"]))
+    if kind == "random":
+        b = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    elif kind == "lattice":
+        b = np.array(draw(st.lists(_DYADIC, min_size=m, max_size=m)))
+    else:
+        # exact in binary floating point
+        c = np.array(draw(st.lists(_DYADIC, min_size=d + 1, max_size=d + 1)))
+        b = c[0] + Y @ c[1:] + (0.5 * (Y * Y).sum(axis=1) if kind == "paraboloid" else 0.0)
+    return ConvexSurrogate(slopes=Y, intercepts=b, lam=draw(st.floats(0.01, 1.0)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_hull_faces_match_qp_and_lp(d, data):
+    s = data.draw(lattice_surrogates(d))
+    Y = s.slopes
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    outside = data.draw(st.floats(1e-6, 1.0))
+    # beyond the slopes' extreme along a unit direction: that far outside
+    # the hull
+    dirs = rng.normal(size=(4, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    beyond = Y[np.argmax(Y @ dirs.T, axis=0)] + outside * dirs
+    star_probes = np.concatenate([
+        Y, 0.5 * (Y + np.roll(Y, 1, axis=0)), rng.dirichlet(np.ones(len(Y)), 8) @ Y, beyond,
+    ])
+    extra = rng.uniform(-3.0, 3.0, size=(12, d))
+    _assert_matches_oracles(
+        s, star_probes, lambda gamma: np.concatenate([gamma * Y, gamma * Y + 0.05, extra])
+    )

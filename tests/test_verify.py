@@ -341,25 +341,27 @@ def _distinct(points) -> set:
 
 def test_concentration_solves_each_distinct_sum_once(monkeypatch):
     inst = _grid_d2_half_map_solved()
-    calls = _counting(monkeypatch, "_simplex_qp")
+    calls = _counting(monkeypatch, "_face_argmin")
     ii, jj = inst.support_pairs()
     sums = _distinct(inst.mu.atoms[ii] + inst.nu.atoms[jj])
     check_concentration(inst)
-    assert len(calls) == len(sums) < len(ii)
+    # the rows that reach the face routine, over its blocks
+    assert sum(len(X) for _, X, _ in calls) == len(sums) < len(ii)
 
 
 def test_bias_reuses_star_at_nu_atoms(monkeypatch):
     inst = _grid_d2_half_map_solved()
     assert inst._stars is None and inst._psi_mu is None
-    lps = _counting(monkeypatch, "_psi_star_lp")
-    qps = _counting(monkeypatch, "_simplex_qp")
+    calls = _counting(monkeypatch, "_face_argmin")
     check_approx_conj(inst)
     check_bias(inst)
-    # one LP per distinct point among the nu-atoms and the map's images,
-    # one QP per distinct mu-atom
+    # psi* (weight 0) reaches the face routine once per distinct point among
+    # the nu-atoms and the map's images, the envelope prox once per mu-atom
+    stars = sum(len(X) for _, X, w in calls if w == 0.0)
+    proxes = sum(len(X) for _, X, w in calls if w != 0.0)
     points = _distinct(np.concatenate([inst.nu.atoms, inst.monge(inst.mu.atoms)]))
-    assert len(inst.nu) < len(lps) == len(points) < len(inst.nu) + len(inst.mu)
-    assert len(qps) == len(inst.mu)
+    assert len(inst.nu) < stars == len(points) < len(inst.nu) + len(inst.mu)
+    assert proxes == len(inst.mu)
 
 
 def test_prepare_instance_takes_a_warm_start_for_mu_ne_nu_only():
