@@ -15,7 +15,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -153,15 +153,18 @@ def _integer(value, name: str) -> int:
     return value
 
 
+# the solver keys a config may set, each with its JSON type check;
+# SolverConfig checks their ranges
+_SOLVER_KEYS = {"max_sweeps": _integer, "residual_tol": _real}
+
+
 @dataclass
 class ExperimentConfig:
     instance: dict
     eps_list: list[float]
     output_dir: Path
+    solver: SolverConfig   # validated at eps_list[0]; each run replaces its epsilon
     checks: list[str] = field(default_factory=lambda: list(DEFAULT_CHECKS))
-    max_sweeps: int = 10_000
-    residual_tol: float = 1e-10
-    support_tol: float = 0.0
     rate_fit: bool = False
     seed: int = 0
 
@@ -174,9 +177,12 @@ class ExperimentConfig:
             solver = raw.get("solver", {})
             if not isinstance(solver, dict):
                 raise TypeError(f"solver must be an object, got {solver!r}")
-            max_sweeps = _integer(solver.get("max_sweeps", 10_000), "max_sweeps")
-            residual_tol = _real(solver.get("residual_tol", 1e-10), "residual_tol")
-            support_tol = _real(solver.get("support_tol", 0.0), "support_tol")
+            unknown = sorted(set(solver) - set(_SOLVER_KEYS))
+            if unknown:
+                raise ValueError(
+                    f"unknown solver keys {unknown}; solver takes {sorted(_SOLVER_KEYS)}"
+                )
+            settings = {key: _SOLVER_KEYS[key](value, key) for key, value in solver.items()}
             rate_fit = raw.get("rate_fit", False)
             if not isinstance(rate_fit, bool):
                 raise TypeError(f"rate_fit must be true or false, got {rate_fit!r}")
@@ -185,15 +191,12 @@ class ExperimentConfig:
             raise CliConfigError(f"malformed config: {exc}") from exc
         if not eps_list or not all(math.isfinite(e) and e > 0 for e in eps_list):
             raise CliConfigError("eps_list must be nonempty, finite and positive")
-        if not (math.isfinite(residual_tol) and math.isfinite(support_tol)):
-            raise CliConfigError("residual_tol and support_tol must be finite")
-        if not (residual_tol > 0 and support_tol >= 0 and max_sweeps >= 1):
-            raise CliConfigError(
-                "residual_tol must be positive, support_tol nonnegative "
-                "and max_sweeps at least 1"
-            )
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise CliConfigError("eps_list must be sorted strictly descending")
+        try:
+            solver = SolverConfig(epsilon=eps_list[0], **settings)
+        except ConfigError as exc:
+            raise CliConfigError(f"bad solver settings: {exc}") from exc
         checks = raw.get("checks", "all")
         if checks == "all":
             checks = list(DEFAULT_CHECKS)
@@ -206,10 +209,8 @@ class ExperimentConfig:
             instance=instance,
             eps_list=eps_list,
             output_dir=output_dir,
+            solver=solver,
             checks=list(checks),
-            max_sweeps=max_sweeps,
-            residual_tol=residual_tol,
-            support_tol=support_tol,
             rate_fit=rate_fit,
             seed=seed,
         )
@@ -262,12 +263,7 @@ def run_experiment(config: ExperimentConfig, base_dir: Path, threads: int):
         exact = solve_exact(inst.mu, inst.nu, inst.monge, cost=inst.cost)
 
     def one_eps(eps: float, start=None):
-        cfg = SolverConfig(
-            epsilon=eps,
-            max_sweeps=config.max_sweeps,
-            residual_tol=config.residual_tol,
-            support_tol=config.support_tol,
-        )
+        cfg = replace(config.solver, epsilon=eps)
         solved = verify.prepare_instance(inst, cfg, profile, exact, start=start)
         reports = verify.run_checks(solved, config.checks)
         return solved.pot, (reports, solved.support_spread() if config.rate_fit else None)

@@ -87,7 +87,6 @@ def _sparse_coupling(
         j_idx=j_idx.astype(np.int32),
         masses=masses,
         densities=densities,
-        in_support=np.ones(len(i_idx), dtype=bool),
         residual=residual,
     )
 

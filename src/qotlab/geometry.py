@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import DiscreteMeasure, sq_distances
+from .measures import DiscreteMeasure, row_blocks, sq_distances
 
 DIST_DECIMALS = 12
 
@@ -62,22 +62,15 @@ class SpreadProfile:
         return buf.getvalue()
 
 
-# distance entries per row block when the profile streams over the matrix
-_BLOCK_ENTRIES = 2**15
-
-
 def _distance_blocks(mu: DiscreteMeasure, cost: Optional[np.ndarray], width: int):
-    """The distances between mu's atoms rounded to DIST_DECIMALS, in blocks
-    of whole rows of about _BLOCK_ENTRIES // width rows each (at least one)."""
-    n = len(mu)
-    rows = max(1, _BLOCK_ENTRIES // width)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    """The distances between mu's atoms rounded to DIST_DECIMALS, in the
+    row blocks of measures.row_blocks(len(mu), width)."""
+    for rows in row_blocks(len(mu), width):
         if cost is None:
-            dist = sq_distances(mu.atoms[lo:hi], mu.atoms)
+            dist = sq_distances(mu.atoms[rows], mu.atoms)
         else:
             # twice the cost |x_i - x_j|^2 / 2 is bitwise sq_distances (x 0.5 is exact)
-            dist = np.multiply(cost[lo:hi], 2.0)
+            dist = np.multiply(cost[rows], 2.0)
         np.sqrt(dist, out=dist)
         yield np.round(dist, DIST_DECIMALS, out=dist)
 
@@ -118,7 +111,7 @@ def build_spread(
         return SpreadProfile(radii=radii, rho_values=rho, source=source)
     R = len(radii)
     rho = np.full(R, np.inf)
-    # a block holds about _BLOCK_ENTRIES entries of the n x R mass table
+    # a block holds about measures.BLOCK_ENTRIES entries of the n x R mass table
     for dist in _distance_blocks(mu, cost, max(n, R)):
         order = np.argsort(dist, axis=1, kind="stable")
         cw = np.cumsum(w[order], axis=1)

@@ -23,6 +23,11 @@ MERGE_DECIMALS = 12
 WEIGHT_SUM_SLACK = 1e-9
 BALL_SLACK = 1e-12
 
+# entries per block wherever a computation streams over blocks of rows
+# instead of holding a whole array: distances, the coupling assembly, the
+# spread profile, the support checks and the d >= 2 surrogate's faces
+BLOCK_ENTRIES = 2**15
+
 
 class MeasureError(ValueError):
     """A measure or map violates the unit-ball / weight contract."""
@@ -43,6 +48,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
+
+
+def row_blocks(n: int, width: int):
+    """Slices of consecutive rows covering range(n), each of about
+    BLOCK_ENTRIES // width rows (at least one) of width entries."""
+    rows = max(1, BLOCK_ENTRIES // width)
+    for lo in range(0, n, rows):
+        yield slice(lo, min(lo + rows, n))
 
 
 def _merge_keys(points: np.ndarray) -> list[tuple]:
@@ -82,15 +95,13 @@ class DiscreteMeasure:
         # the minimum over blocks of rows, each with its diagonal entries set
         # to +inf, so no n x n array is held; x 2 is exact, so scaling each
         # entry gives the scaled minimum
-        rows = max(1, _SCRATCH_ENTRIES // n)
         best = np.inf
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
+        for rows in row_blocks(n, n):
             if cost is None:
-                block = sq_distances(self.atoms[lo:hi], self.atoms)
+                block = sq_distances(self.atoms[rows], self.atoms)
             else:
-                block = np.multiply(cost[lo:hi], 2.0)
-            block[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+                block = np.multiply(cost[rows], 2.0)
+            block[np.arange(len(block)), np.arange(rows.start, rows.stop)] = np.inf
             best = min(best, float(block.min()))
         return float(np.sqrt(best))
 
@@ -102,32 +113,27 @@ class DiscreteMeasure:
         }
 
 
-# entries of the row-block scratch buffer in sq_distances
-_SCRATCH_ENTRIES = 2**15
-
-
 def sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """The n x m matrix of squared distances |x_i - y_j|^2 between the rows
     of X (n, d) and Y (m, d).
 
     The squared coordinate differences are added one coordinate at a time,
     block of rows by block of rows, through one scratch buffer of about
-    2^15 entries, so no (n, m, d) array and no second n x m array is ever
-    built.  For d < 8 this is bit for bit ((X[:, None] - Y[None]) ** 2).sum(-1),
+    BLOCK_ENTRIES entries, so no (n, m, d) array and no second n x m array is
+    ever built.  For d < 8 this is bit for bit ((X[:, None] - Y[None]) ** 2).sum(-1),
     since numpy adds fewer than eight terms in order; from d = 8 on numpy sums
     pairwise and the two can differ in the last bits.
     """
     out = np.subtract.outer(X[:, 0], Y[:, 0])
     out *= out
     if X.shape[1] > 1:
-        n, m = out.shape
-        rows = max(1, _SCRATCH_ENTRIES // m)
-        scratch = np.empty((min(rows, n), m))
-        for lo in range(0, n, rows):
-            block = out[lo:lo + rows]
+        # the first block is the largest
+        scratch = np.empty_like(out[next(row_blocks(*out.shape), slice(0))])
+        for rows in row_blocks(*out.shape):
+            block = out[rows]
             tmp = scratch[: len(block)]
             for k in range(1, X.shape[1]):
-                np.subtract.outer(X[lo:lo + rows, k], Y[:, k], out=tmp)
+                np.subtract.outer(X[rows, k], Y[:, k], out=tmp)
                 tmp *= tmp
                 block += tmp
     return out

@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import DiscreteMeasure, sq_distances
+from .measures import DiscreteMeasure, row_blocks, sq_distances
 
 
 class ConfigError(ValueError):
@@ -78,19 +78,16 @@ class SolverConfig:
     epsilon: float
     max_sweeps: int = 10_000      # cap on Newton iterations
     residual_tol: float = 1e-10   # on the marginal-equation residual
-    support_tol: float = 0.0      # support = {f_i + g_j - c_ij > support_tol}
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.epsilon, self.residual_tol, self.support_tol))):
-            raise ConfigError("epsilon, residual_tol and support_tol must be finite")
+        if not (math.isfinite(self.epsilon) and math.isfinite(self.residual_tol)):
+            raise ConfigError("epsilon and residual_tol must be finite")
         if not (self.epsilon > 0):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.residual_tol > 0):
             raise ConfigError("residual_tol must be positive")
         if self.max_sweeps < 1:
             raise ConfigError("max_sweeps must be at least 1")
-        if self.support_tol < 0:
-            raise ConfigError("support_tol must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +105,8 @@ class Coupling:
     the atom pairs with positive mass, in row-major order: row i holds
     entries indptr[i]:indptr[i + 1] (indptr has n_mu + 1 int64 pointers),
     and j_idx holds each entry's column as int32.  No per-entry row array is
-    stored; rows() derives one.  Support flags mark density strictly above
-    support_tol."""
+    stored; rows() derives one.  The entries are the support: for a
+    regularized coupling, the pairs with f_i + g_j - c_ij > 0."""
 
     n_mu: int
     n_nu: int
@@ -118,8 +115,14 @@ class Coupling:
     j_idx: np.ndarray
     masses: np.ndarray
     densities: np.ndarray
-    in_support: np.ndarray
     residual: float
+
+    @property
+    def in_support(self) -> np.ndarray:
+        """All True, one flag per entry.  It exists only for the benchmark's
+        tracer (perfbench/layers.py), which counts the support as its sum;
+        the library and the tests read len(masses) instead."""
+        return np.ones(len(self.masses), dtype=bool)
 
     def rows(self) -> np.ndarray:
         """The row of each entry, as intp."""
@@ -435,10 +438,6 @@ def evaluate_f_at(x, pot: DualPotentials, nu: DiscreteMeasure) -> float:
     return solve_scalar_update(thresholds, nu.weights, pot.epsilon)
 
 
-# dense entries per row block of the coupling assembly
-_BLOCK_ENTRIES = 2**16
-
-
 def assemble_coupling(
     pot: DualPotentials, mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig,
     cost: Optional[np.ndarray] = None,
@@ -467,7 +466,6 @@ def assemble_coupling(
     # free the dense buffer before the other support-sized arrays are built:
     # at eps where most pairs are active (d = 3) they outweigh it
     del positive
-    in_support = density > cfg.support_tol
     density /= pot.epsilon
     # columns, extracted as int32 from a broadcast row of column numbers, and
     # masses mu_i nu_j density_ij, by blocks of rows, so the only
@@ -476,14 +474,12 @@ def assemble_coupling(
     j_idx = np.empty(len(density), dtype=np.int32)
     masses = np.empty(len(density))
     columns = np.broadcast_to(np.arange(m, dtype=np.int32), (n, m))
-    rows = max(1, _BLOCK_ENTRIES // m)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        span = slice(indptr[lo], indptr[hi])
-        cols = columns[lo:hi][active[lo:hi]]
+    for rows in row_blocks(n, m):
+        span = slice(indptr[rows.start], indptr[rows.stop])
+        cols = columns[rows][active[rows]]
         j_idx[span] = cols
         out = masses[span]
-        np.multiply(mu.weights[lo:hi].repeat(counts[lo:hi]), nu.weights[cols], out=out)
+        np.multiply(mu.weights[rows].repeat(counts[rows]), nu.weights[cols], out=out)
         out *= density[span]
     return Coupling(
         n_mu=n,
@@ -493,7 +489,6 @@ def assemble_coupling(
         j_idx=j_idx,
         masses=masses,
         densities=density,
-        in_support=in_support,
         residual=residual,
     )
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import GeometryError
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, row_blocks
 from .qot_solver import DualPotentials
 
 # psi* counts points this far outside the slopes' hull as inside, at the
@@ -49,8 +49,6 @@ HULL_TOL = 1e-11
 # singular values below this fraction of the largest count as zero when the
 # d >= 2 hull is built
 _FLAT = 1e-12
-# (point, face) pairs per block of the d >= 2 face routine
-_BLOCK = 2**15
 
 
 class DetachmentError(AssertionError):
@@ -186,13 +184,13 @@ def _prox_points(s: ConvexSurrogate, X: np.ndarray, gamma: float) -> np.ndarray:
 def _hull_argmin(s: ConvexSurrogate, X: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
     """The minimizer y over the slopes' hull of w conj(psi_tilde)(y) +
     |y - x|^2 / 2 at each row x of X, and conj(psi_tilde)(y), in d >= 2.
-    Each distinct row reaches _face_argmin once, in blocks of rows, so no
-    array grows with the batch times the faces."""
+    Each distinct row reaches _face_argmin once, in row blocks of about
+    BLOCK_ENTRIES (point, face) pairs, so no array grows with the batch times
+    the faces."""
     uniq, inverse = np.unique(X, axis=0, return_inverse=True)
-    step = max(1, _BLOCK // sum(len(idx) for idx, _ in s.hull))
     Y, low = np.empty_like(uniq), np.empty(len(uniq))
-    for lo in range(0, len(uniq), step):
-        Y[lo:lo + step], low[lo:lo + step] = _face_argmin(s, uniq[lo:lo + step], w)
+    for rows in row_blocks(len(uniq), sum(len(idx) for idx, _ in s.hull)):
+        Y[rows], low[rows] = _face_argmin(s, uniq[rows], w)
     inverse = inverse.reshape(-1)
     return Y[inverse], low[inverse]
 

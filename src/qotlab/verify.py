@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import exact_ot, geometry, qot_solver, surrogate
+from . import exact_ot, geometry, measures, qot_solver, surrogate
 from .measures import DiscreteMeasure, MongeMapSpec
 
 SLACK = 1e-8
@@ -162,14 +162,11 @@ class SolvedInstance:
         return self._surr
 
     def support_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The support pairs (ii, jj) as intp arrays in row-major order,
-        derived once per epsilon for the checkers that gather by pair."""
+        """The support pairs (ii, jj), the coupling's entries, as intp arrays
+        in row-major order, derived once per epsilon for the checkers that
+        gather by pair."""
         if self._pairs is None:
-            cpl = self.coupling
-            ii, jj = cpl.rows(), cpl.j_idx.astype(np.intp)
-            if not cpl.in_support.all():
-                ii, jj = ii[cpl.in_support], jj[cpl.in_support]
-            self._pairs = ii, jj
+            self._pairs = self.coupling.rows(), self.coupling.j_idx.astype(np.intp)
         return self._pairs
 
     def psi_at_mu(self) -> np.ndarray:
@@ -231,32 +228,19 @@ def prepare_instance(
     )
 
 
-# coupling entries per block when a checker streams over the support
-_BLOCK_PAIRS = 2**15
-
-
 def _support_blocks(coupling: qot_solver.Coupling):
     """The support in row-major order, in blocks (lo, counts, jj) that each
-    hold whole rows lo, lo + 1, ... of at most _BLOCK_PAIRS coupling entries
-    (a longer row is a block of its own): counts[k] support pairs in row
-    lo + k, and their columns jj as intp.  No support-sized array is built."""
+    hold whole rows lo, lo + 1, ... of at most measures.BLOCK_ENTRIES coupling
+    entries (a longer row is a block of its own): counts[k] support pairs in
+    row lo + k, and their columns jj as intp.  No support-sized array is
+    built."""
     indptr = coupling.indptr
     row = 0
     while row < coupling.n_mu:
-        end = int(np.searchsorted(indptr, indptr[row] + _BLOCK_PAIRS, side="right")) - 1
+        end = int(np.searchsorted(indptr, indptr[row] + measures.BLOCK_ENTRIES, side="right")) - 1
         end = max(end, row + 1)
-        lo, hi = indptr[row], indptr[end]
-        jj = coupling.j_idx[lo:hi].astype(np.intp)
-        keep = coupling.in_support[lo:hi]
-        if keep.all():
-            counts = np.diff(indptr[row:end + 1])
-        else:
-            # support pairs per row: differences of the running count of kept
-            # entries at the row pointers
-            kept = np.concatenate([[0], np.cumsum(keep)])
-            counts = np.diff(kept[indptr[row:end + 1] - lo])
-            jj = jj[keep]
-        yield row, counts, jj
+        jj = coupling.j_idx[indptr[row]:indptr[end]].astype(np.intp)
+        yield row, np.diff(indptr[row:end + 1]), jj
         row = end
 
 

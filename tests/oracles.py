@@ -249,11 +249,11 @@ def brute_force_rho(mu, r: float) -> float:
     return float(best)
 
 
-def nonzero_coupling(pot, mu, nu, cfg) -> dict:
+def nonzero_coupling(pot, mu, nu) -> dict:
     """The coupling entries as qot_solver.assemble_coupling built them before
     it stored row pointers: int64 rows and columns from np.nonzero of the
-    positive slack, in row-major order, with densities, masses and support
-    flags gathered at them."""
+    positive slack, in row-major order, with densities and masses gathered
+    at them."""
     positive = np.maximum(
         pot.f_values[:, None] + pot.g_values[None, :] - cost_matrix(mu.atoms, nu.atoms), 0.0
     )
@@ -267,7 +267,6 @@ def nonzero_coupling(pot, mu, nu, cfg) -> dict:
         "columns": j_idx,
         "masses": masses,
         "densities": slack / pot.epsilon,
-        "in_support": slack > cfg.support_tol,
     }
 
 
@@ -291,7 +290,7 @@ def coordinate_support_spread(inst) -> float:
     an empty support, from the squared coordinate differences added one
     coordinate at a time: the loop that verify._support_spread replaced."""
     cpl = inst.coupling
-    ii, jj = cpl.rows()[cpl.in_support], cpl.j_idx[cpl.in_support]
+    ii, jj = cpl.rows(), cpl.j_idx
     if not len(ii):
         return 0.0
     sq = np.zeros(len(ii))

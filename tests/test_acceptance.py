@@ -135,8 +135,7 @@ def _rate_sweep(d: int, h: float, eps_list, cap_seconds=None):
         cfg = SolverConfig(epsilon=eps, residual_tol=RESIDUAL_TOL)
         pot = solve(mu, mu, cfg)
         cpl = assemble_coupling(pot, mu, mu, cfg)
-        mask = cpl.in_support
-        diffs = mu.atoms[cpl.rows()[mask]] - mu.atoms[cpl.j_idx[mask]]
+        diffs = mu.atoms[cpl.rows()] - mu.atoms[cpl.j_idx]
         spread = float(np.sqrt((diffs**2).sum(-1)).max())
         spreads.append(spread)
         scale = min(math.sqrt(delta_st(profile, eps)), diam)

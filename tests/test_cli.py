@@ -63,6 +63,8 @@ def test_run_singleton_exit_zero(tmp_path):
         {"solver": {"residual_tol": float("inf")}},
         {"solver": {"residual_tol": 0}},
         {"solver": {"support_tol": -1e-3}},
+        {"solver": {"residual_tl": 1e-9}},
+        {"solver": {"support_tol": 0.0}},
         {"solver": {"max_sweeps": 0}},
         {"solver": {"max_sweeps": 0.5}},
         {"solver": {"max_sweeps": True}},
@@ -75,8 +77,9 @@ def test_run_singleton_exit_zero(tmp_path):
         "seed-not-a-number", "instance-without-h", "instance-h-not-a-number",
         "instance-file-missing", "instance-not-an-object", "rate-fit-not-a-boolean",
         "rate-fit-zero", "eps-infinite", "residual-tol-infinite", "residual-tol-zero",
-        "support-tol-negative", "max-sweeps-zero", "max-sweeps-fractional",
-        "max-sweeps-boolean", "seed-fractional", "seed-boolean", "eps-boolean",
+        "support-tol-negative", "residual-tol-typo", "support-tol-zero", "max-sweeps-zero",
+        "max-sweeps-fractional", "max-sweeps-boolean", "seed-fractional", "seed-boolean",
+        "eps-boolean",
     ],
 )
 def test_run_rejects_malformed_config(tmp_path, monkeypatch, capsys, overrides):
@@ -91,6 +94,10 @@ def test_run_rejects_malformed_config(tmp_path, monkeypatch, capsys, overrides):
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_CONFIG
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "config"
+    solver = overrides.get("solver")
+    if isinstance(solver, dict) and not set(solver) <= {"max_sweeps", "residual_tol"}:
+        # support_tol is gone: any other solver key is named, never ignored
+        assert "unknown solver keys" in record["detail"]
     if "instance" in overrides:
         # gen materializes the same spec and must reject it the same way
         spec = tmp_path / "spec.json"
@@ -98,6 +105,15 @@ def test_run_rejects_malformed_config(tmp_path, monkeypatch, capsys, overrides):
         assert cli.main(["gen", "-s", str(spec), "-o", str(tmp_path / "gen")]) == cli.EXIT_CONFIG
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "config"
+
+
+def test_readme_config_example_is_accepted(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Config schema (JSON):", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    raw = json.loads(block)
+    config = cli.ExperimentConfig.from_dict(raw, tmp_path)
+    assert config.solver == qot_solver.SolverConfig(epsilon=raw["eps_list"][0], **raw["solver"])
+    assert config.output_dir == tmp_path / raw["output_dir"]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bisect_delta_st, broadcast_sq_distances, brute_force_rho, loop_spread
-from qotlab import geometry
+from qotlab import measures
 from qotlab.cli import build_instance
 from qotlab.geometry import (
     DIST_DECIMALS,
@@ -170,7 +170,7 @@ def test_diameter():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_distances_bitwise_match_broadcast(d, monkeypatch):
-    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 7 * 30)  # blocks of 7 rows
+    monkeypatch.setattr(measures, "BLOCK_ENTRIES", 7 * 30)  # blocks of 7 rows
     mu = _random_measure(d, n=30, d=d)
     dist = np.sqrt(broadcast_sq_distances(mu.atoms, mu.atoms))
     assert diameter(mu) == float(dist.max())
@@ -232,7 +232,7 @@ def test_spread_bitwise_matches_loop_on_tiny_measures(mu):
 def test_spread_bitwise_matches_loop_across_block_edges(mu, block_rows, monkeypatch):
     # blocks of a row or a few rows, so block edges fall inside the matrix
     # (the weighted pass takes fewer rows per block once R > n)
-    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", block_rows * len(mu))
+    monkeypatch.setattr(measures, "BLOCK_ENTRIES", block_rows * len(mu))
     _assert_spread_matches_loop(mu)
 
 
@@ -258,12 +258,12 @@ def test_spread_bitwise_matches_loop_weighted(case):
         atoms += np.random.default_rng(len(points)).uniform(-0.03, 0.03, size=atoms.shape)
     w = np.array(raw_weights[: len(atoms)], dtype=float)
     mu = make_measure(atoms, w / w.sum())
-    old = geometry._BLOCK_ENTRIES
-    geometry._BLOCK_ENTRIES = block_rows * len(mu)
+    old = measures.BLOCK_ENTRIES
+    measures.BLOCK_ENTRIES = block_rows * len(mu)
     try:
         _assert_spread_matches_loop(mu)
     finally:
-        geometry._BLOCK_ENTRIES = old
+        measures.BLOCK_ENTRIES = old
 
 
 @pytest.mark.parametrize("d, h", [(2, 0.07), (3, 0.2)])

@@ -137,7 +137,7 @@ def test_sq_distances_bitwise_matches_broadcast(data, n, extra, d):
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_sq_distances_bitwise_across_scratch_blocks(d, scratch_entries, monkeypatch):
     # scratch blocks of one row, a few rows, or a part of the matrix
-    monkeypatch.setattr(measures, "_SCRATCH_ENTRIES", scratch_entries)
+    monkeypatch.setattr(measures, "BLOCK_ENTRIES", scratch_entries)
     rng = np.random.default_rng(d)
     X, Y = rng.uniform(-1.0, 1.0, size=(23, d)), rng.uniform(-1.0, 1.0, size=(11, d))
     for A, B in ((X, Y), (Y, X)):

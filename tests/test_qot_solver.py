@@ -14,7 +14,7 @@ from oracles import (
     qp_oracle_coupling,
     sort_hinge_root,
 )
-from qotlab import qot_solver
+from qotlab import measures, qot_solver
 from qotlab.geometry import build_spread, hinge_root_bound
 from qotlab.measures import make_measure, uniform_ball_grid
 from qotlab.qot_solver import (
@@ -143,9 +143,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SolverConfig(epsilon=0.1, residual_tol=0.0)
     for bad in ({"epsilon": float("inf")}, {"epsilon": float("nan")},
-                {"epsilon": 0.1, "residual_tol": float("inf")},
-                {"epsilon": 0.1, "support_tol": float("inf")},
-                {"epsilon": 0.1, "support_tol": float("nan")}):
+                {"epsilon": 0.1, "residual_tol": float("inf")}):
         with pytest.raises(ConfigError, match="finite"):
             SolverConfig(**bad)
 
@@ -464,7 +462,7 @@ def test_assemble_coupling_peak_memory_given_cost():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cpl.in_support.sum() <= 0.1 * C.size
+    assert len(cpl.masses) <= 0.1 * C.size
     assert peak <= 2.5 * C.nbytes
 
 
@@ -488,15 +486,6 @@ def test_start_takes_one_hinge_batch_per_block(monkeypatch, shift):
     assert len(calls) == (2 if shift else 1)
 
 
-def test_support_tol_override_shrinks_support():
-    mu = uniform_ball_grid(1, 0.5)
-    cfg0 = SolverConfig(epsilon=0.2)
-    pot = solve(mu, mu, cfg0)
-    full = assemble_coupling(pot, mu, mu, cfg0)
-    tight = assemble_coupling(pot, mu, mu, SolverConfig(epsilon=0.2, support_tol=0.05))
-    assert tight.in_support.sum() < full.in_support.sum()
-    # positive-mass entries are unchanged; only the support flag narrows
-    assert np.array_equal(tight.masses, full.masses)
 
 
 KNIFE_EDGE = 1e-8   # |slack| at or below this is a knife-edge pair
@@ -597,7 +586,7 @@ def _assert_valid_csr(cpl):
     assert cpl.indptr.shape == (cpl.n_mu + 1,)
     assert cpl.indptr[0] == 0 and cpl.indptr[-1] == len(cpl.masses)
     assert np.all(np.diff(cpl.indptr) >= 0)
-    assert len(cpl.j_idx) == len(cpl.densities) == len(cpl.in_support) == len(cpl.masses)
+    assert len(cpl.j_idx) == len(cpl.densities) == len(cpl.masses)
     assert np.all((cpl.j_idx >= 0) & (cpl.j_idx < cpl.n_nu))
     same_row = np.diff(cpl.rows()) == 0
     assert np.all(np.diff(cpl.j_idx.astype(np.int64))[same_row] > 0)
@@ -612,12 +601,9 @@ def _assert_valid_csr(cpl):
     log_eps=st.floats(min_value=-3.0, max_value=0.0),
     layout=st.sampled_from(["lattice", "jitter", "clusters"]),
     pairing=st.sampled_from(["self", "shifted", "independent"]),
-    support_tol=st.sampled_from([0.0, 1e-3, 1e-2]),
     block=st.sampled_from([None, 1, 7]),
 )
-def test_csr_assembly_matches_nonzero_oracle(
-    n, m, d, seed, log_eps, layout, pairing, support_tol, block
-):
+def test_csr_assembly_matches_nonzero_oracle(n, m, d, seed, log_eps, layout, pairing, block):
     # differential test of the row-pointer assembly against the np.nonzero
     # assembly it replaced: every per-entry array bitwise; block=1 makes
     # each row a block of its own, 7 cuts blocks of part of a row's width
@@ -631,34 +617,16 @@ def test_csr_assembly_matches_nonzero_oracle(
     else:
         nu_atoms = _random_atoms(rng, m, d, layout)
         nu = make_measure(nu_atoms, (v := rng.uniform(0.1, 1.0, size=m)) / v.sum())
-    cfg = SolverConfig(epsilon=10.0**log_eps, support_tol=support_tol)
+    cfg = SolverConfig(epsilon=10.0**log_eps)
     pot = solve(mu, nu, cfg)
-    with mock.patch.object(qot_solver, "_BLOCK_ENTRIES", block or qot_solver._BLOCK_ENTRIES):
+    with mock.patch.object(measures, "BLOCK_ENTRIES", block or measures.BLOCK_ENTRIES):
         cpl = assemble_coupling(pot, mu, nu, cfg)
     _assert_valid_csr(cpl)
-    want = nonzero_coupling(pot, mu, nu, cfg)
+    want = nonzero_coupling(pot, mu, nu)
     assert np.array_equal(cpl.rows(), want["rows"])
     assert np.array_equal(cpl.j_idx, want["columns"])
     assert cpl.masses.tobytes() == want["masses"].tobytes()
     assert cpl.densities.tobytes() == want["densities"].tobytes()
-    assert np.array_equal(cpl.in_support, want["in_support"])
-
-
-def test_csr_assembly_of_a_grid_with_empty_support_rows():
-    # a positive support_tol empties the support flags of some entries but
-    # keeps every positive-mass entry; the grid spans many row blocks
-    mu = uniform_ball_grid(2, 0.07)
-    cfg = SolverConfig(epsilon=0.01, support_tol=0.004)
-    pot = solve(mu, mu, cfg)
-    cpl = assemble_coupling(pot, mu, mu, cfg)
-    _assert_valid_csr(cpl)
-    assert len(mu) ** 2 > 4 * qot_solver._BLOCK_ENTRIES
-    assert 0 < cpl.in_support.sum() < len(cpl.masses)
-    want = nonzero_coupling(pot, mu, mu, cfg)
-    assert np.array_equal(cpl.rows(), want["rows"])
-    assert np.array_equal(cpl.j_idx, want["columns"])
-    assert cpl.masses.tobytes() == want["masses"].tobytes()
-    assert np.array_equal(cpl.in_support, want["in_support"])
 
 
 def _jittered_weighted(rng, d):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import coordinate_support_spread
-from qotlab import cli, surrogate, verify
+from qotlab import cli, measures, surrogate, verify
 from qotlab.geometry import build_spread
 from qotlab.measures import affine_map, identity_map, make_measure, pushforward, uniform_ball_grid
 from qotlab.qot_solver import ConfigError, SolverConfig
@@ -213,14 +213,13 @@ def test_concentration_matches_per_pair_reference():
 
 def test_grad_estimate_matches_per_row_reference():
     mu = uniform_ball_grid(2, 0.2)
-    cfg = SolverConfig(epsilon=0.05, support_tol=0.01)
+    cfg = SolverConfig(epsilon=0.05)
     inst = prepare_instance(Instance("grid-d2", mu, mu, identity_map()), cfg, build_spread(mu))
     cpl = inst.coupling
-    assert not cpl.in_support.all()  # the support flags narrow some rows
     ii, jj = inst.support_pairs()
     worst = 0.0
     for i in np.unique(ii):
-        mask = (cpl.rows() == i) & cpl.in_support
+        mask = cpl.rows() == i
         w = mu.weights[cpl.j_idx[mask]]
         bary = (w[:, None] * mu.atoms[cpl.j_idx[mask]]).sum(axis=0) / w.sum()
         cols = jj[ii == i]
@@ -243,19 +242,19 @@ def _inline_measure(d: int, seed: int):
 
 
 SELF_TRANSPORT_CASES = {
-    # name: (measure builder, eps, support_tol)
-    "d1-grid": (lambda: uniform_ball_grid(1, 0.05), 0.05, 0.0),
-    "d1-weighted-tol": (lambda: _inline_measure(1, 3), 0.05, 0.004),
-    "d2-weighted-tol": (lambda: _inline_measure(2, 4), 0.05, 0.01),
-    "d2-grid-many-blocks": (lambda: uniform_ball_grid(2, 0.07), 10.0**-1.2, 0.0),
+    # name: (measure builder, eps)
+    "d1-grid": (lambda: uniform_ball_grid(1, 0.05), 0.05),
+    "d1-weighted-tol": (lambda: _inline_measure(1, 3), 0.05),
+    "d2-weighted-tol": (lambda: _inline_measure(2, 4), 0.05),
+    "d2-grid-many-blocks": (lambda: uniform_ball_grid(2, 0.07), 10.0**-1.2),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def _self_transport_solved(name: str):
-    build, eps, tol = SELF_TRANSPORT_CASES[name]
+    build, eps = SELF_TRANSPORT_CASES[name]
     mu = build()
-    cfg = SolverConfig(epsilon=eps, support_tol=tol)
+    cfg = SolverConfig(epsilon=eps)
     return prepare_instance(Instance(name, mu, mu, identity_map()), cfg, build_spread(mu))
 
 
@@ -266,7 +265,7 @@ def _per_row_mask_reference(inst):
     ii, _ = inst.support_pairs()
     worst_dev = spread = 0.0
     for i in np.unique(ii):
-        cols = cpl.j_idx[(cpl.rows() == i) & cpl.in_support]
+        cols = cpl.j_idx[cpl.rows() == i]
         w = inst.nu.weights[cols]
         bary = (w[:, None] * inst.nu.atoms[cols]).sum(axis=0) / w.sum()
         devs = np.sqrt(((bary[None, :] - inst.nu.atoms[cols]) ** 2).sum(-1))
@@ -282,18 +281,16 @@ def test_self_transport_streams_match_per_row_reference(name, block, monkeypatch
     # block=None keeps the module's block size; 5 is shorter than every row,
     # so each row is a block of its own; 300 cuts blocks of several rows
     if block is not None:
-        monkeypatch.setattr(verify, "_BLOCK_PAIRS", block)
+        monkeypatch.setattr(measures, "BLOCK_ENTRIES", block)
     inst = _self_transport_solved(name)
     cpl = inst.coupling
-    if SELF_TRANSPORT_CASES[name][2] > 0:
-        assert not cpl.in_support.all()
     blocks = list(verify._support_blocks(cpl))
     if block is None and name == "d2-grid-many-blocks":
         assert len(blocks) >= 3
     # the blocks partition the support in order and never split a row: they
     # cover consecutive row ranges, each of at most the block size in
     # coupling entries unless it is a single row
-    size = verify._BLOCK_PAIRS
+    size = measures.BLOCK_ENTRIES
     starts = [lo for lo, _, _ in blocks]
     ends = [lo + len(counts) for lo, counts, _ in blocks]
     assert starts[0] == 0 and ends[-1] == cpl.n_mu and starts[1:] == ends[:-1]
@@ -301,7 +298,7 @@ def test_self_transport_streams_match_per_row_reference(name, block, monkeypatch
         cpl.indptr[b] - cpl.indptr[a] <= size or b == a + 1 for a, b in zip(starts, ends)
     )
     assert all(counts.sum() == len(jj) and jj.dtype == np.intp for _, counts, jj in blocks)
-    ii, jj = cpl.rows()[cpl.in_support], cpl.j_idx[cpl.in_support]
+    ii, jj = cpl.rows(), cpl.j_idx
     rows = [np.repeat(np.arange(lo, lo + len(counts)), counts) for lo, counts, _ in blocks]
     assert np.array_equal(np.concatenate(rows), ii)
     assert np.array_equal(np.concatenate([b[2] for b in blocks]), jj)
@@ -322,7 +319,7 @@ def test_support_spread_from_cost_matches_coordinate_loop(d, h, eps):
     inst = prepare_instance(
         Instance(f"grid-d{d}", mu, mu, identity_map()), SolverConfig(epsilon=eps), build_spread(mu)
     )
-    assert 0 < inst.coupling.in_support.sum() < len(mu) ** 2
+    assert 0 < len(inst.coupling.masses) < len(mu) ** 2
     want = coordinate_support_spread(inst)
     assert want > 0.0
     assert np.float64(inst.support_spread()).tobytes() == np.float64(want).tobytes()
