@@ -264,12 +264,10 @@ def _grad_estimate_lhs(inst: SolvedInstance) -> float:
     """Largest distance from a support atom y_j to the nu-barycenter of its
     row's support atoms, 0 on an empty support.
 
-    Bit for bit the per-row computation (w[:, None] * y).sum(axis=0) /
-    w.sum() over each row's support columns, then the distances summed over
-    the coordinate axis.  numpy adds a 1-D vector, and a (k, 1) column,
-    pairwise, so the weight totals and the d = 1 barycenter sums are taken
-    one row at a time; a (k, d >= 2) block it adds row by row in order, as
-    bincount does.
+    Per block of rows, np.bincount takes each row's weight total and, one
+    coordinate at a time, its weighted coordinate sums.  bincount adds a
+    row's terms in index order, so a row's values do not depend on its
+    block.
     """
     nu = inst.nu
     worst = 0.0
@@ -277,19 +275,13 @@ def _grad_estimate_lhs(inst: SolvedInstance) -> float:
         if not len(jj):
             continue
         counts = counts[counts > 0]
-        ends = np.cumsum(counts)
-        rows = list(zip((ends - counts).tolist(), ends.tolist()))
         seg = np.repeat(np.arange(len(counts)), counts)
         w = nu.weights[jj]
-        total = np.array([w[a:b].sum() for a, b in rows])
+        total = np.bincount(seg, weights=w, minlength=len(counts))
         sq = np.zeros(len(jj))
         for coord in nu.atoms.T:
             y = coord[jj]
-            weighted = w * y
-            if nu.dim == 1:
-                num = np.array([weighted[a:b].sum() for a, b in rows])
-            else:
-                num = np.bincount(seg, weights=weighted, minlength=len(rows))
+            num = np.bincount(seg, weights=w * y, minlength=len(counts))
             diff = (num / total)[seg] - y
             diff *= diff
             sq += diff

@@ -15,7 +15,9 @@ enumeration or an LP, squared distances from the (n, m, d) broadcast
 np.nonzero with int64 row and column arrays (the library builds row
 pointers and int32 columns by blocks of rows), and the surrogate's envelope
 prox and conjugate from an active-set QP over the simplex of slopes and a
-HiGHS LP (the library enumerates the faces of the lifted points' lower hull).
+HiGHS LP (the library enumerates the faces of the lifted points' lower hull),
+and GradEstimate's barycenters from a Python loop over each row's entries
+(the library takes segment sums with np.bincount over blocks of rows).
 """
 from __future__ import annotations
 
@@ -299,6 +301,34 @@ def coordinate_support_spread(inst) -> float:
         diff *= diff
         sq += diff
     return math.sqrt(float(sq.max()))
+
+
+def loop_grad_estimate(inst) -> float:
+    """GradEstimate's lhs for a SolvedInstance, one row of the support at a
+    time: the row's weight total and weighted coordinate sums added term by
+    term in index order (the order in which np.bincount adds them), then the
+    largest distance from a row's support atom to the row's barycenter, with
+    the squared differences added one coordinate at a time; 0 on an empty
+    support."""
+    cpl, atoms, weights = inst.coupling, inst.nu.atoms, inst.nu.weights
+    worst = 0.0
+    for i in range(cpl.n_mu):
+        cols = cpl.j_idx[cpl.indptr[i]:cpl.indptr[i + 1]]
+        if not len(cols):
+            continue
+        total, sums = 0.0, [0.0] * inst.nu.dim
+        for j in cols:
+            total += weights[j]
+            for c in range(inst.nu.dim):
+                sums[c] += weights[j] * atoms[j, c]
+        bary = [s / total for s in sums]
+        for j in cols:
+            sq = 0.0
+            for c in range(inst.nu.dim):
+                diff = bary[c] - atoms[j, c]
+                sq += diff * diff
+            worst = max(worst, float(sq))
+    return math.sqrt(worst)
 
 
 def bisect_delta_st(profile, eps: float, iters: int = 200) -> float:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import coordinate_support_spread
+from oracles import coordinate_support_spread, loop_grad_estimate
 from qotlab import cli, measures, surrogate, verify
 from qotlab.geometry import build_spread
 from qotlab.measures import affine_map, identity_map, make_measure, pushforward, uniform_ball_grid
@@ -215,16 +215,7 @@ def test_grad_estimate_matches_per_row_reference():
     mu = uniform_ball_grid(2, 0.2)
     cfg = SolverConfig(epsilon=0.05)
     inst = prepare_instance(Instance("grid-d2", mu, mu, identity_map()), cfg, build_spread(mu))
-    cpl = inst.coupling
-    ii, jj = inst.support_pairs()
-    worst = 0.0
-    for i in np.unique(ii):
-        mask = cpl.rows() == i
-        w = mu.weights[cpl.j_idx[mask]]
-        bary = (w[:, None] * mu.atoms[cpl.j_idx[mask]]).sum(axis=0) / w.sum()
-        cols = jj[ii == i]
-        devs = np.sqrt(((bary[None, :] - mu.atoms[cols]) ** 2).sum(-1))
-        worst = max(worst, float(devs.max()))
+    worst = loop_grad_estimate(inst)
     rep = next(r for r in check_self_transport(inst) if r.bound_id == "GradEstimate")
     assert np.float64(rep.lhs).tobytes() == np.float64(worst).tobytes()
     assert rep.holds is True
@@ -258,21 +249,16 @@ def _self_transport_solved(name: str):
     return prepare_instance(Instance(name, mu, mu, identity_map()), cfg, build_spread(mu))
 
 
-def _per_row_mask_reference(inst):
-    """GradEstimate lhs and support spread, one row of the support at a time,
-    each row's columns picked by a mask over the whole coupling."""
+def _per_row_mask_spread(inst):
+    """The support spread, one row of the support at a time, each row's
+    columns picked by a mask over the whole coupling."""
     cpl = inst.coupling
-    ii, _ = inst.support_pairs()
-    worst_dev = spread = 0.0
-    for i in np.unique(ii):
+    spread = 0.0
+    for i in np.unique(cpl.rows()):
         cols = cpl.j_idx[cpl.rows() == i]
-        w = inst.nu.weights[cols]
-        bary = (w[:, None] * inst.nu.atoms[cols]).sum(axis=0) / w.sum()
-        devs = np.sqrt(((bary[None, :] - inst.nu.atoms[cols]) ** 2).sum(-1))
-        worst_dev = max(worst_dev, float(devs.max()))
         dists = np.sqrt(((inst.mu.atoms[i] - inst.nu.atoms[cols]) ** 2).sum(-1))
         spread = max(spread, float(dists.max()))
-    return worst_dev, spread
+    return spread
 
 
 @pytest.mark.parametrize("block", [None, 5, 300])
@@ -305,7 +291,7 @@ def test_self_transport_streams_match_per_row_reference(name, block, monkeypatch
     pairs = inst.support_pairs()
     assert np.array_equal(pairs[0], ii) and np.array_equal(pairs[1], jj)
 
-    worst_dev, spread = _per_row_mask_reference(inst)
+    worst_dev, spread = loop_grad_estimate(inst), _per_row_mask_spread(inst)
     by_id = {r.bound_id: r for r in check_self_transport(inst)}
     assert np.float64(by_id["GradEstimate"].lhs).tobytes() == np.float64(worst_dev).tobytes()
     assert np.float64(inst.support_spread()).tobytes() == np.float64(spread).tobytes()
