@@ -257,7 +257,7 @@ def run_experiment(config: ExperimentConfig, base_dir: Path, threads: int):
             inst.mu.min_pairwise_distance(inst.self_cost), inst.mu.dim, min(config.eps_list)
         )
     # everything that depends on the instance alone is built once per run
-    profile = geometry.build_spread(inst.mu, source=inst.name, cost=inst.self_cost)
+    profile = geometry.build_spread(inst.mu, cost=inst.self_cost)
     exact = None
     if "CostSandwich" in config.checks:
         exact = solve_exact(inst.mu, inst.nu, inst.monge, cost=inst.cost)
@@ -266,7 +266,7 @@ def run_experiment(config: ExperimentConfig, base_dir: Path, threads: int):
         cfg = replace(config.solver, epsilon=eps)
         solved = verify.prepare_instance(inst, cfg, profile, exact, start=start)
         reports = verify.run_checks(solved, config.checks)
-        return solved.pot, (reports, solved.support_spread() if config.rate_fit else None)
+        return solved.pot, (reports, solved.support_spread if config.rate_fit else None)
 
     if inst.self_transport:
         with ThreadPoolExecutor(max_workers=min(threads, len(config.eps_list))) as pool:

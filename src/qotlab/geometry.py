@@ -45,7 +45,6 @@ class SpreadProfile:
 
     radii: np.ndarray
     rho_values: np.ndarray
-    source: str = ""
 
     def rho_at(self, r: float) -> float:
         if r <= 0:
@@ -85,9 +84,7 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return flat[keep]
 
 
-def build_spread(
-    mu: DiscreteMeasure, source: str = "", cost: Optional[np.ndarray] = None
-) -> SpreadProfile:
+def build_spread(mu: DiscreteMeasure, cost: Optional[np.ndarray] = None) -> SpreadProfile:
     """Profile of rho over all candidate radii (the distinct pairwise
     distances, rounded to 12 decimals for order-independent breakpoints).
     cost, when given, is the matrix |x_i - x_j|^2 / 2 of mu's atoms, read
@@ -108,7 +105,7 @@ def build_spread(
     radii = _distinct(np.concatenate(parts))
     if (w == w[0]).all():
         rho = np.cumsum(w)[np.searchsorted(q, radii, side="right") - 1]
-        return SpreadProfile(radii=radii, rho_values=rho, source=source)
+        return SpreadProfile(radii=radii, rho_values=rho)
     R = len(radii)
     rho = np.full(R, np.inf)
     # a block holds about measures.BLOCK_ENTRIES entries of the n x R mass table
@@ -124,7 +121,7 @@ def build_spread(
         within = np.bincount(pos.ravel(), minlength=rows * R).reshape(rows, R).cumsum(axis=1)
         within -= 1
         np.minimum(rho, np.take_along_axis(cw, within, axis=1).min(axis=0), out=rho)
-    return SpreadProfile(radii=radii, rho_values=rho, source=source)
+    return SpreadProfile(radii=radii, rho_values=rho)
 
 
 def _first_piece_exceeding(profile: SpreadProfile, eps: float, squared: bool) -> int:

@@ -150,6 +150,9 @@ def make_measure(atoms, weights) -> DiscreteMeasure:
         raise MeasureError("atoms and weights must be nonempty")
     if len(pts) != len(w):
         raise MeasureError(f"{len(pts)} atoms but {len(w)} weights")
+    # NaN fails every comparison below, so non-finite inputs are caught here
+    if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+        raise MeasureError("atoms and weights must be finite")
     if np.any(w <= 0):
         raise MeasureError("weights must be strictly positive")
     total = float(w.sum())
@@ -227,6 +230,8 @@ def affine_map(matrix, offset=None) -> MongeMapSpec:
     A = np.atleast_2d(np.asarray(matrix, dtype=float))
     if A.shape[0] != A.shape[1]:
         raise MeasureError("affine map matrix must be square")
+    if not np.isfinite(A).all():
+        raise MeasureError("affine map matrix must be finite")
     if not np.allclose(A, A.T, atol=1e-12, rtol=0.0):
         raise MeasureError("affine map matrix must be symmetric")
     eig = np.linalg.eigvalsh(A)
@@ -235,6 +240,8 @@ def affine_map(matrix, offset=None) -> MongeMapSpec:
     b = np.zeros(A.shape[0]) if offset is None else np.asarray(offset, dtype=float).reshape(-1)
     if len(b) != A.shape[0]:
         raise MeasureError("affine map offset has wrong dimension")
+    if not np.isfinite(b).all():
+        raise MeasureError("affine map offset must be finite")
     return MongeMapSpec(
         kind="affine",
         lipschitz_L=float(max(eig.max(), 0.0)),

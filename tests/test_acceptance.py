@@ -56,7 +56,7 @@ def sweep(shipped_instances):
     prepared pipelines, and full check reports."""
     out = {}
     for inst in shipped_instances:
-        profile = build_spread(inst.mu, source=inst.name)
+        profile = build_spread(inst.mu)
         exact = solve_exact(inst.mu, inst.nu, inst.monge)
         per_eps = {}
         for eps in EPS_SWEEP:

@@ -28,6 +28,16 @@ def _write_config(path: Path, **overrides) -> Path:
     return cfg_path
 
 
+def _inline(atoms, weights, **monge) -> dict:
+    """An inline d=1 self-transport instance spec; monge, when given, holds
+    the matrix or offset of an affine ground-truth map."""
+    mu = {"dim": 1, "atoms": atoms, "weights": weights}
+    spec = {"name": "inline", "kind": "inline", "mu": mu}
+    if monge:
+        spec["monge"] = {"kind": "affine", "matrix": [[1.0]], **monge}
+    return spec
+
+
 def test_run_singleton_exit_zero(tmp_path):
     cfg = _write_config(tmp_path)
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
@@ -71,6 +81,10 @@ def test_run_singleton_exit_zero(tmp_path):
         {"seed": 0.5},
         {"seed": True},
         {"eps_list": [True]},
+        {"instance": _inline([[0.0], [float("nan")]], [0.5, 0.5])},
+        {"instance": _inline([[0.0], [0.5]], [0.5, float("nan")])},
+        {"instance": _inline([[0.0], [0.5]], [0.5, 0.5], offset=[float("nan")])},
+        {"instance": _inline([[0.0], [0.5]], [0.5, 0.5], matrix=[[float("inf")]])},
     ],
     ids=[
         "nonpositive-eps", "unsorted-eps", "solver-not-an-object", "max-sweeps-not-a-number",
@@ -79,7 +93,8 @@ def test_run_singleton_exit_zero(tmp_path):
         "rate-fit-zero", "eps-infinite", "residual-tol-infinite", "residual-tol-zero",
         "support-tol-negative", "residual-tol-typo", "support-tol-zero", "max-sweeps-zero",
         "max-sweeps-fractional", "max-sweeps-boolean", "seed-fractional", "seed-boolean",
-        "eps-boolean",
+        "eps-boolean", "inline-nan-atom", "inline-nan-weight", "inline-nan-offset",
+        "inline-infinite-matrix",
     ],
 )
 def test_run_rejects_malformed_config(tmp_path, monkeypatch, capsys, overrides):

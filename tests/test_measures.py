@@ -70,6 +70,23 @@ def test_atom_outside_ball_rejected():
         make_measure([1.001], [1.0])
 
 
+@pytest.mark.parametrize(
+    "atoms, weights",
+    [
+        ([0.0, np.nan], [0.5, 0.5]),
+        ([0.0, np.inf], [0.5, 0.5]),
+        ([[0.0, 0.0], [np.nan, 0.5]], [0.5, 0.5]),
+        ([0.0, 0.5], [0.5, np.nan]),
+        ([0.0, 0.5], [np.inf, 0.5]),
+    ],
+    ids=["nan-atom", "infinite-atom", "nan-coordinate-d2", "nan-weight", "infinite-weight"],
+)
+def test_non_finite_measure_rejected(atoms, weights):
+    # NaN fails every comparison, so only an explicit check catches it
+    with pytest.raises(MeasureError, match="finite"):
+        make_measure(atoms, weights)
+
+
 def test_atom_on_boundary_with_float_slack_ok():
     mu = make_measure([1.0 + 5e-13], [1.0])
     assert len(mu) == 1
@@ -251,6 +268,22 @@ def test_affine_map_validation():
         affine_map([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(MeasureError, match="semidefinite"):
         affine_map([[-0.5]])
+
+
+@pytest.mark.parametrize(
+    "matrix, offset",
+    [
+        ([[np.nan]], None),
+        ([[np.inf]], None),
+        ([[1.0, 0.0], [0.0, np.nan]], None),
+        ([[0.5]], [np.nan]),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, -np.inf]),
+    ],
+    ids=["nan-matrix", "infinite-matrix", "nan-diagonal-d2", "nan-offset", "infinite-offset-d2"],
+)
+def test_affine_map_rejects_non_finite(matrix, offset):
+    with pytest.raises(MeasureError, match="finite"):
+        affine_map(matrix, offset)
 
 
 def test_affine_map_lipschitz_is_top_eigenvalue():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import coordinate_support_spread, loop_grad_estimate
-from qotlab import cli, measures, surrogate, verify
+from qotlab import cli, geometry, measures, surrogate, verify
 from qotlab.geometry import build_spread
 from qotlab.measures import affine_map, identity_map, make_measure, pushforward, uniform_ball_grid
 from qotlab.qot_solver import ConfigError, SolverConfig
@@ -85,6 +85,22 @@ def test_singleton_explicit_checks_pass(singleton_solved):
             assert rep.holds is None, rep
 
 
+def test_shift_flags_exactly_the_explicit_bounds(shift_solved):
+    # mu != nu: every bound but the four self-transport ones is reported
+    reports = run_checks(shift_solved, BOUND_IDS)
+    assert len({r.bound_id for r in reports}) == len(BOUND_IDS) - 4
+    for rep in reports:
+        assert isinstance(rep.holds, bool) == (rep.bound_id in EXPLICIT_BOUND_IDS), rep
+
+
+def test_bound_ids_are_the_disjoint_union_of_the_producers():
+    assert all(len(entry) == 3 for entry in verify._PRODUCERS)
+    id_sets = [ids for ids, _, _ in verify._PRODUCERS]
+    assert sum(map(len, id_sets)) == len(BOUND_IDS)
+    assert frozenset().union(*id_sets) == set(BOUND_IDS)
+    assert EXPLICIT_BOUND_IDS < set(BOUND_IDS)
+
+
 def test_singleton_density_value(singleton_solved):
     (rep,) = run_checks(singleton_solved, ["DensityUB"])
     assert rep.lhs == pytest.approx(0.1, abs=1e-12)  # one-atom slack equals eps
@@ -113,6 +129,23 @@ def test_two_point_self_reports():
 def test_self_transport_checks_rejected_for_asymmetric(shift_solved):
     with pytest.raises(VerifyError, match="self-transport"):
         check_self_transport(shift_solved)
+
+
+def test_diameter_is_built_for_self_transport_only(monkeypatch):
+    # only the mu = nu checks read it, so a mu != nu instance skips the work
+    calls = []
+    diameter = geometry.diameter
+
+    def counted(mu, *rest):
+        calls.append(len(mu))
+        return diameter(mu, *rest)
+
+    monkeypatch.setattr(geometry, "diameter", counted)
+    monge = affine_map([[0.5]])
+    assert Instance("shift", TWO_POINT, pushforward(TWO_POINT, monge), monge).diameter is None
+    assert calls == []
+    assert Instance("self", TWO_POINT, TWO_POINT).diameter == 2.0
+    assert calls == [2]
 
 
 def test_bias_requires_monge():
@@ -197,7 +230,7 @@ def test_surrogate_is_built_on_first_read(monkeypatch):
 
 def test_concentration_matches_per_pair_reference():
     inst = _affine_a2_solved(0.01)
-    ii, jj = inst.support_pairs()
+    ii, jj = inst.support_pairs
     worst = 0.0
     for i, j in zip(ii, jj):
         x = inst.mu.atoms[i]
@@ -205,7 +238,7 @@ def test_concentration_matches_per_pair_reference():
         (x_prime,), (grad,) = surrogate.minty_reflect(inst.surr, (x + y)[None])
         dist = math.sqrt(float(((x - x_prime) ** 2).sum() + ((y - grad) ** 2).sum()))
         worst = max(worst, dist)
-    rep = check_concentration(inst)
+    (rep,) = check_concentration(inst)
     assert np.float64(rep.lhs).tobytes() == np.float64(worst).tobytes()
     assert rep.holds is True
     assert rep.context["support_pairs"] == len(ii)
@@ -288,13 +321,13 @@ def test_self_transport_streams_match_per_row_reference(name, block, monkeypatch
     rows = [np.repeat(np.arange(lo, lo + len(counts)), counts) for lo, counts, _ in blocks]
     assert np.array_equal(np.concatenate(rows), ii)
     assert np.array_equal(np.concatenate([b[2] for b in blocks]), jj)
-    pairs = inst.support_pairs()
+    pairs = inst.support_pairs
     assert np.array_equal(pairs[0], ii) and np.array_equal(pairs[1], jj)
 
     worst_dev, spread = loop_grad_estimate(inst), _per_row_mask_spread(inst)
     by_id = {r.bound_id: r for r in check_self_transport(inst)}
     assert np.float64(by_id["GradEstimate"].lhs).tobytes() == np.float64(worst_dev).tobytes()
-    assert np.float64(inst.support_spread()).tobytes() == np.float64(spread).tobytes()
+    assert np.float64(inst.support_spread).tobytes() == np.float64(spread).tobytes()
     assert np.float64(by_id["SymUB"].lhs).tobytes() == np.float64(spread).tobytes()
     assert by_id["GradEstimate"].holds is True
 
@@ -308,7 +341,7 @@ def test_support_spread_from_cost_matches_coordinate_loop(d, h, eps):
     assert 0 < len(inst.coupling.masses) < len(mu) ** 2
     want = coordinate_support_spread(inst)
     assert want > 0.0
-    assert np.float64(inst.support_spread()).tobytes() == np.float64(want).tobytes()
+    assert np.float64(inst.support_spread).tobytes() == np.float64(want).tobytes()
 
 
 def _grid_d2_half_map_solved():
@@ -325,7 +358,7 @@ def _distinct(points) -> set:
 def test_concentration_solves_each_distinct_sum_once(monkeypatch):
     inst = _grid_d2_half_map_solved()
     calls = _counting(monkeypatch, "_face_argmin")
-    ii, jj = inst.support_pairs()
+    ii, jj = inst.support_pairs
     sums = _distinct(inst.mu.atoms[ii] + inst.nu.atoms[jj])
     check_concentration(inst)
     # the rows that reach the face routine, over its blocks
@@ -334,7 +367,7 @@ def test_concentration_solves_each_distinct_sum_once(monkeypatch):
 
 def test_bias_reuses_star_at_nu_atoms(monkeypatch):
     inst = _grid_d2_half_map_solved()
-    assert inst._stars is None and inst._psi_mu is None
+    assert "stars" not in vars(inst) and "psi_at_mu" not in vars(inst)
     calls = _counting(monkeypatch, "_face_argmin")
     check_approx_conj(inst)
     check_bias(inst)
