@@ -70,7 +70,6 @@ def _sparse_coupling(
     masses: np.ndarray,
 ) -> Coupling:
     """The coupling of the entries (i_idx, j_idx, masses), given in row-major order."""
-    densities = masses / (mu.weights[i_idx] * nu.weights[j_idx])
     # marginal mismatch left by the integer mass rounding, or on the map route
     # by summing the merged weights in another order
     residual = max(
@@ -86,7 +85,7 @@ def _sparse_coupling(
         indptr=indptr,
         j_idx=j_idx.astype(np.int32),
         masses=masses,
-        densities=densities,
+        density_max=np.nan,
         residual=residual,
     )
 

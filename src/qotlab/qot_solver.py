@@ -32,8 +32,11 @@ freedom is fixed by balancing the integrals, sum_i mu_i f_i = sum_j nu_j g_j.
 The dense n x m cost matrix is built once per instance (verify.Instance)
 and passed to solve and assemble_coupling, which only read it (and build
 it themselves when called without it).  Dense slack and active-set
-matrices exist only inside those two.  Everything downstream,
-max_density and the transport cost included, reads the sparse Coupling.
+matrices exist only inside those two: solve holds one n x m float buffer
+besides it (the active set during CG, then each line-search trial's slack),
+after the start's hinge buffers are gone, and assemble_coupling one slack
+buffer and its mask.  Everything downstream, max_density and the transport
+cost included, reads the sparse Coupling, whose entries cost 12 bytes each.
 """
 from __future__ import annotations
 
@@ -105,8 +108,11 @@ class Coupling:
     the atom pairs with positive mass, in row-major order: row i holds
     entries indptr[i]:indptr[i + 1] (indptr has n_mu + 1 int64 pointers),
     and j_idx holds each entry's column as int32.  No per-entry row array is
-    stored; rows() derives one.  The entries are the support: for a
-    regularized coupling, the pairs with f_i + g_j - c_ij > 0."""
+    stored; rows() derives one, so an entry costs 12 bytes.  The entries are
+    the support: for a regularized coupling, the pairs with
+    f_i + g_j - c_ij > 0.  density_max is the largest density
+    [f_i + g_j - c_ij]_+ / eps, the one per-entry density anything reads;
+    it is nan for an unregularized coupling (epsilon 0)."""
 
     n_mu: int
     n_nu: int
@@ -114,7 +120,7 @@ class Coupling:
     indptr: np.ndarray
     j_idx: np.ndarray
     masses: np.ndarray
-    densities: np.ndarray
+    density_max: float
     residual: float
 
     @property
@@ -366,8 +372,11 @@ def solve(
         np.greater(P, 0.0, out=P)
         return F, G, P @ nu_w, mu_w @ P
 
-    # two dense buffers besides C: the active set and the trial slack
-    A, T = np.empty_like(C), np.empty_like(C)
+    # one dense buffer besides C.  It holds the active set while CG runs;
+    # once the direction is found nothing reads that set again, so each
+    # line-search trial writes its positive slack into it, and the accepted
+    # trial, written last, is linearized in place
+    A = np.empty_like(C)
     phi, phi_mag = dual(x, A)
     F, G, rf, rg = linearize(A)
     for it in range(1, cfg.max_sweeps + 1):
@@ -397,12 +406,11 @@ def solve(
         t = 1.0
         while True:
             trial = x + t * d
-            phi_t, mag_t = dual(trial, T)
+            phi_t, mag_t = dual(trial, A)
             if phi_t <= phi + _ARMIJO * t * slope + _PHI_ROUNDOFF * phi_mag or t <= _MIN_STEP:
                 break
             t *= 0.5
         x, phi, phi_mag = trial, phi_t, mag_t
-        A, T = T, A
         F, G, rf, rg = linearize(A)
         if np.all(np.abs(F) <= tol * rf) and np.all(np.abs(G) <= tol * rg):
             residual = max(float(np.abs(F).max()), float(np.abs(G).max()))
@@ -457,30 +465,31 @@ def assemble_coupling(
             f"marginal residual {residual:.3e} exceeds 10 x residual_tol; stale potentials?"
         )
     # one boolean mask of the positive slack gives the row pointers and,
-    # by row-major boolean extraction, the densities (still the slack here)
+    # by row-major boolean extraction, the densities (still the slack here),
+    # which become the masses in place
     active = positive > 0.0
     counts = active.sum(axis=1)
     indptr = np.zeros(len(mu) + 1, dtype=np.int64)
     counts.cumsum(out=indptr[1:])
-    density = positive[active]
+    masses = positive[active]
     # free the dense buffer before the other support-sized arrays are built:
     # at eps where most pairs are active (d = 3) they outweigh it
     del positive
-    density /= pot.epsilon
+    masses /= pot.epsilon
+    density_max = float(masses.max())
     # columns, extracted as int32 from a broadcast row of column numbers, and
-    # masses mu_i nu_j density_ij, by blocks of rows, so the only
+    # masses density_ij * (mu_i nu_j), by blocks of rows, so the only
     # support-sized arrays are the coupling's own
     n, m = active.shape
-    j_idx = np.empty(len(density), dtype=np.int32)
-    masses = np.empty(len(density))
+    j_idx = np.empty(len(masses), dtype=np.int32)
     columns = np.broadcast_to(np.arange(m, dtype=np.int32), (n, m))
     for rows in row_blocks(n, m):
         span = slice(indptr[rows.start], indptr[rows.stop])
         cols = columns[rows][active[rows]]
         j_idx[span] = cols
-        out = masses[span]
-        np.multiply(mu.weights[rows].repeat(counts[rows]), nu.weights[cols], out=out)
-        out *= density[span]
+        weights = mu.weights[rows].repeat(counts[rows])
+        weights *= nu.weights[cols]
+        masses[span] *= weights
     return Coupling(
         n_mu=n,
         n_nu=m,
@@ -488,13 +497,13 @@ def assemble_coupling(
         indptr=indptr,
         j_idx=j_idx,
         masses=masses,
-        densities=density,
+        density_max=density_max,
         residual=residual,
     )
 
 
 def max_density(coupling: Coupling) -> float:
     """eps times the largest coupling density: the max over atom pairs of
-    f_i + g_j - c_ij, read from the coupling's entries (within roundoff of
-    the dense max, since each density is the slack divided by eps)."""
-    return coupling.epsilon * float(coupling.densities.max())
+    f_i + g_j - c_ij (within roundoff of the dense max, since the density is
+    the slack divided by eps)."""
+    return coupling.epsilon * coupling.density_max

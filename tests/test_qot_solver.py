@@ -156,7 +156,8 @@ def test_singleton_self_transport():
     cpl = assemble_coupling(pot, SINGLETON, SINGLETON, cfg)
     assert len(cpl.masses) == 1
     assert cpl.masses[0] == pytest.approx(1.0, abs=1e-12)
-    assert cpl.densities[0] == pytest.approx(1.0, abs=1e-12)
+    assert cpl.density_max == pytest.approx(1.0, abs=1e-12)
+    assert cpl.density_max == nonzero_coupling(pot, SINGLETON, SINGLETON)["densities"].max()
 
 
 def test_one_pair_system():
@@ -433,18 +434,24 @@ def test_self_transport_midpoint_matches_oracle(n, seed, eps):
     assert np.linalg.norm(cpl.to_dense() - oracle) <= 1e-6
 
 
+def _peak_of(fn):
+    """fn() and the tracemalloc peak of what it allocates."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 def test_cost_matrix_peak_memory_stays_below_three_matrices():
     # the cost is accumulated one coordinate at a time, so building it holds
     # the result and one scratch matrix, never an (n, m, d) temporary
     rng = np.random.default_rng(0)
     X = rng.uniform(-0.5, 0.5, size=(300, 3))
     Y = rng.uniform(-0.5, 0.5, size=(200, 3))
-    tracemalloc.start()
-    try:
-        C = cost_matrix(X, Y)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    C, peak = _peak_of(lambda: cost_matrix(X, Y))
     assert C.shape == (300, 200)
     assert peak <= 3 * C.nbytes
 
@@ -456,14 +463,47 @@ def test_assemble_coupling_peak_memory_given_cost():
     cfg = SolverConfig(epsilon=0.001)
     C = cost_matrix(mu.atoms, mu.atoms)
     pot = solve(mu, mu, cfg, cost=C)
-    tracemalloc.start()
-    try:
-        cpl = assemble_coupling(pot, mu, mu, cfg, cost=C)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    cpl, peak = _peak_of(lambda: assemble_coupling(pot, mu, mu, cfg, cost=C))
     assert len(cpl.masses) <= 0.1 * C.size
     assert peak <= 2.5 * C.nbytes
+
+
+@pytest.mark.parametrize("shift", [False, True], ids=["hinge-bound", "warm"])
+def test_solve_holds_one_dense_float_buffer(shift):
+    # given the cost, Newton keeps one n x m float buffer: the active set
+    # during CG, then each line-search trial's slack.  The mu = nu start's
+    # hinge buffers (one float, one bool) are gone before it is allocated.
+    mu = uniform_ball_grid(2, 0.1)
+    cfg = SolverConfig(epsilon=10.0**-1.5)
+    if shift:
+        # the same atoms in reverse order: mu != nu bitwise
+        nu = make_measure(mu.atoms[::-1], mu.weights[::-1])
+        C = cost_matrix(mu.atoms, nu.atoms)
+        given = {"start": solve(mu, nu, SolverConfig(epsilon=0.1), cost=C)}
+    else:
+        nu = mu
+        C = cost_matrix(mu.atoms, mu.atoms)
+        given = {"root_bound": hinge_root_bound(build_spread(mu, cost=C), cfg.epsilon)}
+    pot, peak = _peak_of(lambda: solve(mu, nu, cfg, cost=C, **given))
+    assert pot.sweeps >= 2 and pot.residual <= cfg.residual_tol
+    assert peak <= 1.25 * C.nbytes
+
+
+def test_coupling_entry_costs_twelve_bytes():
+    # the per-entry arrays are the int32 columns and the float64 masses;
+    # the one density read downstream, the largest, is a scalar
+    mu = uniform_ball_grid(2, 0.1)
+    cfg = SolverConfig(epsilon=10.0**-1.5)
+    cpl = assemble_coupling(solve(mu, mu, cfg), mu, mu, cfg)
+    values = {f.name: getattr(cpl, f.name) for f in dataclasses.fields(Coupling)}
+    per_entry = {
+        name: v for name, v in values.items()
+        if isinstance(v, np.ndarray) and v.shape == cpl.masses.shape
+    }
+    assert set(per_entry) == {"j_idx", "masses"}
+    assert cpl.j_idx.dtype == np.int32 and cpl.masses.dtype == np.float64
+    assert sum(a.itemsize for a in per_entry.values()) == 12
+    assert isinstance(cpl.density_max, float)
 
 
 @pytest.mark.parametrize("shift", [False, True], ids=["self-transport", "mu-ne-nu"])
@@ -586,7 +626,7 @@ def _assert_valid_csr(cpl):
     assert cpl.indptr.shape == (cpl.n_mu + 1,)
     assert cpl.indptr[0] == 0 and cpl.indptr[-1] == len(cpl.masses)
     assert np.all(np.diff(cpl.indptr) >= 0)
-    assert len(cpl.j_idx) == len(cpl.densities) == len(cpl.masses)
+    assert len(cpl.j_idx) == len(cpl.masses)
     assert np.all((cpl.j_idx >= 0) & (cpl.j_idx < cpl.n_nu))
     same_row = np.diff(cpl.rows()) == 0
     assert np.all(np.diff(cpl.j_idx.astype(np.int64))[same_row] > 0)
@@ -626,7 +666,7 @@ def test_csr_assembly_matches_nonzero_oracle(n, m, d, seed, log_eps, layout, pai
     assert np.array_equal(cpl.rows(), want["rows"])
     assert np.array_equal(cpl.j_idx, want["columns"])
     assert cpl.masses.tobytes() == want["masses"].tobytes()
-    assert cpl.densities.tobytes() == want["densities"].tobytes()
+    assert cpl.density_max == want["densities"].max()
 
 
 def _jittered_weighted(rng, d):
