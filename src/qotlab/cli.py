@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry, verify
+from . import geometry, qot_solver, verify
 from .exact_ot import ExactOTError, solve_exact
 from .measures import (
     MeasureError,
@@ -239,11 +239,12 @@ def run_experiment(config: ExperimentConfig, base_dir: Path, threads: int):
     """Solve the instance across the eps sweep, run the requested checks, and
     return (report records, rate fits, spread-profile CSV text).
 
-    For mu = nu the epsilons are independent and run at most `threads` at a
-    time.  For mu != nu they run as one continuation chain in the config's
-    descending order: the first epsilon from the cold start, each later one
-    warm-started from its predecessor's potentials, so the outputs do not
-    depend on `threads` either way."""
+    For mu = nu the epsilons are independent: their cold starts come from
+    one qot_solver.cold_starts call before the pool, and they run at most
+    `threads` at a time.  For mu != nu they run as one continuation chain in
+    the config's descending order: the first epsilon from the cold start,
+    each later one warm-started from its predecessor's potentials, so the
+    outputs do not depend on `threads` either way."""
     inst = build_instance(config.instance, base_dir)
     if config.rate_fit:
         # fail a misconfigured rate sweep before any epsilon is solved
@@ -269,8 +270,9 @@ def run_experiment(config: ExperimentConfig, base_dir: Path, threads: int):
         return solved.pot, (reports, solved.support_spread if config.rate_fit else None)
 
     if inst.self_transport:
+        starts = qot_solver.cold_starts(inst.mu, inst.nu, config.eps_list, cost=inst.cost)
         with ThreadPoolExecutor(max_workers=min(threads, len(config.eps_list))) as pool:
-            results = [out for _, out in pool.map(one_eps, config.eps_list)]
+            results = [out for _, out in pool.map(one_eps, config.eps_list, starts)]
     else:
         results, start = [], None
         for eps in config.eps_list:

@@ -13,17 +13,18 @@ AISTATS 2018): each iteration solves for its direction by conjugate gradients
 on the generalized Hessian, whose pattern is the active set
 {f_i + g_j > c_ij}, and backtracks on the dual value.
 
-Newton converges from any start; solve takes one of three.  The cold start
-takes exact scalar updates from f = 0: holding one block fixed, each
-equation in the other block is a scalar convex piecewise-linear increasing
-equation, solved exactly by Newton's method on its active set
-(_hinge_root_batch); the same scalar solve extends f off the mu-atoms
-(evaluate_f_at).  For mu = nu the hinge-bound start solves the same roots
-from a bound above all of them (geometry.hinge_root_bound).  For mu != nu
-the warm start is the potentials of a nearby larger epsilon, which an
-epsilon sweep passes down as a continuation chain: at small epsilon the
-cold start leaves some nu-atoms with no active pair, and Newton then takes
-a regularization-sized first step.
+Newton converges from any start; solve takes a cold or a warm one.  The
+cold start takes exact scalar updates from f = 0: holding one block fixed,
+each equation in the other block is a scalar convex piecewise-linear
+increasing equation, whose root hinge_roots reads off the sorted thresholds
+and their running sums (the same scalar solve extends f off the mu-atoms in
+evaluate_f_at).  cold_starts gives the cold starts of a whole epsilon list:
+for mu = nu one sort per row block serves every epsilon, so an epsilon sweep
+computes them once, before its pool.  For mu != nu the warm start is the
+potentials of a nearby larger epsilon, which an epsilon sweep passes down as
+a continuation chain: at small epsilon the cold start leaves some nu-atoms
+with no active pair, and Newton then takes a regularization-sized first
+step.
 
 For mu = nu the unknown is a single potential u = f = g, so the returned
 potentials are symmetric by construction.  Otherwise the shift degree of
@@ -34,9 +35,11 @@ and passed to solve and assemble_coupling, which only read it (and build
 it themselves when called without it).  Dense slack and active-set
 matrices exist only inside those two: solve holds one n x m float buffer
 besides it (the active set during CG, then each line-search trial's slack),
-after the start's hinge buffers are gone, and assemble_coupling one slack
-buffer and its mask.  Everything downstream, max_density and the transport
-cost included, reads the sparse Coupling, whose entries cost 12 bytes each.
+and assemble_coupling one slack buffer and its mask.  The cold start holds
+row blocks of sorted thresholds and their sums, and for mu != nu the
+thresholds C - g of its f-batch, freed before Newton's buffer is built.
+Everything downstream, max_density and the transport cost included, reads
+the sparse Coupling, whose entries cost 12 bytes each.
 """
 from __future__ import annotations
 
@@ -55,7 +58,7 @@ class ConfigError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """The Newton iteration budget (max_sweeps) ran out at `epsilon`, from
-    `start` ("cold", "hinge-bound" or "warm"; see solve); residual_mu and
+    `start` ("cold" or "warm"; see solve); residual_mu and
     residual_nu are the sup-norms of the last iterate's two residual vectors,
     residual their max."""
 
@@ -161,56 +164,59 @@ def cost_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return C
 
 
-def _hinge_root_batch(S: np.ndarray, w: np.ndarray, eps: float, upper=None) -> np.ndarray:
-    """Per column j of S, the unique t with h_j(t) = sum_i w_i (t - S_ij)_+ = eps.
+def hinge_roots(T: np.ndarray, w: np.ndarray, eps_list) -> np.ndarray:
+    """Per row j of T and each eps of eps_list, the unique t with
+    h_j(t) = sum_i w_i (t - T_ji)_+ = eps, as a (len(eps_list), rows) array.
 
-    Newton on the active set A = {i : S_ij < t}: t <- (eps + sum_A w_i S_ij)
-    / sum_A w_i, the root of the linear piece of h_j at t.  h_j is convex and
-    increasing, so one step from any t with a nonempty active set lands at or
-    above the root, and from above the iterates decrease.  A column stops
-    when its step no longer decreases it; a step that decreases it shrinks
-    its active set, so this takes finitely many steps.  The cold start
-    min_i (S_ij + eps / w_i) is at or above the root and is the fallback for
-    an empty active set.
-
-    upper, when given, is a bound at or above every root (a scalar, or one
-    per column) that replaces the cold start and saves its n x m pass: the
-    first step from it is taken unconditionally, so a bound that rounding
-    puts just below a root still lands above it.  Every path ends with the
-    step of the root's own active set, so the roots keep their bits.
+    h_j is convex, increasing and piecewise linear, with knots at the row's
+    sorted thresholds t_(1) <= t_(2) <= ...  With W_k and P_k the running
+    sums of the sorted weights and of weight times threshold, h_j(t_(k)) =
+    W_{k-1} t_(k) - P_{k-1}, and on the piece that starts at the last knot
+    <= eps the root is (eps + P_k) / W_k.  Each block of about
+    measures.BLOCK_ENTRIES thresholds is sorted once for the whole eps list,
+    and no array of T's size is built.  The sums run in sorted order, so the
+    roots depend on T's values and the sort's order among ties, not on T's
+    memory layout.
     """
-    # one n x m float buffer serves the cold start and every step.  It is
-    # viewed in C order for the 0/1 mask (numpy casts the bool operand of
-    # w @ active to a C-ordered float array) and in S's order for the masked
-    # thresholds (the order of np.where(active, S, 0.0)), so each product
-    # sums in the order it did with fresh arrays, and the roots keep their bits
-    flat = np.empty(S.size)
-    mask = flat.reshape(S.shape)
-    masked = flat.reshape(S.shape, order="F" if np.isfortran(S) else "C")
-    active = np.empty_like(S, dtype=bool)
-    if upper is None:
-        np.add(S, (eps / w)[:, None], out=masked)
-        cold = masked.min(axis=0)
-    else:
-        cold = np.broadcast_to(np.asarray(upper, dtype=float), S.shape[1:])
+    n, m = T.shape
+    roots = np.empty((len(eps_list), n))
+    for rows in row_blocks(n, m):
+        order = np.argsort(T[rows], axis=1)
+        knots = np.take_along_axis(T[rows], order, axis=1)
+        W = w[order]
+        del order
+        P = np.multiply(W, knots)
+        np.cumsum(P, axis=1, out=P)
+        np.cumsum(W, axis=1, out=W)
+        # the sorted thresholds become the knot values h_j(t_(k)) in place
+        knots[:, 1:] *= W[:, :-1]
+        knots[:, 1:] -= P[:, :-1]
+        knots[:, 0] = 0.0
+        r = np.arange(len(knots))
+        for e, eps in enumerate(eps_list):
+            k = np.count_nonzero(knots <= eps, axis=1) - 1
+            roots[e, rows] = (eps + P[r, k]) / W[r, k]
+    return roots
 
-    def newton(t):
-        np.less(S, t, out=active)
-        np.copyto(mask, active)
-        cw = w @ mask
-        # S where active and +-0.0 elsewhere; a zero's sign cannot move cs
-        np.multiply(S, active, out=masked)
-        cs = w @ masked
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(cw > 0, (eps + cs) / cw, cold)
 
-    t = cold if upper is None else newton(cold)
-    while True:
-        nxt = newton(t)
-        down = nxt < t
-        if not down.any():
-            return t
-        t = np.where(down, nxt, t)
+def cold_starts(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, eps_list, cost: Optional[np.ndarray] = None,
+) -> list[DualPotentials]:
+    """solve's cold start at each epsilon of eps_list, as potentials with
+    sweeps 0: the exact hinge roots g from f = 0, then, for mu != nu, f from
+    g.  For mu = nu both potentials are u = g / 2, whose pair sums u_i + u_j
+    average the roots g_i, g_j; C is then symmetric, so g is read from its
+    rows, one sort per block for the whole list.  cost is
+    cost_matrix(mu.atoms, nu.atoms), built here when not given."""
+    C = cost_matrix(mu.atoms, nu.atoms) if cost is None else cost
+    if mu.same_as(nu):
+        roots = 0.5 * hinge_roots(C, mu.weights, eps_list)
+        return [DualPotentials(f_values=u, g_values=u, epsilon=e) for e, u in zip(eps_list, roots)]
+    starts = []
+    for eps, g in zip(eps_list, hinge_roots(C.T, mu.weights, eps_list)):
+        f = hinge_roots(C - g, nu.weights, [eps])[0]
+        starts.append(DualPotentials(f_values=f, g_values=g, epsilon=eps))
+    return starts
 
 
 def solve_scalar_update(thresholds, weights, epsilon: float) -> float:
@@ -225,7 +231,7 @@ def solve_scalar_update(thresholds, weights, epsilon: float) -> float:
         raise ConfigError("weights must be strictly positive")
     if not (epsilon > 0):
         raise ConfigError("epsilon must be positive")
-    return float(_hinge_root_batch(s[:, None], w, epsilon)[0])
+    return float(hinge_roots(s[None, :], w, [epsilon])[0, 0])
 
 
 def marginal_residuals(
@@ -276,18 +282,16 @@ _MIN_STEP = 2.0**-40
 
 def solve(
     mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig,
-    cost: Optional[np.ndarray] = None, root_bound: Optional[float] = None,
-    start: Optional[DualPotentials] = None,
+    cost: Optional[np.ndarray] = None, start: Optional[DualPotentials] = None,
 ) -> DualPotentials:
     """Semismooth Newton on the dual until both marginal residual vectors
     have sup-norm <= residual_tol; cfg.max_sweeps caps the Newton iterations,
     and the returned `sweeps` counts them.  cost is cost_matrix(mu.atoms,
-    nu.atoms), built here when not given; it is only read.  root_bound, read
-    only for mu = nu, is a bound at or above every hinge root of the start
-    (geometry.hinge_root_bound), from which the start's roots are solved.
-    start, only for mu != nu, is a warm start: the potentials solve returned
-    for the same (mu, nu) at another epsilon, usually the next larger one of
-    a sweep.  Its shapes must match the atoms, and mu = nu takes none.
+    nu.atoms), built here when not given; it is only read.  start is the
+    potentials Newton starts from, with shapes matching the atoms: a cold
+    start (cold_starts, sweeps 0; taken here when start is None) or a warm
+    one, the potentials solve returned for the same (mu, nu) at another
+    epsilon, usually the next larger one of a sweep.
 
     The dual, as a minimization, is the convex piecewise quadratic
 
@@ -298,11 +302,8 @@ def solve(
     Hessian has the pattern of the active set A = {f_i + g_j > c_ij}: blocks
     diag(mu * A nu), diag(nu * A^T mu) and mu_i nu_j A_ij off the diagonal.
 
-    Without a warm start, the start is one batch of exact hinge roots, g
-    from f = 0.  For mu != nu a second batch gives f from g (the cold start);
-    for mu = nu the start is u = g / 2, whose pair sums u_i + u_j average the
-    roots g_i, g_j seen from f = 0 (the hinge-bound start when root_bound is
-    given, else the cold start).  A warm start (f, g) is taken as it is.
+    For mu != nu Newton starts from the start's (f, g); for mu = nu from
+    u = (f + g) / 2, which is the cold start's u itself.
     Each iteration solves for the direction by
     Jacobi-preconditioned CG on the Hessian plus |residual|_inf times the weights, a term that keeps
     the system definite where a row has no active pair and vanishes at the
@@ -327,28 +328,22 @@ def solve(
     C = cost_matrix(mu.atoms, nu.atoms) if cost is None else cost
     mu_w, nu_w = mu.weights, nu.weights
     n = len(mu)
+    if start is None:
+        start = cold_starts(mu, nu, [eps], cost=C)[0]
+    elif start.f_values.shape != (n,) or start.g_values.shape != (len(nu),):
+        raise ConfigError(
+            f"start shapes {start.f_values.shape} and {start.g_values.shape} "
+            f"do not match {n} mu-atoms and {len(nu)} nu-atoms"
+        )
+    start_kind = "warm" if start.sweeps else "cold"
     tied = mu.same_as(nu)
     if tied:
-        if start is not None:
-            raise ConfigError("a warm start is for mu != nu; mu = nu starts from its hinge roots")
-        start_kind = "cold" if root_bound is None else "hinge-bound"
-        x, scale = 0.5 * _hinge_root_batch(C, mu_w, eps, upper=root_bound), 2.0 * mu_w
+        x, scale = 0.5 * (start.f_values + start.g_values), 2.0 * mu_w
 
         def split(z):
             return z, z
     else:
-        if start is None:
-            start_kind = "cold"
-            g = _hinge_root_batch(C, mu_w, eps)
-            f = _hinge_root_batch(C.T - g[:, None], nu_w, eps)
-        elif start.f_values.shape != (n,) or start.g_values.shape != (len(nu),):
-            raise ConfigError(
-                f"warm start shapes {start.f_values.shape} and {start.g_values.shape} "
-                f"do not match {n} mu-atoms and {len(nu)} nu-atoms"
-            )
-        else:
-            start_kind, f, g = "warm", start.f_values, start.g_values
-        x, scale = np.concatenate([f, g]), np.concatenate([mu_w, nu_w])
+        x, scale = np.concatenate([start.f_values, start.g_values]), np.concatenate([mu_w, nu_w])
 
         def split(z):
             return z[:n], z[n:]

@@ -4,8 +4,8 @@ Each oracle takes a route disjoint from the implementation it validates:
 the primal QP oracle is accelerated projected gradient with Dykstra
 projections (the library solves the dual system), the dual oracle sweeps exact
 coordinate updates (the library runs semismooth Newton on the whole dual),
-scalar hinge roots come from sorting the thresholds (the library runs Newton
-on the active set), spread values
+scalar hinge roots come from Newton on the active set (the library sorts
+the thresholds and reads each root off their running sums), spread values
 come from a direct double loop and spread profiles from a dense per-row loop
 (the library streams row blocks and, for equal weights, reads order
 statistics), spread inverses from bisection, envelope
@@ -127,12 +127,15 @@ def qp_oracle_coupling(mu, nu, eps: float, tol: float = 1e-10, max_iter: int = 5
 
 
 def fresh_hinge_root_batch(S: np.ndarray, w: np.ndarray, eps: float, t=None) -> np.ndarray:
-    """qot_solver._hinge_root_batch as it was before its Newton steps shared
-    buffers: each step builds its active set and masked thresholds anew.
+    """Per column j of S, the t with h_j(t) = sum_i w_i (t - S_ij)_+ = eps,
+    by Newton on the active set {i : S_ij < t}: t <- (eps + sum w_i S_ij) /
+    sum w_i over it.  From the cold start min_i (S_ij + eps / w_i), at or
+    above the root, the iterates decrease; a column stops when its step no
+    longer decreases it.
 
-    It keeps the warm start t the library no longer takes, for
-    alternating_solve: t may lie on either side of the root, so its first
-    step is taken unconditionally and capped at the cold start."""
+    A warm start t, for alternating_solve, may lie on either side of the
+    root, so its first step is taken unconditionally and capped at the cold
+    start."""
     cold = np.min(S + (eps / w)[:, None], axis=0)
 
     def newton(t):
@@ -149,23 +152,6 @@ def fresh_hinge_root_batch(S: np.ndarray, w: np.ndarray, eps: float, t=None) -> 
         if not down.any():
             return t
         t = np.where(down, nxt, t)
-
-
-def sort_hinge_root(S: np.ndarray, w: np.ndarray, eps: float) -> np.ndarray:
-    """Per column j of S, the t with sum_i w_i (t - S_ij)_+ = eps: sort the
-    thresholds, prefix-sum, and invert the linear piece whose knot values
-    h(S_(k)) are the last ones <= eps."""
-    order = np.argsort(S, axis=0, kind="stable")
-    Ss = np.take_along_axis(S, order, axis=0)
-    ws = w[order]
-    cw = np.cumsum(ws, axis=0)
-    cs = np.cumsum(ws * Ss, axis=0)
-    knot = np.empty_like(Ss)
-    knot[0] = 0.0
-    knot[1:] = cw[:-1] * Ss[1:] - cs[:-1]
-    kstar = np.sum(knot <= eps, axis=0) - 1
-    cols = np.arange(S.shape[1])
-    return (eps + cs[kstar, cols]) / cw[kstar, cols]
 
 
 # sweeps without a new best residual after which alternating_solve gives up;

@@ -185,7 +185,7 @@ def test_run_missing_config():
     "instance, eps_list, max_sweeps, start",
     [
         # 3 and 5 Newton iterations are needed; each cap stops the solve short
-        ({"name": "grid", "kind": "grid", "d": 1, "h": 0.1}, [0.1], 1, "hinge-bound"),
+        ({"name": "grid", "kind": "grid", "d": 1, "h": 0.1}, [0.1], 1, "cold"),
         ({"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1}, [0.01], 3, "cold"),
         # eps = 0.1 converges in 3 iterations; eps = 0.01, started from its
         # potentials, needs 6
@@ -684,7 +684,8 @@ def test_thread_env_validation(tmp_path, monkeypatch):
 def test_mu_ne_nu_sweep_is_one_warm_start_chain(tmp_path, monkeypatch, instance, threads):
     # mu != nu: the first epsilon starts cold and each later one from its
     # predecessor's potentials, in the config's order, on any pool size;
-    # mu = nu: every epsilon starts from its hinge roots
+    # mu = nu: every epsilon starts from its own cold start, all computed
+    # before the pool
     calls = []
     prepare = verify.prepare_instance
 
@@ -704,9 +705,26 @@ def test_mu_ne_nu_sweep_is_one_warm_start_chain(tmp_path, monkeypatch, instance,
     assert all(rec["holds"] for rec in records)
     if instance["kind"] == "grid":
         assert sorted(eps for eps, _, _ in calls) == sorted(eps_list)
-        assert all(start is None for _, start, _ in calls)
+        assert all(start.sweeps == 0 and start.epsilon == eps for eps, start, _ in calls)
         return
     assert [eps for eps, _, _ in calls] == eps_list
     assert calls[0][1] is None
     for (_, _, previous), (_, start, _) in zip(calls, calls[1:]):
         assert start is previous
+
+
+def test_self_transport_with_unequal_weights_does_not_depend_on_threads(tmp_path):
+    # lattice atoms tie many distances, so the sort that gives the cold
+    # starts meets ties among unequal weights, whose order sets the last
+    # bits of the running sums; the starts are computed before the pool
+    raw = [(1.0, 2.0, 3.0)[k % 3] for k in range(17)]
+    atoms = [[round(-0.8 + 0.1 * k, 12)] for k in range(17)]
+    config = cli.ExperimentConfig.from_dict(
+        {"instance": _inline(atoms, [r / sum(raw) for r in raw]),
+         "eps_list": [1e-1, 1e-2, 1e-3], "checks": "all", "output_dir": "out"},
+        tmp_path,
+    )
+    runs = [cli.run_experiment(config, tmp_path, threads)[0] for threads in (1, 2, 2)]
+    assert runs[0] and all(rec["holds"] is not False for rec in runs[0])
+    texts = [json.dumps(records) for records in runs]
+    assert texts[1] == texts[0] and texts[2] == texts[0]

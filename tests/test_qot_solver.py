@@ -12,10 +12,8 @@ from oracles import (
     fresh_hinge_root_batch,
     nonzero_coupling,
     qp_oracle_coupling,
-    sort_hinge_root,
 )
-from qotlab import measures, qot_solver
-from qotlab.geometry import build_spread, hinge_root_bound
+from qotlab import cli, measures, qot_solver
 from qotlab.measures import make_measure, uniform_ball_grid
 from qotlab.qot_solver import (
     ConfigError,
@@ -24,10 +22,11 @@ from qotlab.qot_solver import (
     DualPotentials,
     InconsistencyError,
     SolverConfig,
-    _hinge_root_batch,
     assemble_coupling,
+    cold_starts,
     cost_matrix,
     evaluate_f_at,
+    hinge_roots,
     marginal_residuals,
     max_density,
     solve,
@@ -80,59 +79,93 @@ def test_scalar_update_substitution_property(n, seed, eps):
 HINGE_RTOL = 1e-12
 
 
+def _lattice_thresholds(rng, n, m):
+    """An (n, m) threshold matrix, half of it on a coarse lattice, so ties
+    and duplicates are common."""
+    lattice = rng.integers(-8, 9, size=(n, m)) / 4.0
+    return np.where(rng.random((n, m)) < 0.5, lattice, rng.uniform(-2.0, 2.0, size=(n, m)))
+
+
+def _on_a_knot(rng, S, w, eps):
+    """eps moved, when it can be, to the value of column 0's hinge function
+    at one of its thresholds, so that column's root sits on a knot."""
+    knot = S[rng.integers(len(S)), 0]
+    value = float((w * np.maximum(knot - S[:, 0], 0.0)).sum())
+    return value if value > 0 else eps
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=12),
     m=st.integers(min_value=1, max_value=6),
     seed=st.integers(min_value=0, max_value=10_000),
-    log_eps=st.floats(min_value=-6.0, max_value=1.0),
+    log_eps=st.lists(st.floats(min_value=-6.0, max_value=1.0), min_size=1, max_size=4),
     root_on_knot=st.booleans(),
-    start=st.sampled_from(["cold", "upper"]),
 )
-def test_hinge_root_matches_sort_oracle(n, m, seed, log_eps, root_on_knot, start):
-    # differential test of the Newton root against the sort-based oracle;
-    # half the thresholds sit on a coarse lattice, so ties and duplicates are
-    # common, and a root placed on a knot puts a threshold exactly at it
+def test_hinge_roots_match_newton_oracle(n, m, seed, log_eps, root_on_knot):
+    # differential test of the sorted roots against Newton on the active set;
+    # row j of S.T holds column j's thresholds
     rng = np.random.default_rng(seed)
-    lattice = rng.integers(-8, 9, size=(n, m)) / 4.0
-    S = np.where(rng.random((n, m)) < 0.5, lattice, rng.uniform(-2.0, 2.0, size=(n, m)))
+    S = _lattice_thresholds(rng, n, m)
     w = rng.choice([0.25, 0.5, 1.0], size=n) if seed % 2 else rng.uniform(0.05, 1.0, size=n)
-    eps = 10.0**log_eps
+    eps_list = [10.0**e for e in log_eps]
     if root_on_knot:
-        knot = S[rng.integers(n), 0]
-        value = float((w * np.maximum(knot - S[:, 0], 0.0)).sum())
-        eps = value if value > 0 else eps
-    ref = sort_hinge_root(S, w, eps)
-    if start == "upper":
-        # a bound above every root, replacing the cold start
-        t = _hinge_root_batch(S, w, eps, upper=float(ref.max()) + rng.uniform(0.0, 3.0))
-    else:
-        t = _hinge_root_batch(S, w, eps)
-        # the shared buffers keep the fresh-array roots' bits, in either layout
-        assert t.tobytes() == fresh_hinge_root_batch(S, w, eps).tobytes()
-        S_f = np.asfortranarray(S)
-        got = _hinge_root_batch(S_f, w, eps)
-        assert got.tobytes() == fresh_hinge_root_batch(S_f, w, eps).tobytes()
-    scale = np.maximum(np.abs(ref), np.abs(S).max(axis=0)) + eps
-    assert np.all(np.abs(t - ref) <= HINGE_RTOL * scale)
-    h = (w[:, None] * np.maximum(t - S, 0.0)).sum(axis=0)
-    assert np.all(np.abs(h - eps) <= HINGE_RTOL * (w.sum() * scale))
+        eps_list[0] = _on_a_knot(rng, S, w, eps_list[0])
+    roots = hinge_roots(S.T, w, eps_list)
+    assert roots.shape == (len(eps_list), m)
+    # the bits depend on the values alone, not on the layout or the list
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        assert roots.tobytes() == hinge_roots(layout(S.T), w, eps_list).tobytes()
+    for t, eps in zip(roots, eps_list):
+        assert t.tobytes() == hinge_roots(S.T, w, [eps])[0].tobytes()
+        ref = fresh_hinge_root_batch(S, w, eps)
+        scale = np.maximum(np.abs(ref), np.abs(S).max(axis=0)) + eps
+        assert np.all(np.abs(t - ref) <= HINGE_RTOL * scale)
+        h = (w[:, None] * np.maximum(t - S, 0.0)).sum(axis=0)
+        assert np.all(np.abs(h - eps) <= HINGE_RTOL * (w.sum() * scale))
 
 
-@pytest.mark.parametrize("d, h", [(1, 0.05), (2, 0.1)])
-def test_hinge_root_batch_bitwise_matches_fresh_buffers(d, h):
-    # the start batches the solver takes: g from f = 0 on C, and the mu != nu
-    # f-batch on C.T - g, whose negative thresholds give -0.0 lanes
-    mu = uniform_ball_grid(d, h)
-    nu = make_measure(0.5 * mu.atoms + 0.25, mu.weights)
-    C = cost_matrix(mu.atoms, nu.atoms)
-    for eps in (1e-1, 1e-3):
-        g = _hinge_root_batch(C, mu.weights, eps)
-        S_f = C.T - g[:, None]
-        assert (S_f < 0.0).any()
-        for S, w in ((C, mu.weights), (S_f, nu.weights)):
-            got = _hinge_root_batch(S, w, eps)
-            assert got.tobytes() == fresh_hinge_root_batch(S, w, eps).tobytes(), eps
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    seed=st.integers(min_value=0, max_value=10_000),
+    log_eps=st.lists(st.floats(min_value=-4.0, max_value=0.0), min_size=1, max_size=3),
+    root_on_knot=st.booleans(),
+)
+def test_self_transport_roots_do_not_depend_on_the_transpose(d, seed, log_eps, root_on_knot):
+    # on lattice atoms with unequal weights, where many distances tie, the
+    # rows of C (what cold_starts reads for mu = nu) and of C.T (the columns
+    # the g-equations are about) give the same roots bit for bit, so solve's
+    # own start and a sweep's precomputed one reach the same potentials
+    rng = np.random.default_rng(seed)
+    side = np.arange(-3, 4) * (0.25 if d == 1 else 0.3)
+    pts = np.array(np.meshgrid(*[side] * d)).reshape(d, -1).T
+    pts = pts[np.linalg.norm(pts, axis=1) <= 0.9]
+    w = rng.choice([1.0, 2.0, 3.0], size=len(pts))
+    mu = make_measure(pts, w / w.sum())
+    C = cost_matrix(mu.atoms, mu.atoms)
+    eps_list = [10.0**e for e in log_eps]
+    if root_on_knot:
+        eps_list[0] = _on_a_knot(rng, C, mu.weights, eps_list[0])
+    roots = hinge_roots(C, mu.weights, eps_list)
+    assert roots.tobytes() == hinge_roots(C.T, mu.weights, eps_list).tobytes()
+    starts = cold_starts(mu, mu, eps_list, cost=C)
+    for eps, start in zip(eps_list, starts):
+        cfg = SolverConfig(epsilon=eps)
+        own = solve(mu, mu, cfg)
+        given_start = solve(mu, mu, cfg, cost=C, start=start)
+        assert own.f_values.tobytes() == given_start.f_values.tobytes()
+        assert own.sweeps == given_start.sweeps
+
+
+def test_hinge_roots_hold_no_dense_array():
+    # the start sorts and sums row blocks; nothing of C's size is built
+    mu = uniform_ball_grid(2, 0.05)
+    C = cost_matrix(mu.atoms, mu.atoms)
+    eps_list = [10.0**e for e in (-0.5, -1.0, -1.5, -2.0, -2.4)]
+    roots, peak = _peak_of(lambda: hinge_roots(C, mu.weights, eps_list))
+    assert roots.shape == (len(eps_list), len(mu))
+    assert peak <= 0.25 * C.nbytes
 
 
 def test_config_validation():
@@ -226,10 +259,11 @@ def test_non_convergence_carries_residual():
         solve(mu, mu, SolverConfig(epsilon=0.1, max_sweeps=1))
     assert exc.value.residual > 0
     assert (exc.value.epsilon, exc.value.start) == (0.1, "cold")
-    bound = hinge_root_bound(build_spread(mu), 0.1)
+    # a start that took Newton iterations is a warm one
+    previous = solve(mu, mu, SolverConfig(epsilon=1.0))
     with pytest.raises(ConvergenceError) as exc:
-        solve(mu, mu, SolverConfig(epsilon=0.1, max_sweeps=1), root_bound=bound)
-    assert (exc.value.epsilon, exc.value.start) == (0.1, "hinge-bound")
+        solve(mu, mu, SolverConfig(epsilon=0.1, max_sweeps=1), start=previous)
+    assert (exc.value.epsilon, exc.value.start) == (0.1, "warm")
 
 
 def test_small_eps_converges_in_few_newton_iterations():
@@ -468,11 +502,10 @@ def test_assemble_coupling_peak_memory_given_cost():
     assert peak <= 2.5 * C.nbytes
 
 
-@pytest.mark.parametrize("shift", [False, True], ids=["hinge-bound", "warm"])
+@pytest.mark.parametrize("shift", [False, True], ids=["cold", "warm"])
 def test_solve_holds_one_dense_float_buffer(shift):
-    # given the cost, Newton keeps one n x m float buffer: the active set
-    # during CG, then each line-search trial's slack.  The mu = nu start's
-    # hinge buffers (one float, one bool) are gone before it is allocated.
+    # given the cost and a start, Newton keeps one n x m float buffer: the
+    # active set during CG, then each line-search trial's slack
     mu = uniform_ball_grid(2, 0.1)
     cfg = SolverConfig(epsilon=10.0**-1.5)
     if shift:
@@ -483,7 +516,8 @@ def test_solve_holds_one_dense_float_buffer(shift):
     else:
         nu = mu
         C = cost_matrix(mu.atoms, mu.atoms)
-        given = {"root_bound": hinge_root_bound(build_spread(mu, cost=C), cfg.epsilon)}
+        # the mu = nu start comes from cold_starts, as a sweep takes it
+        given = {"start": cold_starts(mu, mu, [cfg.epsilon], cost=C)[0]}
     pot, peak = _peak_of(lambda: solve(mu, nu, cfg, cost=C, **given))
     assert pot.sweeps >= 2 and pot.residual <= cfg.residual_tol
     assert peak <= 1.25 * C.nbytes
@@ -507,25 +541,45 @@ def test_coupling_entry_costs_twelve_bytes():
 
 
 @pytest.mark.parametrize("shift", [False, True], ids=["self-transport", "mu-ne-nu"])
-def test_start_takes_one_hinge_batch_per_block(monkeypatch, shift):
+def test_start_takes_one_hinge_batch_per_block(monkeypatch, tmp_path, shift):
     # for mu = nu the start is u = g / 2 from the one batch g(f = 0); for
     # mu != nu a second batch gives f from g.  Newton itself solves no
-    # hinge roots.
+    # hinge roots.  A mu = nu sweep takes one batch for all its epsilons,
+    # before its pool, and none inside solve.
     calls = []
-    batch = qot_solver._hinge_root_batch
+    roots = qot_solver.hinge_roots
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return batch(*args, **kwargs)
+        return roots(*args, **kwargs)
 
-    monkeypatch.setattr(qot_solver, "_hinge_root_batch", counted)
+    monkeypatch.setattr(qot_solver, "hinge_roots", counted)
     mu = uniform_ball_grid(1, 0.05)
     nu = make_measure(0.5 * mu.atoms + 0.25, mu.weights) if shift else mu
     pot = solve(mu, nu, SolverConfig(epsilon=0.01))
     assert pot.residual <= 1e-10
     assert len(calls) == (2 if shift else 1)
+    if shift:
+        return
+    calls.clear()
+    inside = []
+    solve_ = qot_solver.solve
 
+    def watched(*args, **kwargs):
+        before = len(calls)
+        out = solve_(*args, **kwargs)
+        inside.append(len(calls) - before)
+        return out
 
+    monkeypatch.setattr(qot_solver, "solve", watched)
+    config = cli.ExperimentConfig.from_dict(
+        {"instance": {"name": "grid", "kind": "grid", "d": 1, "h": 0.05},
+         "eps_list": [1e-1, 1e-2, 1e-3], "checks": ["DensityUB"], "output_dir": "out"},
+        tmp_path,
+    )
+    cli.run_experiment(config, tmp_path, 2)
+    assert len(calls) == 1 and len(calls[0][2]) == 3
+    assert inside == [0, 0, 0]
 
 
 KNIFE_EDGE = 1e-8   # |slack| at or below this is a knife-edge pair
@@ -669,61 +723,6 @@ def test_csr_assembly_matches_nonzero_oracle(n, m, d, seed, log_eps, layout, pai
     assert cpl.density_max == want["densities"].max()
 
 
-def _jittered_weighted(rng, d):
-    side = np.arange(-8, 9) * 0.1 if d == 1 else np.arange(-4, 5) * 0.2
-    pts = np.array(np.meshgrid(*[side] * d)).reshape(d, -1).T
-    pts = pts[np.linalg.norm(pts, axis=1) <= 0.8]
-    pts = pts + rng.uniform(-0.03, 0.03, size=pts.shape)
-    w = rng.uniform(0.1, 1.0, size=len(pts))
-    return make_measure(pts, w / w.sum())
-
-
-HINGE_BOUND_GRIDS = {1: (0.02, 0.05, 0.1), 2: (0.1, 0.15, 0.2), 3: (0.25, 0.35)}
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    measure=st.sampled_from(["jitter-d1", "jitter-d2", "grid-d1", "grid-d2", "grid-d3"]),
-    seed=st.integers(min_value=0, max_value=10_000),
-    log_eps=st.floats(min_value=-5.0, max_value=0.0),
-)
-def test_hinge_root_bound_is_above_every_cold_root(measure, seed, log_eps):
-    # the spread-profile bound of the self-transport start lies at or above
-    # each column's root, and the roots solved from it keep the cold start's bits
-    rng = np.random.default_rng(seed)
-    kind, d = measure.split("-d")
-    d = int(d)
-    if kind == "jitter":
-        mu = _jittered_weighted(rng, d)
-    else:
-        mu = uniform_ball_grid(d, float(rng.choice(HINGE_BOUND_GRIDS[d])))
-    eps = 10.0**log_eps
-    C = cost_matrix(mu.atoms, mu.atoms)
-    bound = hinge_root_bound(build_spread(mu, cost=C), eps)
-    cold = _hinge_root_batch(C, mu.weights, eps)
-    assert bound >= cold.max()
-    assert bound >= sort_hinge_root(C, mu.weights, eps).max()
-    assert _hinge_root_batch(C, mu.weights, eps, upper=bound).tobytes() == cold.tobytes()
-
-
-@pytest.mark.parametrize("d, h, eps", [(1, 0.01, 10.0**-3.5), (2, 0.07, 10.0**-0.5), (3, 0.25, 0.01)])
-def test_solve_from_hinge_root_bound_keeps_the_potentials(d, h, eps):
-    mu = uniform_ball_grid(d, h)
-    C = cost_matrix(mu.atoms, mu.atoms)
-    cfg = SolverConfig(epsilon=eps)
-    cold = solve(mu, mu, cfg, cost=C)
-    warm = solve(mu, mu, cfg, cost=C, root_bound=hinge_root_bound(build_spread(mu, cost=C), eps))
-    assert warm.f_values.tobytes() == cold.f_values.tobytes()
-    assert warm.sweeps == cold.sweeps
-
-
-def test_hinge_root_bound_of_a_single_atom_is_infinite():
-    # no breakpoint beyond r = 0: every start is admissible
-    assert hinge_root_bound(build_spread(SINGLETON), 0.1) == np.inf
-    got = _hinge_root_batch(np.zeros((1, 1)), np.ones(1), 0.1, upper=np.inf)
-    assert got.tobytes() == _hinge_root_batch(np.zeros((1, 1)), np.ones(1), 0.1).tobytes()
-
-
 def _dual_hessian(active, mu_w, nu_w):
     """The generalized Hessian of the dual Phi for a boolean active set:
     diag(mu * A nu), diag(nu * A^T mu), and mu_i nu_j A_ij off the diagonal."""
@@ -821,17 +820,17 @@ def test_warm_start_halves_the_newton_iterations():
     assert warm <= cold / 2
 
 
-def test_warm_start_is_rejected_for_self_transport_and_wrong_shapes():
+def test_start_is_rejected_for_wrong_shapes():
     mu = uniform_ball_grid(1, 0.1)
     nu = make_measure(0.5 * mu.atoms + 0.25, mu.weights)
     cfg = SolverConfig(epsilon=0.01)
-    self_pot = solve(mu, mu, cfg)
-    with pytest.raises(ConfigError, match="mu != nu"):
-        solve(mu, mu, cfg, start=self_pot)
     short = make_measure(mu.atoms[:-1], np.full(len(mu) - 1, 1.0 / (len(mu) - 1)))
     with pytest.raises(ConfigError, match="shapes"):
         solve(short, nu, cfg, start=solve(mu, nu, cfg))
+    with pytest.raises(ConfigError, match="shapes"):
+        solve(short, short, cfg, start=solve(mu, mu, cfg))
     # a warm start from the same epsilon is already converged: one iteration
-    pot = solve(mu, nu, cfg)
-    again = solve(mu, nu, cfg, start=pot)
-    assert again.sweeps == 1 and again.residual <= cfg.residual_tol
+    for target in (nu, mu):
+        pot = solve(mu, target, cfg)
+        again = solve(mu, target, cfg, start=pot)
+        assert again.sweeps == 1 and again.residual <= cfg.residual_tol

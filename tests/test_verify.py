@@ -8,7 +8,7 @@ from oracles import coordinate_support_spread, loop_grad_estimate
 from qotlab import cli, geometry, measures, surrogate, verify
 from qotlab.geometry import build_spread
 from qotlab.measures import affine_map, identity_map, make_measure, pushforward, uniform_ball_grid
-from qotlab.qot_solver import ConfigError, SolverConfig
+from qotlab.qot_solver import SolverConfig, cold_starts
 from qotlab.verify import (
     BOUND_IDS,
     EXPLICIT_BOUND_IDS,
@@ -380,7 +380,7 @@ def test_bias_reuses_star_at_nu_atoms(monkeypatch):
     assert proxes == len(inst.mu)
 
 
-def test_prepare_instance_takes_a_warm_start_for_mu_ne_nu_only():
+def test_prepare_instance_passes_its_start_to_solve():
     mu = uniform_ball_grid(1, 0.1)
     shift = affine_map(0.5 * np.eye(1), [0.25])
     pushed = Instance("shift", mu, pushforward(mu, shift), shift)
@@ -389,6 +389,10 @@ def test_prepare_instance_takes_a_warm_start_for_mu_ne_nu_only():
         pushed, SolverConfig(epsilon=0.01), build_spread(mu), start=first.pot
     )
     assert warm.coupling.residual <= 1e-10
+    assert warm.pot.sweeps < _prepare(pushed, 0.01).pot.sweeps
+    # for mu = nu a sweep passes each epsilon's cold start, computed before
+    # its pool; the solve reaches the potentials it reaches on its own
     tied = Instance("grid", mu, mu, identity_map())
-    with pytest.raises(ConfigError, match="mu != nu"):
-        prepare_instance(tied, SolverConfig(epsilon=0.01), build_spread(mu), start=first.pot)
+    (start,) = cold_starts(mu, mu, [0.01], cost=tied.cost)
+    given = prepare_instance(tied, SolverConfig(epsilon=0.01), build_spread(mu), start=start)
+    assert given.pot.f_values.tobytes() == _prepare(tied, 0.01).pot.f_values.tobytes()
