@@ -159,39 +159,25 @@ def diameter(mu: DiscreteMeasure, cost: Optional[np.ndarray] = None) -> float:
     return float(np.sqrt(sq_max))
 
 
-def hull_faces(mu: DiscreteMeasure):
-    """Boundary of the convex hull of the atoms, as faces.
+def boundary_distance(mu: DiscreteMeasure) -> np.ndarray:
+    """Distance from each atom to the boundary of the atoms' convex hull, the
+    proxy for the boundary of the support.
 
-    d=1: the pair (lo, hi).  d=2: an (F, 2, 2) array of boundary segments.
-    The hull boundary is the proxy for the boundary of the support.
+    For a point of the hull it is the least slack -(n.x + c) of the hull's
+    facet inequalities n.x + c <= 0 (unit outward normals n), clamped at 0:
+    in d=1 min(x - lo, hi - x), in d >= 2 from Qhull's facet equations.
+    A hull with no interior (collinear atoms in d=2, say) is a GeometryError.
     """
     if mu.dim == 1:
-        vals = mu.atoms[:, 0]
-        return (float(vals.min()), float(vals.max()))
-    if mu.dim == 2:
-        # scipy loads here, on the first d=2 hull: no d=1 or rate run needs it
-        from scipy.spatial import ConvexHull, QhullError
+        x = mu.atoms[:, 0]
+        return np.minimum(x - x.min(), x.max() - x)
+    # scipy loads here, on the first d >= 2 hull: no d=1 or rate run needs it
+    from scipy.spatial import ConvexHull, QhullError
 
-        try:
-            hull = ConvexHull(mu.atoms)
-        except QhullError as exc:
-            raise GeometryError(f"degenerate convex hull: {exc}") from exc
-        segs = mu.atoms[hull.simplices]  # (F, 2, 2)
-        return np.array(segs, dtype=float)
-    raise GeometryError("hull boundary is supported for d in {1, 2}")
-
-
-def boundary_distance(points, mu: DiscreteMeasure, faces) -> np.ndarray:
-    """Distance from each row of points to the convex-hull boundary of the atoms."""
-    pts = np.asarray(points, dtype=float).reshape(-1, mu.dim)
-    if mu.dim == 1:
-        return np.abs(pts[:, 0, None] - np.array(faces)).min(axis=1)
-    if mu.dim == 2:
-        # project each point (row) onto each segment (column), clamped to the
-        # segment; a zero-length segment projects to its end
-        a, ab = faces[:, 0], faces[:, 1] - faces[:, 0]
-        along, denom = ((pts[:, None] - a) * ab).sum(axis=2), (ab * ab).sum(axis=1)
-        t = np.divide(along, denom, out=np.zeros_like(along), where=denom != 0.0)
-        proj = a + np.clip(t, 0.0, 1.0)[..., None] * ab
-        return np.sqrt(((pts[:, None] - proj) ** 2).sum(axis=2)).min(axis=1)
-    raise GeometryError("boundary distance is supported for d in {1, 2}")
+    try:
+        equations = ConvexHull(mu.atoms).equations
+    except QhullError as exc:
+        raise GeometryError(f"degenerate convex hull: {exc}") from exc
+    slack = mu.atoms @ equations[:, :-1].T
+    slack += equations[:, -1]
+    return np.maximum(-slack.max(axis=1), 0.0)

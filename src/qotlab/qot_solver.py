@@ -219,32 +219,10 @@ def cold_starts(
     return starts
 
 
-def solve_scalar_update(thresholds, weights, epsilon: float) -> float:
-    """The unique t with sum_i weights_i (t - thresholds_i)_+ = epsilon."""
-    s = np.asarray(thresholds, dtype=float).reshape(-1)
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if len(s) == 0 or len(w) == 0:
-        raise ConfigError("thresholds and weights must be nonempty")
-    if len(s) != len(w):
-        raise ConfigError("thresholds and weights must have equal length")
-    if np.any(w <= 0):
-        raise ConfigError("weights must be strictly positive")
-    if not (epsilon > 0):
-        raise ConfigError("epsilon must be positive")
-    return float(hinge_roots(s[None, :], w, [epsilon])[0, 0])
-
-
-def marginal_residuals(
-    slack: np.ndarray, mu_w: np.ndarray, nu_w: np.ndarray, eps: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual vectors of the two marginal equation families, from the slack
-    f_i + g_j - c_ij: res_mu[i] over the nu-integral at x_i, res_nu[j] over
-    the mu-integral at y_j."""
-    return _positive_residuals(np.maximum(slack, 0.0), mu_w, nu_w, eps)
-
-
 def _positive_residuals(positive, mu_w, nu_w, eps):
-    """marginal_residuals from the positive slack [f_i + g_j - c_ij]_+."""
+    """Residual vectors of the two marginal equation families, from the
+    positive slack [f_i + g_j - c_ij]_+: res_mu[i] over the nu-integral at
+    x_i, res_nu[j] over the mu-integral at y_j."""
     res_mu = np.abs(positive @ nu_w - eps)
     res_nu = np.abs(mu_w @ positive - eps)
     return res_mu, res_nu
@@ -438,7 +416,7 @@ def evaluate_f_at(x, pot: DualPotentials, nu: DiscreteMeasure) -> float:
     pt = np.asarray(x, dtype=float).reshape(1, -1)
     c_row = cost_matrix(pt, nu.atoms)[0]
     thresholds = c_row - pot.g_values
-    return solve_scalar_update(thresholds, nu.weights, pot.epsilon)
+    return float(hinge_roots(thresholds[None, :], nu.weights, [pot.epsilon])[0, 0])
 
 
 def assemble_coupling(

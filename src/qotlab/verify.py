@@ -100,8 +100,13 @@ class Instance:
     """One transport problem: the marginals and, when known, the ground-truth
     map.  Built once per run and shared by every epsilon, together with the
     read-only cost matrix c(x_i, y_j) that the solver, the coupling assembly
-    and the exact-OT fallback read; for mu = nu the diameter, the minimum
-    atom distance and the spread profile read it too."""
+    and the exact-OT reference read.  The other values that depend on the
+    instance alone are computed on first read and kept, once per run.
+
+    From Python 3.12 on cached_property has no lock, so a sweep reads the
+    profile, the exact OT and the diameter before its pool starts
+    (cli.run_experiment); pool threads that race to the cheap hull distances
+    can only compute the same array twice."""
 
     name: str
     mu: DiscreteMeasure
@@ -109,20 +114,12 @@ class Instance:
     monge: Optional[MongeMapSpec] = None
     self_transport: bool = field(init=False)
     cost: np.ndarray = field(init=False, repr=False)   # cost_matrix(mu.atoms, nu.atoms)
-    # of the mu-atoms, for mu = nu only (the self-transport checks read it);
-    # 0.0 below two atoms, None for mu != nu
-    diameter: Optional[float] = field(init=False)
 
     def __post_init__(self):
         cost = qot_solver.cost_matrix(self.mu.atoms, self.nu.atoms)
         cost.setflags(write=False)
-        self_transport = self.mu.same_as(self.nu)
-        diam = None
-        if self_transport:
-            diam = geometry.diameter(self.mu, cost) if len(self.mu) > 1 else 0.0
-        object.__setattr__(self, "self_transport", self_transport)
+        object.__setattr__(self, "self_transport", self.mu.same_as(self.nu))
         object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "diameter", diam)
 
     @property
     def self_cost(self) -> Optional[np.ndarray]:
@@ -130,39 +127,60 @@ class Instance:
         the instance's own (mu = nu), else None."""
         return self.cost if self.self_transport else None
 
+    @functools.cached_property
+    def profile(self) -> geometry.SpreadProfile:
+        """The spread profile of mu."""
+        return geometry.build_spread(self.mu, cost=self.self_cost)
+
+    @functools.cached_property
+    def exact(self) -> exact_ot.ExactOTSolution:
+        """The unregularized optimal transport, CostSandwich's reference."""
+        return exact_ot.solve_exact(self.mu, self.nu, self.monge, cost=self.cost)
+
+    @functools.cached_property
+    def diameter(self) -> Optional[float]:
+        """Of the mu-atoms, for mu = nu only (the self-transport checks read
+        it): 0.0 below two atoms, None for mu != nu."""
+        if not self.self_transport:
+            return None
+        return geometry.diameter(self.mu, self.cost) if len(self.mu) > 1 else 0.0
+
+    @functools.cached_property
+    def boundary_distance(self) -> np.ndarray:
+        """Each mu-atom's distance to the boundary of the atoms' convex hull;
+        zeros when the hull has no interior, so every atom is a boundary
+        point."""
+        try:
+            return geometry.boundary_distance(self.mu)
+        except geometry.GeometryError:
+            return np.zeros(len(self.mu))
+
 
 @dataclass
 class SolvedInstance:
-    """One solved (mu, nu, eps) pipeline state shared by the checkers.  What
-    several checkers read is computed on first read and kept: each instance
-    belongs to one epsilon and one thread."""
+    """One solved (mu, nu, eps) pipeline state shared by the checkers: the
+    instance and its per-epsilon state.  What several checkers read is
+    computed on first read and kept: each solved instance belongs to one
+    epsilon and one thread."""
 
-    name: str
-    mu: DiscreteMeasure
-    nu: DiscreteMeasure
+    instance: Instance
     cfg: qot_solver.SolverConfig
     pot: qot_solver.DualPotentials
     coupling: qot_solver.Coupling
-    profile: geometry.SpreadProfile
     d_eps: float
-    self_transport: bool
-    diameter: Optional[float]
-    cost: np.ndarray = field(repr=False)   # the instance's cost_matrix(mu.atoms, nu.atoms)
-    monge: Optional[MongeMapSpec] = None
-    exact: Optional[exact_ot.ExactOTSolution] = None
 
     @property
     def epsilon(self) -> float:
         return self.cfg.epsilon
 
     def base_context(self) -> dict:
-        return {"instance": self.name, "epsilon": float(self.epsilon)}
+        return {"instance": self.instance.name, "epsilon": float(self.epsilon)}
 
     @functools.cached_property
     def surr(self) -> surrogate.ConvexSurrogate:
         """The convex surrogate built from the potentials: the rate checks
         never read it."""
-        return surrogate.build_surrogate(self.pot, self.nu, self.d_eps)
+        return surrogate.build_surrogate(self.pot, self.instance.nu, self.d_eps)
 
     @functools.cached_property
     def support_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -172,15 +190,16 @@ class SolvedInstance:
 
     @functools.cached_property
     def psi_at_mu(self) -> np.ndarray:
-        return surrogate.eval_psi(self.surr, self.mu.atoms)[0]
+        return surrogate.eval_psi(self.surr, self.instance.mu.atoms)[0]
 
     @functools.cached_property
     def stars(self) -> tuple[np.ndarray, np.ndarray]:
         """psi* at the nu-atoms and at the map's images of the mu-atoms (none
         without a map), from one batch, so a point that is both is solved once."""
-        images = [] if self.monge is None else [self.monge(self.mu.atoms)]
-        star = surrogate.eval_psi_star(self.surr, np.concatenate([self.nu.atoms, *images]))
-        return star[: len(self.nu)], star[len(self.nu):]
+        inst = self.instance
+        images = [] if inst.monge is None else [inst.monge(inst.mu.atoms)]
+        star = surrogate.eval_psi_star(self.surr, np.concatenate([inst.nu.atoms, *images]))
+        return star[: len(inst.nu)], star[len(inst.nu):]
 
     @functools.cached_property
     def support_spread(self) -> float:
@@ -188,39 +207,23 @@ class SolvedInstance:
         the self-transport checks and the rate fit both read it."""
         return _support_spread(self)
 
-    def ensure_exact(self) -> exact_ot.ExactOTSolution:
-        if self.exact is None:
-            self.exact = exact_ot.solve_exact(self.mu, self.nu, self.monge, cost=self.cost)
-        return self.exact
-
 
 def prepare_instance(
     inst: Instance,
     cfg: qot_solver.SolverConfig,
-    profile: geometry.SpreadProfile,
-    exact: Optional[exact_ot.ExactOTSolution] = None,
     start: Optional[qot_solver.DualPotentials] = None,
 ) -> SolvedInstance:
-    """Solve inst at cfg.epsilon; profile is the spread profile of inst.mu.
-    start, when given, is the potentials the solve starts from: a cold start
-    from qot_solver.cold_starts or another epsilon's potentials (see
-    qot_solver.solve)."""
+    """Solve inst at cfg.epsilon.  start, when given, is the potentials the
+    solve starts from: a cold start from qot_solver.cold_starts or another
+    epsilon's potentials (see qot_solver.solve)."""
     pot = qot_solver.solve(inst.mu, inst.nu, cfg, cost=inst.cost, start=start)
     coupling = qot_solver.assemble_coupling(pot, inst.mu, inst.nu, cfg, cost=inst.cost)
     return SolvedInstance(
-        name=inst.name,
-        mu=inst.mu,
-        nu=inst.nu,
+        instance=inst,
         cfg=cfg,
         pot=pot,
         coupling=coupling,
-        profile=profile,
-        d_eps=geometry.delta(profile, cfg.epsilon),
-        self_transport=inst.self_transport,
-        diameter=inst.diameter,
-        monge=inst.monge,
-        exact=exact,
-        cost=inst.cost,
+        d_eps=geometry.delta(inst.profile, cfg.epsilon),
     )
 
 
@@ -244,8 +247,9 @@ def _support_spread(inst: SolvedInstance) -> float:
     # the cost c_ij = |x_i - y_j|^2 / 2 read at the support pairs: twice it is
     # bitwise the squared distance (x 0.5 is exact), and sqrt is monotone, so
     # the root of twice the largest cost is the largest distance
-    flat_cost = inst.cost.ravel()
-    m = inst.cost.shape[1]
+    cost = inst.instance.cost
+    flat_cost = cost.ravel()
+    m = cost.shape[1]
     worst = 0.0
     for lo, counts, jj in _support_blocks(inst.coupling):
         if len(jj):
@@ -265,7 +269,7 @@ def _grad_estimate_lhs(inst: SolvedInstance) -> float:
     row's terms in index order, so a row's values do not depend on its
     block.
     """
-    nu = inst.nu
+    nu = inst.instance.nu
     worst = 0.0
     for _, counts, jj in _support_blocks(inst.coupling):
         if not len(jj):
@@ -293,9 +297,9 @@ def check_density_ub(inst: SolvedInstance) -> list[BoundReport]:
 
 def check_cost_sandwich(inst: SolvedInstance) -> list[BoundReport]:
     """Exact cost <= regularized cost <= dual sum <= exact cost + 5 delta."""
-    exact = inst.ensure_exact()
-    qot_cost = inst.coupling.cost_against(inst.mu.atoms, inst.nu.atoms)
-    dual_sum = float(inst.mu.weights @ inst.pot.f_values + inst.nu.weights @ inst.pot.g_values)
+    mu, nu, exact = inst.instance.mu, inst.instance.nu, inst.instance.exact
+    qot_cost = inst.coupling.cost_against(mu.atoms, nu.atoms)
+    dual_sum = float(mu.weights @ inst.pot.f_values + nu.weights @ inst.pot.g_values)
     rhs = 5.0 * inst.d_eps
     holds = (
         exact.cost <= qot_cost + SLACK
@@ -311,10 +315,11 @@ def check_cost_sandwich(inst: SolvedInstance) -> list[BoundReport]:
 
 def check_approx_conj(inst: SolvedInstance) -> list[BoundReport]:
     """Both 6-delta conjugacy defects plus the 12-delta support inclusion."""
+    mu, nu = inst.instance.mu, inst.instance.nu
     psi_mu = inst.psi_at_mu
     star_nu = inst.stars[0]
-    half_mu = 0.5 * (inst.mu.atoms**2).sum(-1)
-    half_nu = 0.5 * (inst.nu.atoms**2).sum(-1)
+    half_mu = 0.5 * (mu.atoms**2).sum(-1)
+    half_nu = 0.5 * (nu.atoms**2).sum(-1)
     reports = []
     for side, defect in (
         ("mu", half_mu - inst.pot.f_values - psi_mu),
@@ -325,7 +330,7 @@ def check_approx_conj(inst: SolvedInstance) -> list[BoundReport]:
         lhs = float(np.abs(defect).max())
         reports.append(_report("ApproxConj", lhs, 6.0 * inst.d_eps, inst.d_eps, ctx))
     ii, jj = inst.support_pairs
-    dots = (inst.mu.atoms[ii] * inst.nu.atoms[jj]).sum(-1)
+    dots = (mu.atoms[ii] * nu.atoms[jj]).sum(-1)
     gaps = psi_mu[ii] + star_nu[jj] - dots
     lhs12 = float(gaps.max()) if len(gaps) else 0.0
     rhs12 = 12.0 * inst.d_eps
@@ -340,7 +345,7 @@ def check_approx_conj(inst: SolvedInstance) -> list[BoundReport]:
 
 def check_restricted_conj(inst: SolvedInstance) -> list[BoundReport]:
     """Conjugate restricted to mu-atoms versus the full conjugate, 22 delta."""
-    prime = surrogate.eval_psi_prime(inst.mu, inst.psi_at_mu, inst.nu.atoms)
+    prime = surrogate.eval_psi_prime(inst.instance.mu, inst.psi_at_mu, inst.instance.nu.atoms)
     lhs = float(np.abs(inst.stars[0] - prime).max())
     return [_report("RestrictedConj", lhs, 22.0 * inst.d_eps, inst.d_eps, inst.base_context())]
 
@@ -351,7 +356,7 @@ def check_concentration(inst: SolvedInstance) -> list[BoundReport]:
     resolvent call takes every pair's x + y; in d >= 2 it solves once per
     distinct sum, not once per support pair."""
     ii, jj = inst.support_pairs
-    X, Y = inst.mu.atoms[ii], inst.nu.atoms[jj]
+    X, Y = inst.instance.mu.atoms[ii], inst.instance.nu.atoms[jj]
     x_prime, grad = surrogate.minty_reflect(inst.surr, X + Y)
     dist = np.sqrt(((X - x_prime) ** 2).sum(axis=1) + ((Y - grad) ** 2).sum(axis=1))
     worst = float(dist.max()) if len(dist) else 0.0
@@ -364,16 +369,17 @@ def check_concentration(inst: SolvedInstance) -> list[BoundReport]:
 def check_self_transport(inst: SolvedInstance) -> list[BoundReport]:
     """Support spread versus the improved-spread rate, the 4M square bound,
     and the barycenter gradient estimate (mu = nu only)."""
-    if not inst.self_transport:
+    if not inst.instance.self_transport:
         raise VerifyError("self-transport checks require mu = nu")
     spread = inst.support_spread
     M = float(inst.pot.f_values.max())
-    dst = geometry.delta_st(inst.profile, inst.epsilon)
-    scale = min(math.sqrt(dst), inst.diameter)
+    dst = geometry.delta_st(inst.instance.profile, inst.epsilon)
+    diam = inst.instance.diameter
+    scale = min(math.sqrt(dst), diam)
     worst_dev = _grad_estimate_lhs(inst)
 
     ctx = inst.base_context()
-    ctx.update(spread=spread, M=M, delta_st=float(dst), diam=float(inst.diameter))
+    ctx.update(spread=spread, M=M, delta_st=float(dst), diam=float(diam))
     sym_lb = math.sqrt(2.0) * scale
     return [
         _report("SuppDiamM", spread**2, 4.0 * M, M, dict(ctx)),
@@ -387,30 +393,27 @@ def check_self_transport(inst: SolvedInstance) -> list[BoundReport]:
 def check_bias(inst: SolvedInstance) -> list[BoundReport]:
     """Bias of the support against the ground-truth map: uniform discrepancy,
     integral gap, and the interior/boundary support bias bounds."""
-    if inst.monge is None:
+    instance = inst.instance
+    if instance.monge is None:
         raise VerifyError("bias checks require a ground-truth map")
-    L = float(inst.monge.lipschitz_L)
-    grad_phi = np.asarray(inst.monge(inst.mu.atoms), dtype=float)
+    mu = instance.mu
+    L = float(instance.monge.lipschitz_L)
+    grad_phi = np.asarray(instance.monge(mu.atoms), dtype=float)
 
-    dots = (inst.mu.atoms * grad_phi).sum(-1)
+    dots = (mu.atoms * grad_phi).sum(-1)
     gaps = inst.psi_at_mu + inst.stars[1] - dots
     alpha = float(gaps.max())
-    integral_gap = float(inst.mu.weights @ gaps)
+    integral_gap = float(mu.weights @ gaps)
 
-    inner_delta = geometry.delta(inst.profile, inst.d_eps / (L + 1.0))
+    inner_delta = geometry.delta(instance.profile, inst.d_eps / (L + 1.0))
     rhs_disc = (L + 1.0) * inner_delta
     r_general = (L + 1.0) ** 1.5 * math.sqrt(inner_delta)
     rhs_bdry = (L + 1.0) ** 1.5 * max(inner_delta**0.25, math.sqrt(inner_delta))
 
-    try:
-        faces = geometry.hull_faces(inst.mu)
-        interior = geometry.boundary_distance(inst.mu.atoms, inst.mu, faces) > r_general
-    except geometry.GeometryError:
-        # degenerate hull has empty interior: every atom is a boundary point
-        interior = np.zeros(len(inst.mu), dtype=bool)
+    interior = instance.boundary_distance > r_general
 
     ii, jj = inst.support_pairs
-    devs = np.sqrt(((inst.nu.atoms[jj] - grad_phi[ii]) ** 2).sum(-1))
+    devs = np.sqrt(((instance.nu.atoms[jj] - grad_phi[ii]) ** 2).sum(-1))
     all_bias = float(devs.max()) if len(devs) else 0.0
     interior_mask = interior[ii]
     vacuous = not bool(interior_mask.any())
@@ -460,9 +463,9 @@ def run_checks(inst: SolvedInstance, requested) -> list[BoundReport]:
     for ids, fn, guard in _PRODUCERS:
         if not (ids & requested):
             continue
-        if guard == "self_transport" and not inst.self_transport:
+        if guard == "self_transport" and not inst.instance.self_transport:
             continue
-        if guard == "monge" and inst.monge is None:
+        if guard == "monge" and inst.instance.monge is None:
             continue
         out.extend(r for r in fn(inst) if r.bound_id in requested)
     return out

@@ -16,8 +16,12 @@ np.nonzero with int64 row and column arrays (the library builds row
 pointers and int32 columns by blocks of rows), and the surrogate's envelope
 prox and conjugate from an active-set QP over the simplex of slopes and a
 HiGHS LP (the library enumerates the faces of the lifted points' lower hull),
-and GradEstimate's barycenters from a Python loop over each row's entries
-(the library takes segment sums with np.bincount over blocks of rows).
+GradEstimate's barycenters from a Python loop over each row's entries
+(the library takes segment sums with np.bincount over blocks of rows),
+marginal residuals from the dense slack (the library reads the coupling
+assembly's positive slack), and d=2 hull-boundary distances from projections
+onto the hull's segments (the library takes the least slack of the facet
+inequalities).
 """
 from __future__ import annotations
 
@@ -26,9 +30,34 @@ import math
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from qotlab.geometry import DIST_DECIMALS
-from qotlab.qot_solver import cost_matrix, marginal_residuals
+from qotlab.qot_solver import cost_matrix
+
+
+def marginal_residuals(
+    slack: np.ndarray, mu_w: np.ndarray, nu_w: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual vectors of the two marginal equation families, from the dense
+    slack f_i + g_j - c_ij: res_mu[i] over the nu-integral at x_i, res_nu[j]
+    over the mu-integral at y_j."""
+    positive = np.maximum(slack, 0.0)
+    return np.abs(positive @ nu_w - eps), np.abs(mu_w @ positive - eps)
+
+
+def segment_boundary_distance(mu) -> np.ndarray:
+    """Distance from each atom of a d=2 measure to the boundary of the atoms'
+    convex hull: the least distance to the projections onto the hull's
+    segments, each clamped to its segment (the route that
+    geometry.boundary_distance's facet slacks replaced)."""
+    segs = mu.atoms[ConvexHull(mu.atoms).simplices]   # (F, 2, 2)
+    pts = mu.atoms
+    a, ab = segs[:, 0], segs[:, 1] - segs[:, 0]
+    along, denom = ((pts[:, None] - a) * ab).sum(axis=2), (ab * ab).sum(axis=1)
+    t = np.clip(along / denom, 0.0, 1.0)
+    proj = a + t[..., None] * ab
+    return np.sqrt(((pts[:, None] - proj) ** 2).sum(axis=2)).min(axis=1)
 
 
 def broadcast_sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -282,7 +311,7 @@ def coordinate_support_spread(inst) -> float:
     if not len(ii):
         return 0.0
     sq = np.zeros(len(ii))
-    for x, y in zip(inst.mu.atoms.T, inst.nu.atoms.T):
+    for x, y in zip(inst.instance.mu.atoms.T, inst.instance.nu.atoms.T):
         diff = x[ii] - y[jj]
         diff *= diff
         sq += diff
@@ -296,21 +325,22 @@ def loop_grad_estimate(inst) -> float:
     largest distance from a row's support atom to the row's barycenter, with
     the squared differences added one coordinate at a time; 0 on an empty
     support."""
-    cpl, atoms, weights = inst.coupling, inst.nu.atoms, inst.nu.weights
+    cpl, nu = inst.coupling, inst.instance.nu
+    atoms, weights = nu.atoms, nu.weights
     worst = 0.0
     for i in range(cpl.n_mu):
         cols = cpl.j_idx[cpl.indptr[i]:cpl.indptr[i + 1]]
         if not len(cols):
             continue
-        total, sums = 0.0, [0.0] * inst.nu.dim
+        total, sums = 0.0, [0.0] * nu.dim
         for j in cols:
             total += weights[j]
-            for c in range(inst.nu.dim):
+            for c in range(nu.dim):
                 sums[c] += weights[j] * atoms[j, c]
         bary = [s / total for s in sums]
         for j in cols:
             sq = 0.0
-            for c in range(inst.nu.dim):
+            for c in range(nu.dim):
                 diff = bary[c] - atoms[j, c]
                 sq += diff * diff
             worst = max(worst, float(sq))

@@ -13,7 +13,6 @@ import pytest
 
 from oracles import qp_oracle_coupling
 from qotlab import cli, verify
-from qotlab.exact_ot import solve_exact
 from qotlab.geometry import build_spread, delta, delta_st
 from qotlab.measures import make_measure, uniform_ball_grid
 from qotlab.qot_solver import SolverConfig, assemble_coupling, evaluate_f_at, solve
@@ -56,13 +55,11 @@ def sweep(shipped_instances):
     prepared pipelines, and full check reports."""
     out = {}
     for inst in shipped_instances:
-        profile = build_spread(inst.mu)
-        exact = solve_exact(inst.mu, inst.nu, inst.monge)
         per_eps = {}
         for eps in EPS_SWEEP:
             cfg = SolverConfig(epsilon=eps, residual_tol=RESIDUAL_TOL)
             t0 = time.perf_counter()
-            solved = verify.prepare_instance(inst, cfg, profile, exact)
+            solved = verify.prepare_instance(inst, cfg)
             solve_seconds = time.perf_counter() - t0
             reports = verify.run_checks(solved, verify.BOUND_IDS)
             per_eps[eps] = (solved, solve_seconds, reports)
@@ -172,7 +169,7 @@ def test_criterion_4_self_transport_rates():
 def test_criterion_5_property_suites(sweep):
     solved, _, _ = sweep["grid-d1-h0.05"][1e-2]
     surr = solved.surr
-    mu = solved.mu
+    mu = solved.instance.mu
     rng = np.random.default_rng(20260810)
     violations = 0
 
@@ -194,8 +191,8 @@ def test_criterion_5_property_suites(sweep):
     # extended potential is 2-Lipschitz: 100 pairs
     for _ in range(100):
         a, b = rng.uniform(-1.0, 1.0, size=2)
-        fa = evaluate_f_at([a], solved.pot, solved.nu)
-        fb = evaluate_f_at([b], solved.pot, solved.nu)
+        fa = evaluate_f_at([a], solved.pot, solved.instance.nu)
+        fb = evaluate_f_at([b], solved.pot, solved.instance.nu)
         if abs(fa - fb) > 2.0 * abs(a - b) + SLACK:
             violations += 1
 
@@ -203,9 +200,9 @@ def test_criterion_5_property_suites(sweep):
     for _ in range(100):
         a, b = rng.uniform(-1.0, 1.0, size=2)
         mid = 0.5 * (a + b)
-        va = evaluate_f_at([a], solved.pot, solved.nu) - 0.5 * a * a
-        vb = evaluate_f_at([b], solved.pot, solved.nu) - 0.5 * b * b
-        vm = evaluate_f_at([mid], solved.pot, solved.nu) - 0.5 * mid * mid
+        va = evaluate_f_at([a], solved.pot, solved.instance.nu) - 0.5 * a * a
+        vb = evaluate_f_at([b], solved.pot, solved.instance.nu) - 0.5 * b * b
+        vm = evaluate_f_at([mid], solved.pot, solved.instance.nu) - 0.5 * mid * mid
         if vm < 0.5 * (va + vb) - 1e-9:
             violations += 1
 

@@ -570,24 +570,75 @@ def test_files_instance_roundtrip(tmp_path):
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
 
 
+def _traced_worker_run(tmp_path, cfg, **env) -> dict:
+    """The result of one traced benchmark worker run of cfg; its spans are
+    in tmp_path / "spans.jsonl"."""
+    worker = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+    result_path = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, str(worker), str(cfg), str(result_path),
+         "--spans", str(tmp_path / "spans.jsonl")],
+        capture_output=True, text=True, timeout=300, env={**os.environ, **env},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(result_path.read_text())
+
+
 def test_traced_benchmark_worker_runs(tmp_path):
     # every slot the benchmark tracer wraps must still exist, and the
     # instance-only spread profile is built once per run, not once per epsilon
     cfg = _write_config(
         tmp_path, instance={"name": "grid", "kind": "grid", "d": 1, "h": 0.1}
     )
-    worker = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
-    result_path = tmp_path / "result.json"
-    proc = subprocess.run(
-        [sys.executable, str(worker), str(cfg), str(result_path),
-         "--spans", str(tmp_path / "spans.jsonl")],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(result_path.read_text())
+    result = _traced_worker_run(tmp_path, cfg)
     assert result["code"] == cli.EXIT_OK
     assert result["layers"]["geometry.build_spread.calls"] == 1
     assert result["layers"]["verify.prepare_instance.calls"] == 2
+
+
+def test_pooled_sweep_computes_instance_values_once_before_the_pool(tmp_path):
+    # a mu = nu sweep on a two-thread pool with CostSandwich requested: the
+    # spread profile and the exact OT are computed once per run, on the
+    # thread that runs the experiment, before any pool thread reads them
+    cfg = _write_config(
+        tmp_path,
+        instance={"name": "grid", "kind": "grid", "d": 1, "h": 0.1},
+        eps_list=[0.1, 0.05, 0.02, 0.01],
+    )
+    result = _traced_worker_run(tmp_path, cfg, QOTLAB_THREADS="2")
+    assert result["code"] == cli.EXIT_OK
+    layers = result["layers"]
+    assert layers["geometry.build_spread.calls"] == 1
+    assert layers["exact_ot.solve_exact.calls"] == 1
+    assert layers["verify.prepare_instance.calls"] == 4
+    assert layers["verify.check_cost_sandwich.calls"] == 4
+    spans = [json.loads(line) for line in (tmp_path / "spans.jsonl").read_text().splitlines()]
+    (run,) = [s for s in spans if s["name"] == "cli.run_experiment"]
+    first_eps = min(s["start"] for s in spans if s["name"] == "verify.prepare_instance")
+    for name in ("geometry.build_spread", "exact_ot.solve_exact"):
+        (span,) = [s for s in spans if s["name"] == name]
+        assert span["thread"] == run["thread"] and span["end"] <= first_eps, name
+
+
+def test_d3_general_bias_sees_the_interior_atom(tmp_path):
+    # affine d=3 a=0.5 h=0.5 (n=33): the center atom lies 0.707 from the
+    # hull boundary, beyond r_general = 0.495 at eps = 1e-4, so GeneralBias
+    # has one interior pair there; at larger eps r_general exceeds 0.707
+    config = cli.ExperimentConfig.from_dict(
+        {"instance": {"name": "d3", "kind": "affine", "d": 3, "a": 0.5, "h": 0.5},
+         "eps_list": [1e-1, 1e-2, 1e-3, 1e-4], "checks": "all", "output_dir": "out"},
+        tmp_path,
+    )
+    records, _, _ = cli.run_experiment(config, tmp_path, 1)
+    assert all(rec["holds"] is not False for rec in records)
+    general = {
+        rec["context"]["epsilon"]: rec for rec in records if rec["bound_id"] == "GeneralBias"
+    }
+    assert general[1e-4]["context"]["r_general"] == pytest.approx(0.495)
+    assert general[1e-4]["context"]["interior_pairs"] == 1
+    assert general[1e-4]["context"]["vacuous"] is False
+    for eps in (1e-1, 1e-2, 1e-3):
+        assert general[eps]["context"]["vacuous"] is True
 
 
 # run in a fresh interpreter, so this test process's own imports do not leak

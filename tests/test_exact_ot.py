@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enumerate_matching_cost, lp_transport_cost
-from qotlab import cli, exact_ot, verify
+from qotlab import cli, exact_ot
 from qotlab.exact_ot import ExactOTError, _map_coupling, _ssp, solve_exact
-from qotlab.geometry import build_spread
 from qotlab.measures import affine_map, make_measure, pushforward, uniform_ball_grid
 from qotlab.qot_solver import SolverConfig, assemble_coupling, cost_matrix, solve
 
@@ -268,11 +267,9 @@ def test_inline_map_that_hits_nu_skips_ssp(tmp_path, ssp_calls):
     )
 
 
-def test_ensure_exact_uses_the_instance_map(ssp_calls):
+def test_instance_exact_uses_the_instance_map(ssp_calls):
     inst = cli.build_instance({"name": "a", "kind": "affine", "a": 0.5, "h": 0.1})
-    cfg = SolverConfig(epsilon=0.1)
-    solved = verify.prepare_instance(inst, cfg, build_spread(inst.mu))
-    assert solved.ensure_exact().cost == solve_exact(inst.mu, inst.nu, inst.monge).cost
+    assert inst.exact.cost == solve_exact(inst.mu, inst.nu, inst.monge).cost
     assert ssp_calls == []
 
 

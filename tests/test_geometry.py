@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bisect_delta_st, broadcast_sq_distances, brute_force_rho, loop_spread
-from qotlab import measures
+from oracles import (
+    bisect_delta_st,
+    broadcast_sq_distances,
+    brute_force_rho,
+    loop_spread,
+    segment_boundary_distance,
+)
+from qotlab import measures, verify
 from qotlab.cli import build_instance
 from qotlab.geometry import (
     DIST_DECIMALS,
@@ -17,7 +23,6 @@ from qotlab.geometry import (
     delta,
     delta_st,
     diameter,
-    hull_faces,
 )
 from qotlab.measures import make_measure, uniform_ball_grid
 from qotlab.qot_solver import cost_matrix
@@ -318,46 +323,49 @@ def test_radii_bitwise_match_unique_on_lattice(points):
 
 def test_boundary_distance_d1():
     mu = uniform_ball_grid(1, 0.5)
-    faces = hull_faces(mu)
-    # a hull vertex, then the center
-    dist = boundary_distance([[1.0], [0.0]], mu, faces)
-    assert dist[0] == 0.0
-    assert dist[1] == pytest.approx(1.0)
+    dist = boundary_distance(mu)
+    # the hull's end points, then the center
+    assert dist[0] == dist[-1] == 0.0
+    assert dist[len(mu) // 2] == 1.0
+    # min(x - lo, hi - x) is bitwise the distance to the nearer end
+    x = mu.atoms[:, 0]
+    assert dist.tobytes() == np.abs(x[:, None] - [x.min(), x.max()]).min(axis=1).tobytes()
 
 
 def test_boundary_distance_d2():
-    mu = make_measure([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1 / 3, 1 / 3, 1 / 3])
-    faces = hull_faces(mu)
-    dist = boundary_distance([[0.0, 0.0], [0.25, 0.25]], mu, faces)
-    assert dist[0] == 0.0
-    assert dist[1] == pytest.approx(0.25)
+    mu = make_measure(
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.25]], [0.25, 0.25, 0.25, 0.25]
+    )
+    dist = boundary_distance(mu)
+    assert (dist[:3] == 0.0).all()
+    assert dist[3] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_boundary_distance_d2_matches_per_segment_reference():
-    mu = _random_measure(5, n=40, d=2)
-    # the hull's segments plus a zero-length one, which projects to its end
-    faces = hull_faces(mu)
-    faces = np.concatenate([faces, faces[:1, :1].repeat(2, axis=1)])
-    pts = np.concatenate([np.random.default_rng(6).uniform(-1.0, 1.0, size=(30, 2)), mu.atoms])
-    want = []
-    for pt in pts:
-        best = np.inf
-        for a, b in faces:
-            ab = b - a
-            denom = float(ab @ ab)
-            t = 0.0 if denom == 0.0 else float(np.clip((pt - a) @ ab / denom, 0.0, 1.0))
-            best = min(best, float(np.linalg.norm(pt - (a + t * ab))))
-        want.append(best)
-    assert np.allclose(boundary_distance(pts, mu, faces), want, rtol=0.0, atol=1e-15)
+    # the least facet slack against the projection onto each hull segment,
+    # on random measures and on grids
+    measures_d2 = [_random_measure(seed, n=40, d=2) for seed in range(5)]
+    measures_d2 += [uniform_ball_grid(2, h) for h in (0.5, 0.2, 0.1)]
+    for mu in measures_d2:
+        want = segment_boundary_distance(mu)
+        assert np.allclose(boundary_distance(mu), want, rtol=0.0, atol=1e-15)
+
+
+def test_boundary_distance_d3_lattice():
+    h = 0.3
+    side = np.array([-h, 0.0, h])
+    atoms = np.array(np.meshgrid(side, side, side)).reshape(3, -1).T
+    mu = make_measure(atoms, np.full(27, 1.0 / 27))
+    dist = boundary_distance(mu)
+    # h at the center, 0 on the cube's faces, edges and corners
+    center = (atoms == 0.0).all(axis=1)
+    assert np.array_equal(dist, np.where(center, h, 0.0))
 
 
 def test_hull_degenerate_d2():
     mu = make_measure([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]], [1 / 3, 1 / 3, 1 / 3])
     with pytest.raises(GeometryError, match="hull"):
-        hull_faces(mu)
-
-
-def test_hull_rejects_d3():
-    mu = uniform_ball_grid(3, 1.0)
-    with pytest.raises(GeometryError):
-        hull_faces(mu)
+        boundary_distance(mu)
+    # a hull with no interior leaves every atom on the boundary
+    inst = verify.Instance("collinear", mu, mu)
+    assert inst.boundary_distance.tobytes() == np.zeros(3).tobytes()

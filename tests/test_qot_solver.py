@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     alternating_solve,
     fresh_hinge_root_batch,
+    marginal_residuals,
     nonzero_coupling,
     qp_oracle_coupling,
 )
@@ -27,38 +28,32 @@ from qotlab.qot_solver import (
     cost_matrix,
     evaluate_f_at,
     hinge_roots,
-    marginal_residuals,
     max_density,
     solve,
-    solve_scalar_update,
 )
 
 SINGLETON = make_measure([0.0], [1.0])
 TWO_POINT = make_measure([-1.0, 1.0], [0.5, 0.5])
 
 
+def _scalar_root(thresholds, weights, eps) -> float:
+    """The hinge root of one row of thresholds at one eps."""
+    return float(hinge_roots(np.array([thresholds], dtype=float), np.asarray(weights), [eps])[0, 0])
+
+
 def test_scalar_update_single_piece():
-    assert solve_scalar_update([0.5], [1.0], 0.1) == pytest.approx(0.6, abs=1e-15)
+    assert _scalar_root([0.5], [1.0], 0.1) == pytest.approx(0.6, abs=1e-15)
 
 
 def test_scalar_update_total_weight_one():
-    assert solve_scalar_update([0.0, 0.0], [0.5, 0.5], 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert _scalar_root([0.0, 0.0], [0.5, 0.5], 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_scalar_update_first_piece_active():
     # only the first hinge is active: 0.5 * t = 0.2  (verified by substitution)
-    t = solve_scalar_update([0.0, 1.0], [0.5, 0.5], 0.2)
+    t = _scalar_root([0.0, 1.0], [0.5, 0.5], 0.2)
     assert t == pytest.approx(0.4, abs=1e-15)
     assert 0.5 * max(t - 0.0, 0.0) + 0.5 * max(t - 1.0, 0.0) == pytest.approx(0.2)
-
-
-def test_scalar_update_validation():
-    with pytest.raises(ConfigError):
-        solve_scalar_update([], [], 0.1)
-    with pytest.raises(ConfigError):
-        solve_scalar_update([0.0], [0.0], 0.1)
-    with pytest.raises(ConfigError):
-        solve_scalar_update([0.0], [1.0], 0.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -71,7 +66,7 @@ def test_scalar_update_substitution_property(n, seed, eps):
     rng = np.random.default_rng(seed)
     thresholds = rng.uniform(-2.0, 2.0, size=n)
     weights = rng.uniform(0.05, 1.0, size=n)
-    t = solve_scalar_update(thresholds, weights, eps)
+    t = _scalar_root(thresholds, weights, eps)
     total = float((weights * np.maximum(t - thresholds, 0.0)).sum())
     assert total == pytest.approx(eps, abs=1e-10 * max(1.0, eps))
 

@@ -6,7 +6,6 @@ import pytest
 
 from oracles import coordinate_support_spread, loop_grad_estimate
 from qotlab import cli, geometry, measures, surrogate, verify
-from qotlab.geometry import build_spread
 from qotlab.measures import affine_map, identity_map, make_measure, pushforward, uniform_ball_grid
 from qotlab.qot_solver import SolverConfig, cold_starts
 from qotlab.verify import (
@@ -31,7 +30,7 @@ TWO_POINT = make_measure([-1.0, 1.0], [0.5, 0.5])
 
 
 def _prepare(inst: Instance, eps: float):
-    return prepare_instance(inst, SolverConfig(epsilon=eps), build_spread(inst.mu))
+    return prepare_instance(inst, SolverConfig(epsilon=eps))
 
 
 @pytest.fixture(scope="module")
@@ -233,8 +232,8 @@ def test_concentration_matches_per_pair_reference():
     ii, jj = inst.support_pairs
     worst = 0.0
     for i, j in zip(ii, jj):
-        x = inst.mu.atoms[i]
-        y = inst.nu.atoms[j]
+        x = inst.instance.mu.atoms[i]
+        y = inst.instance.nu.atoms[j]
         (x_prime,), (grad,) = surrogate.minty_reflect(inst.surr, (x + y)[None])
         dist = math.sqrt(float(((x - x_prime) ** 2).sum() + ((y - grad) ** 2).sum()))
         worst = max(worst, dist)
@@ -247,7 +246,7 @@ def test_concentration_matches_per_pair_reference():
 def test_grad_estimate_matches_per_row_reference():
     mu = uniform_ball_grid(2, 0.2)
     cfg = SolverConfig(epsilon=0.05)
-    inst = prepare_instance(Instance("grid-d2", mu, mu, identity_map()), cfg, build_spread(mu))
+    inst = prepare_instance(Instance("grid-d2", mu, mu, identity_map()), cfg)
     worst = loop_grad_estimate(inst)
     rep = next(r for r in check_self_transport(inst) if r.bound_id == "GradEstimate")
     assert np.float64(rep.lhs).tobytes() == np.float64(worst).tobytes()
@@ -279,7 +278,7 @@ def _self_transport_solved(name: str):
     build, eps = SELF_TRANSPORT_CASES[name]
     mu = build()
     cfg = SolverConfig(epsilon=eps)
-    return prepare_instance(Instance(name, mu, mu, identity_map()), cfg, build_spread(mu))
+    return prepare_instance(Instance(name, mu, mu, identity_map()), cfg)
 
 
 def _per_row_mask_spread(inst):
@@ -289,7 +288,7 @@ def _per_row_mask_spread(inst):
     spread = 0.0
     for i in np.unique(cpl.rows()):
         cols = cpl.j_idx[cpl.rows() == i]
-        dists = np.sqrt(((inst.mu.atoms[i] - inst.nu.atoms[cols]) ** 2).sum(-1))
+        dists = np.sqrt(((inst.instance.mu.atoms[i] - inst.instance.nu.atoms[cols]) ** 2).sum(-1))
         spread = max(spread, float(dists.max()))
     return spread
 
@@ -335,9 +334,7 @@ def test_self_transport_streams_match_per_row_reference(name, block, monkeypatch
 @pytest.mark.parametrize("d, h, eps", [(1, 0.05, 0.05), (2, 0.1, 0.03), (3, 0.25, 0.1)])
 def test_support_spread_from_cost_matches_coordinate_loop(d, h, eps):
     mu = uniform_ball_grid(d, h)
-    inst = prepare_instance(
-        Instance(f"grid-d{d}", mu, mu, identity_map()), SolverConfig(epsilon=eps), build_spread(mu)
-    )
+    inst = prepare_instance(Instance(f"grid-d{d}", mu, mu, identity_map()), SolverConfig(epsilon=eps))
     assert 0 < len(inst.coupling.masses) < len(mu) ** 2
     want = coordinate_support_spread(inst)
     assert want > 0.0
@@ -359,7 +356,7 @@ def test_concentration_solves_each_distinct_sum_once(monkeypatch):
     inst = _grid_d2_half_map_solved()
     calls = _counting(monkeypatch, "_face_argmin")
     ii, jj = inst.support_pairs
-    sums = _distinct(inst.mu.atoms[ii] + inst.nu.atoms[jj])
+    sums = _distinct(inst.instance.mu.atoms[ii] + inst.instance.nu.atoms[jj])
     check_concentration(inst)
     # the rows that reach the face routine, over its blocks
     assert sum(len(X) for _, X, _ in calls) == len(sums) < len(ii)
@@ -375,9 +372,10 @@ def test_bias_reuses_star_at_nu_atoms(monkeypatch):
     # the nu-atoms and the map's images, the envelope prox once per mu-atom
     stars = sum(len(X) for _, X, w in calls if w == 0.0)
     proxes = sum(len(X) for _, X, w in calls if w != 0.0)
-    points = _distinct(np.concatenate([inst.nu.atoms, inst.monge(inst.mu.atoms)]))
-    assert len(inst.nu) < stars == len(points) < len(inst.nu) + len(inst.mu)
-    assert proxes == len(inst.mu)
+    mu, nu = inst.instance.mu, inst.instance.nu
+    points = _distinct(np.concatenate([nu.atoms, inst.instance.monge(mu.atoms)]))
+    assert len(nu) < stars == len(points) < len(nu) + len(mu)
+    assert proxes == len(mu)
 
 
 def test_prepare_instance_passes_its_start_to_solve():
@@ -385,14 +383,12 @@ def test_prepare_instance_passes_its_start_to_solve():
     shift = affine_map(0.5 * np.eye(1), [0.25])
     pushed = Instance("shift", mu, pushforward(mu, shift), shift)
     first = _prepare(pushed, 0.1)
-    warm = prepare_instance(
-        pushed, SolverConfig(epsilon=0.01), build_spread(mu), start=first.pot
-    )
+    warm = prepare_instance(pushed, SolverConfig(epsilon=0.01), start=first.pot)
     assert warm.coupling.residual <= 1e-10
     assert warm.pot.sweeps < _prepare(pushed, 0.01).pot.sweeps
     # for mu = nu a sweep passes each epsilon's cold start, computed before
     # its pool; the solve reaches the potentials it reaches on its own
     tied = Instance("grid", mu, mu, identity_map())
     (start,) = cold_starts(mu, mu, [0.01], cost=tied.cost)
-    given = prepare_instance(tied, SolverConfig(epsilon=0.01), build_spread(mu), start=start)
+    given = prepare_instance(tied, SolverConfig(epsilon=0.01), start=start)
     assert given.pot.f_values.tobytes() == _prepare(tied, 0.01).pot.f_values.tobytes()
