@@ -31,15 +31,22 @@ potentials are symmetric by construction.  Otherwise the shift degree of
 freedom is fixed by balancing the integrals, sum_i mu_i f_i = sum_j nu_j g_j.
 
 The dense n x m cost matrix is built once per instance (verify.Instance)
-and passed to solve and assemble_coupling, which only read it (and build
-it themselves when called without it).  Dense slack and active-set
-matrices exist only inside those two: solve holds one n x m float buffer
-besides it (the active set during CG, then each line-search trial's slack),
-and assemble_coupling one slack buffer and its mask.  The cold start holds
-row blocks of sorted thresholds and their sums, and for mu != nu the
-thresholds C - g of its f-batch, freed before Newton's buffer is built.
-Everything downstream, max_density and the transport cost included, reads
-the sparse Coupling, whose entries cost 12 bytes each.
+and passed to cold_starts and assemble_coupling, which only read it (and
+build it themselves when called without it); solve reads it only to build a
+cold start.  Newton never reads it: since c(x, y) = |x|^2 / 2 + |y|^2 / 2 -
+<x, y>, each trial's slack f_i + g_j - c_ij is one rank-(d + 2) matrix
+product of [f - |x|^2 / 2, 1, x] and [1; g - |y|^2 / 2; y^T]
+(_slack_product).  On the unit ball its rounding is a few ulps of 1, far
+below residual_tol times an active mass; assemble_coupling takes the slack
+from the cost matrix, so every converged potential is re-checked against
+the exact slack.  Dense slack and active-set matrices exist only inside
+solve and assemble_coupling: solve holds one n x m float buffer (the active
+set during CG, then each line-search trial's slack), and assemble_coupling
+one slack buffer and its mask.  The cold start holds row blocks of sorted
+thresholds and their sums, and for mu != nu the thresholds C - g of its
+f-batch, freed before Newton's buffer is built.  Everything downstream,
+max_density and the transport cost included, reads the sparse Coupling,
+whose entries cost 12 bytes each.
 """
 from __future__ import annotations
 
@@ -219,6 +226,37 @@ def cold_starts(
     return starts
 
 
+def _slack_product(X: np.ndarray, Y: np.ndarray):
+    """The function (f, g, out) that writes the positive slack
+    [f_i + g_j - c(x_i, y_j)]_+ into the n x m float64 array out, without
+    reading a cost matrix.
+
+    Since c(x, y) = |x|^2 / 2 + |y|^2 / 2 - <x, y>, the slack is the
+    rank-(d + 2) product L R of L = [f - |x|^2 / 2, 1, x] (n x (d + 2)) and
+    R = [1; g - |y|^2 / 2; y^T] ((d + 2) x m): one matrix product, into out,
+    refreshing only L's first column and R's second row per call.  On the
+    unit ball the cancellation costs a few ulps of 1 per entry.
+    """
+    n, d = X.shape
+    L = np.empty((n, d + 2))
+    L[:, 1] = 1.0
+    L[:, 2:] = X
+    R = np.empty((d + 2, len(Y)))
+    R[0] = 1.0
+    R[2:] = Y.T
+    half_x = 0.5 * (X**2).sum(-1)
+    half_y = 0.5 * (Y**2).sum(-1)
+
+    def positive_slack(f, g, out):
+        np.subtract(f, half_x, out=L[:, 0])
+        np.subtract(g, half_y, out=R[1])
+        np.matmul(L, R, out=out)
+        np.maximum(out, 0.0, out=out)
+        return out
+
+    return positive_slack
+
+
 def _positive_residuals(positive, mu_w, nu_w, eps):
     """Residual vectors of the two marginal equation families, from the
     positive slack [f_i + g_j - c_ij]_+: res_mu[i] over the nu-integral at
@@ -264,12 +302,15 @@ def solve(
 ) -> DualPotentials:
     """Semismooth Newton on the dual until both marginal residual vectors
     have sup-norm <= residual_tol; cfg.max_sweeps caps the Newton iterations,
-    and the returned `sweeps` counts them.  cost is cost_matrix(mu.atoms,
-    nu.atoms), built here when not given; it is only read.  start is the
-    potentials Newton starts from, with shapes matching the atoms: a cold
-    start (cold_starts, sweeps 0; taken here when start is None) or a warm
-    one, the potentials solve returned for the same (mu, nu) at another
-    epsilon, usually the next larger one of a sweep.
+    and the returned `sweeps` counts them.  start is the potentials Newton
+    starts from, with shapes matching the atoms: a cold start (cold_starts,
+    sweeps 0; taken here when start is None) or a warm one, the potentials
+    solve returned for the same (mu, nu) at another epsilon, usually the next
+    larger one of a sweep.  cost is cost_matrix(mu.atoms, nu.atoms), read
+    only to build the cold start when start is None (and built then when not
+    given): Newton takes every slack from the atoms by one matrix product
+    (_slack_product), so its bits depend neither on the cost nor on the
+    cost's memory layout.
 
     The dual, as a minimization, is the convex piecewise quadratic
 
@@ -285,7 +326,8 @@ def solve(
     Each iteration solves for the direction by
     Jacobi-preconditioned CG on the Hessian plus |residual|_inf times the weights, a term that keeps
     the system definite where a row has no active pair and vanishes at the
-    solution, then halves the step until Armijo's condition on Phi holds.
+    solution, then halves the step until Armijo's condition on Phi holds;
+    each trial writes its positive slack into the one n x m buffer.
     The solve stops once each |F_i| is at most residual_tol times the active
     mass sum_j nu_j A_ij of its row (and likewise for G): then no potential is
     more than about residual_tol from its exact hinge root given the other
@@ -295,19 +337,20 @@ def solve(
     For mu = nu (bitwise) the unknown is one potential u = f = g, so
     F_i(u) = sum_j nu_j [u_i + u_j - c_ij]_+ - eps, and the Hessian is the
     form sum_ij w_i w_j A_ij (x_i + x_j)^2, definite once the diagonal pairs
-    are active; the returned potentials satisfy f = g exactly.  For mu != nu
-    the Hessian is semidefinite with the shift (1, -1) in its kernel and the
-    gradient orthogonal to it; the shift is fixed at the end by balancing the
-    integrals, sum_i mu_i f_i = sum_j nu_j g_j.
+    are active.  The slack is then symmetric, so one residual family F and
+    one active mass A nu serve both blocks, and the returned potentials
+    satisfy f = g exactly.  For mu != nu the Hessian is semidefinite with
+    the shift (1, -1) in its kernel and the gradient orthogonal to it; the
+    shift is fixed at the end by balancing the integrals,
+    sum_i mu_i f_i = sum_j nu_j g_j.
     """
     if mu.dim != nu.dim:
         raise ConfigError(f"dimension mismatch: mu has d={mu.dim}, nu has d={nu.dim}")
     eps, tol = cfg.epsilon, cfg.residual_tol
-    C = cost_matrix(mu.atoms, nu.atoms) if cost is None else cost
     mu_w, nu_w = mu.weights, nu.weights
     n = len(mu)
     if start is None:
-        start = cold_starts(mu, nu, [eps], cost=C)[0]
+        start = cold_starts(mu, nu, [eps], cost=cost)[0]
     elif start.f_values.shape != (n,) or start.g_values.shape != (len(nu),):
         raise ConfigError(
             f"start shapes {start.f_values.shape} and {start.g_values.shape} "
@@ -326,30 +369,32 @@ def solve(
         def split(z):
             return z[:n], z[n:]
 
+    positive_slack = _slack_product(mu.atoms, nu.atoms)
+
     def dual(z, out):
         """Phi at z and a magnitude for its rounding; leaves the positive
         slack [f_i + g_j - c_ij]_+ in out."""
         fz, gz = split(z)
-        np.add.outer(fz, gz, out=out)
-        out -= C
-        np.maximum(out, 0.0, out=out)
+        positive_slack(fz, gz, out)
         quad = 0.5 * float(mu_w @ np.einsum("ij,ij,j->i", out, out, nu_w))
         lin = eps * (float(mu_w @ fz) + float(nu_w @ gz))
         return quad - lin, quad + abs(lin)
 
     def linearize(P):
         """Residuals F, G and active masses A nu, A^T mu; overwrites the
-        positive slack P with the active set A as 0/1."""
+        positive slack P with the active set A as 0/1.  For mu = nu the
+        slack is symmetric, so G and A^T mu are F and A nu."""
         F = P @ nu_w - eps
-        G = mu_w @ P - eps
+        G = F if tied else mu_w @ P - eps
         np.greater(P, 0.0, out=P)
-        return F, G, P @ nu_w, mu_w @ P
+        rf = P @ nu_w
+        return F, G, rf, rf if tied else mu_w @ P
 
-    # one dense buffer besides C.  It holds the active set while CG runs;
-    # once the direction is found nothing reads that set again, so each
-    # line-search trial writes its positive slack into it, and the accepted
-    # trial, written last, is linearized in place
-    A = np.empty_like(C)
+    # the one dense buffer, in C order whatever the cost's layout.  It holds
+    # the active set while CG runs; once the direction is found nothing reads
+    # that set again, so each line-search trial writes its positive slack
+    # into it, and the accepted trial, written last, is linearized in place
+    A = np.empty((n, len(nu)))
     phi, phi_mag = dual(x, A)
     F, G, rf, rg = linearize(A)
     for it in range(1, cfg.max_sweeps + 1):

@@ -227,36 +227,22 @@ def prepare_instance(
     )
 
 
-def _support_blocks(coupling: qot_solver.Coupling):
-    """The support in row-major order, in blocks (lo, counts, jj) that each
-    hold whole rows lo, lo + 1, ... of at most measures.BLOCK_ENTRIES coupling
-    entries (a longer row is a block of its own): counts[k] support pairs in
-    row lo + k, and their columns jj as intp.  No support-sized array is
-    built."""
-    indptr = coupling.indptr
-    row = 0
-    while row < coupling.n_mu:
-        end = int(np.searchsorted(indptr, indptr[row] + measures.BLOCK_ENTRIES, side="right")) - 1
-        end = max(end, row + 1)
-        jj = coupling.j_idx[indptr[row]:indptr[end]].astype(np.intp)
-        yield row, np.diff(indptr[row:end + 1]), jj
-        row = end
-
-
 def _support_spread(inst: SolvedInstance) -> float:
     # the cost c_ij = |x_i - y_j|^2 / 2 read at the support pairs: twice it is
     # bitwise the squared distance (x 0.5 is exact), and sqrt is monotone, so
     # the root of twice the largest cost is the largest distance
-    cost = inst.instance.cost
-    flat_cost = cost.ravel()
-    m = cost.shape[1]
+    cpl, flat_cost = inst.coupling, inst.instance.cost.ravel()
+    m = cpl.n_nu
     worst = 0.0
-    for lo, counts, jj in _support_blocks(inst.coupling):
-        if len(jj):
-            # entry (i, j) of the row-major cost sits at i * m + j
-            flat = np.repeat(np.arange(lo, lo + len(counts)) * m, counts)
-            flat += jj
-            worst = max(worst, float(flat_cost.take(flat).max()))
+    for rows in measures.row_blocks(cpl.n_mu, m):
+        lo, hi = cpl.indptr[rows.start], cpl.indptr[rows.stop]
+        if lo == hi:
+            continue
+        counts = np.diff(cpl.indptr[rows.start:rows.stop + 1])
+        # entry (i, j) of the row-major cost sits at i * m + j
+        flat = np.repeat(np.arange(rows.start, rows.stop) * m, counts)
+        flat += cpl.j_idx[lo:hi]
+        worst = max(worst, float(flat_cost.take(flat).max()))
     return math.sqrt(2.0 * worst)
 
 
@@ -264,25 +250,36 @@ def _grad_estimate_lhs(inst: SolvedInstance) -> float:
     """Largest distance from a support atom y_j to the nu-barycenter of its
     row's support atoms, 0 on an empty support.
 
-    Per block of rows, np.bincount takes each row's weight total and, one
-    coordinate at a time, its weighted coordinate sums.  bincount adds a
-    row's terms in index order, so a row's values do not depend on its
-    block.
+    Per block of rows (measures.row_blocks), the block's support is scattered
+    as 1s into a reused 0/1 float buffer of at most one block's entries, and
+    one matrix product with the (m, d + 1) matrix [w, w * y] gives each row's
+    weight total and weighted coordinate sums; the distances are taken per
+    support entry, one coordinate at a time.
     """
-    nu = inst.instance.nu
+    cpl, nu = inst.coupling, inst.instance.nu
+    m = cpl.n_nu
+    weighted = np.column_stack([nu.weights, nu.weights[:, None] * nu.atoms])
+    blocks = list(measures.row_blocks(cpl.n_mu, m))
+    mask = np.zeros((blocks[0].stop, m))
     worst = 0.0
-    for _, counts, jj in _support_blocks(inst.coupling):
-        if not len(jj):
+    for rows in blocks:
+        lo, hi = cpl.indptr[rows.start], cpl.indptr[rows.stop]
+        if lo == hi:
             continue
+        # the block's nonempty rows, renumbered from 0; entry (k, j) of the
+        # row-major mask sits at k * m + j
+        counts = np.diff(cpl.indptr[rows.start:rows.stop + 1])
         counts = counts[counts > 0]
         seg = np.repeat(np.arange(len(counts)), counts)
-        w = nu.weights[jj]
-        total = np.bincount(seg, weights=w, minlength=len(counts))
+        jj = cpl.j_idx[lo:hi].astype(np.intp)
+        block = mask[:len(counts)]
+        block.ravel()[seg * m + jj] = 1.0
+        sums = block @ weighted
+        block.fill(0.0)
         sq = np.zeros(len(jj))
-        for coord in nu.atoms.T:
-            y = coord[jj]
-            num = np.bincount(seg, weights=w * y, minlength=len(counts))
-            diff = (num / total)[seg] - y
+        for c, coord in enumerate(nu.atoms.T):
+            diff = np.take(sums[:, c + 1] / sums[:, 0], seg)
+            diff -= np.take(coord, jj)
             diff *= diff
             sq += diff
         worst = max(worst, float(sq.max()))

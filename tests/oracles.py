@@ -16,12 +16,14 @@ np.nonzero with int64 row and column arrays (the library builds row
 pointers and int32 columns by blocks of rows), and the surrogate's envelope
 prox and conjugate from an active-set QP over the simplex of slopes and a
 HiGHS LP (the library enumerates the faces of the lifted points' lower hull),
-GradEstimate's barycenters from a Python loop over each row's entries
-(the library takes segment sums with np.bincount over blocks of rows),
-marginal residuals from the dense slack (the library reads the coupling
-assembly's positive slack), and d=2 hull-boundary distances from projections
-onto the hull's segments (the library takes the least slack of the facet
-inequalities).
+GradEstimate's barycenters from a Python loop over each row's entries and
+from np.bincount segment sums (the library multiplies a blocked 0/1 support
+mask by the weights and weighted atoms), Newton's positive slack from the
+cost matrix (the library takes it from one rank-(d + 2) matrix product of
+the potentials and the atoms), marginal residuals from the dense slack (the
+library reads the coupling assembly's positive slack), and d=2
+hull-boundary distances from projections onto the hull's segments (the
+library takes the least slack of the facet inequalities).
 """
 from __future__ import annotations
 
@@ -44,6 +46,15 @@ def marginal_residuals(
     over the mu-integral at y_j."""
     positive = np.maximum(slack, 0.0)
     return np.abs(positive @ nu_w - eps), np.abs(mu_w @ positive - eps)
+
+
+def outer_positive_slack(f: np.ndarray, g: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """[f_i + g_j - C_ij]_+ from the cost matrix, by a broadcast add and a
+    subtraction: the slack that qot_solver's product kernel replaced in
+    Newton."""
+    slack = np.add.outer(f, g)
+    slack -= C
+    return np.maximum(slack, 0.0, out=slack)
 
 
 def segment_boundary_distance(mu) -> np.ndarray:
@@ -345,6 +356,31 @@ def loop_grad_estimate(inst) -> float:
                 sq += diff * diff
             worst = max(worst, float(sq))
     return math.sqrt(worst)
+
+
+def bincount_grad_estimate(inst) -> float:
+    """GradEstimate's lhs for a SolvedInstance from segment sums: np.bincount
+    over the support entries gives each row's weight total and, one
+    coordinate at a time, its weighted coordinate sums, each added in index
+    order, so bitwise the sums of loop_grad_estimate (the route that
+    verify._grad_estimate_lhs's blocked mask product replaced)."""
+    cpl, nu = inst.coupling, inst.instance.nu
+    counts = np.diff(cpl.indptr)
+    counts = counts[counts > 0]
+    if not len(counts):
+        return 0.0
+    seg = np.repeat(np.arange(len(counts)), counts)
+    jj = cpl.j_idx.astype(np.intp)
+    w = nu.weights[jj]
+    total = np.bincount(seg, weights=w, minlength=len(counts))
+    sq = np.zeros(len(jj))
+    for coord in nu.atoms.T:
+        y = coord[jj]
+        num = np.bincount(seg, weights=w * y, minlength=len(counts))
+        diff = (num / total)[seg] - y
+        diff *= diff
+        sq += diff
+    return math.sqrt(float(sq.max()))
 
 
 def bisect_delta_st(profile, eps: float, iters: int = 200) -> float:

@@ -12,6 +12,7 @@ from oracles import (
     fresh_hinge_root_batch,
     marginal_residuals,
     nonzero_coupling,
+    outer_positive_slack,
     qp_oracle_coupling,
 )
 from qotlab import cli, measures, qot_solver
@@ -516,6 +517,60 @@ def test_solve_holds_one_dense_float_buffer(shift):
     pot, peak = _peak_of(lambda: solve(mu, nu, cfg, cost=C, **given))
     assert pot.sweeps >= 2 and pot.residual <= cfg.residual_tol
     assert peak <= 1.25 * C.nbytes
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_slack_product_matches_cost_matrix_oracle(d):
+    # differential test of Newton's product slack against the slack from the
+    # cost matrix, mu != nu, atoms on the unit sphere (the largest norms the
+    # contract allows), random potentials around the cost's range.  Either
+    # side sums its few terms with relative error below (d + 4) 2^-53 each
+    # (d + 2 product terms, the |x|^2 / 2 and C_ij sums, the final
+    # subtraction), and [.]_+ is 1-Lipschitz
+    rng = np.random.default_rng(d)
+    X, Y = rng.normal(size=(40, d)), rng.normal(size=(30, d))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+    f, g = rng.uniform(0.0, 1.0, size=40), rng.uniform(0.0, 1.0, size=30)
+    C = cost_matrix(X, Y)
+    got = qot_solver._slack_product(X, Y)(f, g, np.empty((40, 30)))
+    want = outer_positive_slack(f, g, C)
+    a = np.abs(f - 0.5 * (X**2).sum(-1))
+    b = np.abs(g - 0.5 * (Y**2).sum(-1))
+    dots = np.abs(X[:, None, :] * Y[None, :, :]).sum(-1)
+    tol = (d + 4) * 2.0**-53 * (a[:, None] + b[None, :] + dots + C)
+    assert 0 < np.count_nonzero(want) < want.size
+    assert np.all(np.abs(got - want) <= tol)
+
+
+def test_newton_never_reads_the_cost_after_its_start():
+    # the cost is read only to build a cold start: given one, Newton takes
+    # its slack from the atoms, so a cost of nans changes nothing, and the
+    # coupling assembly, which reads the real cost, accepts the potentials
+    mu = uniform_ball_grid(2, 0.2)
+    cfg = SolverConfig(epsilon=0.01)
+    for nu in (mu, make_measure(0.9 * mu.atoms + 0.05, mu.weights)):
+        C = cost_matrix(mu.atoms, nu.atoms)
+        (start,) = cold_starts(mu, nu, [cfg.epsilon], cost=C)
+        pot = solve(mu, nu, cfg, cost=np.full_like(C, np.nan), start=start)
+        assert pot.sweeps >= 1 and pot.residual <= cfg.residual_tol
+        assert assemble_coupling(pot, mu, nu, cfg, cost=C).residual <= 10 * cfg.residual_tol
+
+
+@pytest.mark.parametrize("shift", [False, True], ids=["self-transport", "mu-ne-nu"])
+@pytest.mark.parametrize("d, h, eps", [(1, 0.05, 0.01), (2, 0.1, 10.0**-1.5)])
+def test_solve_does_not_depend_on_the_cost_layout(d, h, eps, shift):
+    # Newton's buffer is C-ordered whatever the cost's layout, and the cold
+    # start's sorted sums do not depend on it, so an F-ordered cost gives
+    # the same bits
+    mu = uniform_ball_grid(d, h)
+    nu = make_measure(0.9 * mu.atoms + 0.05, mu.weights) if shift else mu
+    C = cost_matrix(mu.atoms, nu.atoms)
+    cfg = SolverConfig(epsilon=eps)
+    pot = solve(mu, nu, cfg, cost=C)
+    fortran = solve(mu, nu, cfg, cost=np.asfortranarray(C))
+    assert pot.f_values.tobytes() == fortran.f_values.tobytes()
+    assert pot.g_values.tobytes() == fortran.g_values.tobytes()
 
 
 def test_coupling_entry_costs_twelve_bytes():
