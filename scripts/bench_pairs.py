@@ -9,10 +9,10 @@ For each perfbench workload, pair k runs `perfbench/run.py --trace 0` in
 both checkouts, the parent first when k is even and the change first when k
 is odd, and records each run's medians of run_s, setup_s and peak_rss_mb.
 For each named config (the CI sweeps that no perfbench workload reaches),
-pair k runs `qotlab run` once per checkout, in the same alternating order,
-once with the default eps pool and once with QOTLAB_THREADS=1, and records
-the wall time and the peak RSS of the process.  Each side runs from its own
-directory with PYTHONPATH set to its src/.
+pair k runs `qotlab run` once per checkout, in the same alternating order
+and in the caller's environment, and records the wall time and the peak RSS
+of the process.  Each side runs from its own directory with PYTHONPATH set
+to its src/.
 
 Per item the summary gives each side's median and quartiles, the number of
 pairs in which the change is strictly lower, and the raw values.
@@ -61,11 +61,8 @@ def perfbench_run(root: Path, workload: str, seconds: float, seed: int) -> dict:
     return row
 
 
-def config_run(root: Path, name: str, one_thread: bool) -> dict:
+def config_run(root: Path, name: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    env.pop("QOTLAB_THREADS", None)
-    if one_thread:
-        env["QOTLAB_THREADS"] = "1"
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps({**CONFIGS[name], "output_dir": "."}))
@@ -124,9 +121,8 @@ def main() -> int:
         rows = pairs(lambda root: perfbench_run(root, workload, args.seconds, args.seed))
         summary["perfbench"][workload] = summarize(rows, PERFBENCH_METRICS)
     for name in args.configs:
-        for label, one_thread in (("pool", False), ("one_thread", True)):
-            rows = pairs(lambda root: config_run(root, name, one_thread))
-            summary["configs"][f"{name} {label}"] = summarize(rows, ("wall_s", "peak_rss_mb"))
+        rows = pairs(lambda root: config_run(root, name))
+        summary["configs"][name] = summarize(rows, ("wall_s", "peak_rss_mb"))
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
     return 0
 

@@ -1,5 +1,6 @@
 """Batch orchestration: build or load instances, run the solver and the
-bound checkers over an epsilon sweep, and emit reports and plots.
+bound checkers over an epsilon sweep, one epsilon at a time, and emit
+reports and plots.
 
 Exit codes: 0 all explicit-constant checks pass, 1 a check failed,
 2 configuration error, 3 solver non-convergence, 4 internal or numerical
@@ -14,7 +15,6 @@ import math
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -218,16 +218,6 @@ class ExperimentConfig:
         )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QOTLAB_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError as exc:
-            raise CliConfigError(f"QOTLAB_THREADS must be an integer, got {raw!r}") from exc
-    return os.cpu_count() or 1
-
-
 def _report_sort_key(record: dict):
     return (
         record["bound_id"],
@@ -237,16 +227,15 @@ def _report_sort_key(record: dict):
     )
 
 
-def run_experiment(config: ExperimentConfig, base_dir: Path, threads: int):
+def run_experiment(config: ExperimentConfig, base_dir: Path):
     """Solve the instance across the eps sweep, run the requested checks, and
     return (report records, rate fits, spread-profile CSV text).
 
-    For mu = nu the epsilons are independent: their cold starts come from
-    one qot_solver.cold_starts call before the pool, and they run at most
-    `threads` at a time.  For mu != nu they run as one continuation chain in
-    the config's descending order: the first epsilon from the cold start,
-    each later one warm-started from its predecessor's potentials, so the
-    outputs do not depend on `threads` either way."""
+    The epsilons run one at a time, in the config's descending order.  For
+    mu = nu each starts from its own cold start, all of them from one
+    qot_solver.cold_starts call.  For mu != nu they form one continuation
+    chain: the first epsilon from the cold start, each later one
+    warm-started from its predecessor's potentials."""
     inst = build_instance(config.instance, base_dir)
     if config.rate_fit:
         # fail a misconfigured rate sweep before any epsilon is solved
@@ -259,43 +248,32 @@ def run_experiment(config: ExperimentConfig, base_dir: Path, threads: int):
         verify.check_rate_floor(
             inst.mu.min_pairwise_distance(inst.self_cost), inst.mu.dim, min(config.eps_list)
         )
-    # the instance computes what depends on it alone on first read, once per
-    # run; the costly values the pooled epsilons share are first read here
-    # (see verify.Instance)
-    profile = inst.profile
-    if "CostSandwich" in config.checks:
-        inst.exact
-    if inst.self_transport:
-        inst.diameter
+    records, spreads = [], []
 
-    def one_eps(eps: float, start=None):
-        cfg = replace(config.solver, epsilon=eps)
-        solved = verify.prepare_instance(inst, cfg, start=start)
-        reports = verify.run_checks(solved, config.checks)
-        return solved.pot, (reports, solved.support_spread if config.rate_fit else None)
-
-    if inst.self_transport:
-        starts = qot_solver.cold_starts(inst.mu, inst.nu, config.eps_list, cost=inst.cost)
-        with ThreadPoolExecutor(max_workers=min(threads, len(config.eps_list))) as pool:
-            results = [out for _, out in pool.map(one_eps, config.eps_list, starts)]
-    else:
-        results, start = [], None
-        for eps in config.eps_list:
-            start, out = one_eps(eps, start)
-            results.append(out)
-
-    records = []
-    for (reports, _), eps in zip(results, config.eps_list):
-        for rep in reports:
+    def one_eps(eps: float, start) -> qot_solver.DualPotentials:
+        # the solved instance is dropped on return, so no two epsilons'
+        # couplings are held at once
+        solved = verify.prepare_instance(inst, replace(config.solver, epsilon=eps), start=start)
+        for rep in verify.run_checks(solved, config.checks):
             rec = rep.to_record()
             rec["context"]["seed"] = config.seed
             records.append(rec)
+        if config.rate_fit:
+            spreads.append(solved.support_spread)
+        return solved.pot
+
+    # mu != nu has no cold starts here: its first epsilon starts cold inside
+    # the solve (start None), each later one from its predecessor's potentials
+    cold = None
+    if inst.self_transport:
+        cold = qot_solver.cold_starts(inst.mu, inst.nu, config.eps_list, cost=inst.cost)
+    pot = None
+    for k, eps in enumerate(config.eps_list):
+        pot = one_eps(eps, pot if cold is None else cold[k])
     records.sort(key=_report_sort_key)
 
-    fits: list[verify.RateFit] = []
-    if config.rate_fit:
-        fits.append(verify.fit_rate(config.eps_list, [spread for _, spread in results]))
-    return records, fits, profile.to_csv()
+    fits = [verify.fit_rate(config.eps_list, spreads)] if config.rate_fit else []
+    return records, fits, inst.profile.to_csv()
 
 
 def trend_summary(records: list[dict]) -> list[dict]:
@@ -453,14 +431,12 @@ def run_command(config_path: str, eps_override=None, tol_override=None) -> int:
                 raw["solver"] = {**solver, "residual_tol": tol_override}
         config = ExperimentConfig.from_dict(raw, base_dir)
         _check_output_dir(config.output_dir)
-        # a malformed QOTLAB_THREADS fails here, before any instance work
-        threads = _thread_count()
     except (OSError, json.JSONDecodeError, CliConfigError) as exc:
         _error_record("config", str(exc))
         return EXIT_CONFIG
 
     try:
-        records, fits, profile_csv = run_experiment(config, base_dir, threads)
+        records, fits, profile_csv = run_experiment(config, base_dir)
     except ConvergenceError as exc:
         _error_record(
             "no-convergence", str(exc), sweeps=exc.sweeps, residual=exc.residual,

@@ -20,11 +20,11 @@ increasing equation, whose root hinge_roots reads off the sorted thresholds
 and their running sums (the same scalar solve extends f off the mu-atoms in
 evaluate_f_at).  cold_starts gives the cold starts of a whole epsilon list:
 for mu = nu one sort per row block serves every epsilon, so an epsilon sweep
-computes them once, before its pool.  For mu != nu the warm start is the
-potentials of a nearby larger epsilon, which an epsilon sweep passes down as
-a continuation chain: at small epsilon the cold start leaves some nu-atoms
-with no active pair, and Newton then takes a regularization-sized first
-step.
+computes them once, before its first solve.  For mu != nu the warm start is
+the potentials of a nearby larger epsilon, which an epsilon sweep passes
+down as a continuation chain: at small epsilon the cold start leaves some
+nu-atoms with no active pair, and Newton then takes a regularization-sized
+first step.
 
 For mu = nu the unknown is a single potential u = f = g, so the returned
 potentials are symmetric by construction.  Otherwise the shift degree of

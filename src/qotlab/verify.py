@@ -101,12 +101,7 @@ class Instance:
     map.  Built once per run and shared by every epsilon, together with the
     read-only cost matrix c(x_i, y_j) that the solver, the coupling assembly
     and the exact-OT reference read.  The other values that depend on the
-    instance alone are computed on first read and kept, once per run.
-
-    From Python 3.12 on cached_property has no lock, so a sweep reads the
-    profile, the exact OT and the diameter before its pool starts
-    (cli.run_experiment); pool threads that race to the cheap hull distances
-    can only compute the same array twice."""
+    instance alone are computed on first read and kept, once per run."""
 
     name: str
     mu: DiscreteMeasure
@@ -160,8 +155,7 @@ class Instance:
 class SolvedInstance:
     """One solved (mu, nu, eps) pipeline state shared by the checkers: the
     instance and its per-epsilon state.  What several checkers read is
-    computed on first read and kept: each solved instance belongs to one
-    epsilon and one thread."""
+    computed on first read and kept, once per epsilon."""
 
     instance: Instance
     cfg: qot_solver.SolverConfig

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -596,16 +597,16 @@ def test_traced_benchmark_worker_runs(tmp_path):
     assert result["layers"]["verify.prepare_instance.calls"] == 2
 
 
-def test_pooled_sweep_computes_instance_values_once_before_the_pool(tmp_path):
-    # a mu = nu sweep on a two-thread pool with CostSandwich requested: the
-    # spread profile and the exact OT are computed once per run, on the
-    # thread that runs the experiment, before any pool thread reads them
+def test_sweep_computes_instance_values_once_on_the_calling_thread(tmp_path):
+    # a mu = nu sweep with CostSandwich requested: the spread profile and the
+    # exact OT are computed once per run, and every epsilon runs on the
+    # thread that runs the experiment
     cfg = _write_config(
         tmp_path,
         instance={"name": "grid", "kind": "grid", "d": 1, "h": 0.1},
         eps_list=[0.1, 0.05, 0.02, 0.01],
     )
-    result = _traced_worker_run(tmp_path, cfg, QOTLAB_THREADS="2")
+    result = _traced_worker_run(tmp_path, cfg)
     assert result["code"] == cli.EXIT_OK
     layers = result["layers"]
     assert layers["geometry.build_spread.calls"] == 1
@@ -614,10 +615,7 @@ def test_pooled_sweep_computes_instance_values_once_before_the_pool(tmp_path):
     assert layers["verify.check_cost_sandwich.calls"] == 4
     spans = [json.loads(line) for line in (tmp_path / "spans.jsonl").read_text().splitlines()]
     (run,) = [s for s in spans if s["name"] == "cli.run_experiment"]
-    first_eps = min(s["start"] for s in spans if s["name"] == "verify.prepare_instance")
-    for name in ("geometry.build_spread", "exact_ot.solve_exact"):
-        (span,) = [s for s in spans if s["name"] == name]
-        assert span["thread"] == run["thread"] and span["end"] <= first_eps, name
+    assert {s["thread"] for s in spans} == {run["thread"]}
 
 
 def test_d3_general_bias_sees_the_interior_atom(tmp_path):
@@ -629,7 +627,7 @@ def test_d3_general_bias_sees_the_interior_atom(tmp_path):
          "eps_list": [1e-1, 1e-2, 1e-3, 1e-4], "checks": "all", "output_dir": "out"},
         tmp_path,
     )
-    records, _, _ = cli.run_experiment(config, tmp_path, 1)
+    records, _, _ = cli.run_experiment(config, tmp_path)
     assert all(rec["holds"] is not False for rec in records)
     general = {
         rec["context"]["epsilon"]: rec for rec in records if rec["bound_id"] == "GeneralBias"
@@ -704,26 +702,6 @@ def test_run_path_loads_no_scipy(tmp_path):
     assert not [m for m in bias[1]["loaded"] if m.startswith("scipy.optimize")]
 
 
-def test_thread_env_validation(tmp_path, monkeypatch):
-    # a malformed QOTLAB_THREADS exits 2 before the instance is built
-    built = []
-    build = cli.build_instance
-
-    def counted(*args, **kwargs):
-        built.append(args)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "build_instance", counted)
-    monkeypatch.setenv("QOTLAB_THREADS", "not-a-number")
-    cfg = _write_config(tmp_path, checks=["DensityUB"])
-    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_CONFIG
-    assert built == []
-    monkeypatch.setenv("QOTLAB_THREADS", "2")
-    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
-    assert len(built) == 1
-
-
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize(
     "instance",
     [
@@ -732,11 +710,10 @@ def test_thread_env_validation(tmp_path, monkeypatch):
     ],
     ids=["mu-ne-nu", "self-transport"],
 )
-def test_mu_ne_nu_sweep_is_one_warm_start_chain(tmp_path, monkeypatch, instance, threads):
+def test_mu_ne_nu_sweep_is_one_warm_start_chain(tmp_path, monkeypatch, instance):
     # mu != nu: the first epsilon starts cold and each later one from its
-    # predecessor's potentials, in the config's order, on any pool size;
-    # mu = nu: every epsilon starts from its own cold start, all computed
-    # before the pool
+    # predecessor's potentials, in the config's order; mu = nu: every
+    # epsilon starts from its own cold start, all from one sorted pass
     calls = []
     prepare = verify.prepare_instance
 
@@ -752,22 +729,21 @@ def test_mu_ne_nu_sweep_is_one_warm_start_chain(tmp_path, monkeypatch, instance,
          "output_dir": "out"},
         tmp_path,
     )
-    records, _, _ = cli.run_experiment(config, tmp_path, threads)
+    records, _, _ = cli.run_experiment(config, tmp_path)
     assert all(rec["holds"] for rec in records)
+    assert [eps for eps, _, _ in calls] == eps_list
     if instance["kind"] == "grid":
-        assert sorted(eps for eps, _, _ in calls) == sorted(eps_list)
         assert all(start.sweeps == 0 and start.epsilon == eps for eps, start, _ in calls)
         return
-    assert [eps for eps, _, _ in calls] == eps_list
     assert calls[0][1] is None
     for (_, _, previous), (_, start, _) in zip(calls, calls[1:]):
         assert start is previous
 
 
-def test_self_transport_with_unequal_weights_does_not_depend_on_threads(tmp_path):
+def test_self_transport_with_unequal_weights_reruns_byte_identical(tmp_path):
     # lattice atoms tie many distances, so the sort that gives the cold
     # starts meets ties among unequal weights, whose order sets the last
-    # bits of the running sums; the starts are computed before the pool
+    # bits of the running sums: three runs give the same records
     raw = [(1.0, 2.0, 3.0)[k % 3] for k in range(17)]
     atoms = [[round(-0.8 + 0.1 * k, 12)] for k in range(17)]
     config = cli.ExperimentConfig.from_dict(
@@ -775,7 +751,29 @@ def test_self_transport_with_unequal_weights_does_not_depend_on_threads(tmp_path
          "eps_list": [1e-1, 1e-2, 1e-3], "checks": "all", "output_dir": "out"},
         tmp_path,
     )
-    runs = [cli.run_experiment(config, tmp_path, threads)[0] for threads in (1, 2, 2)]
+    runs = [cli.run_experiment(config, tmp_path)[0] for _ in range(3)]
     assert runs[0] and all(rec["holds"] is not False for rec in runs[0])
     texts = [json.dumps(records) for records in runs]
     assert texts[1] == texts[0] and texts[2] == texts[0]
+
+
+def test_sweep_holds_one_epsilon_working_set(tmp_path):
+    # grid d=2 h=0.1 (n=317), four epsilons, the five rate checks: the run
+    # holds the instance's cost and one epsilon's solve, coupling and checks
+    # at a time, about 4.1 n x n floats; two epsilons at once read 4.85-5.9
+    config = cli.ExperimentConfig.from_dict(
+        {"instance": {"name": "grid", "kind": "grid", "d": 2, "h": 0.1},
+         "eps_list": [10.0**-0.5, 10.0**-1, 10.0**-1.5, 10.0**-1.8],
+         "checks": ["SymUB", "SymLB", "SuppDiamM", "GradEstimate", "DensityUB"],
+         "output_dir": "out"},
+        tmp_path,
+    )
+    n = len(measures.uniform_ball_grid(2, 0.1))
+    tracemalloc.start()
+    try:
+        records, _, _ = cli.run_experiment(config, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
+    finally:
+        tracemalloc.stop()
+    assert all(rec["holds"] is not False for rec in records)
+    assert peak <= 4.5

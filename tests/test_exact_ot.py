@@ -251,7 +251,7 @@ def test_inline_map_that_misses_nu_takes_ssp_route(tmp_path, ssp_calls):
     # 0.5 * 0.9 is 0.45 in floating point; writing 0.4500000001 makes the map's
     # image differ from nu, so the map does not certify
     records, _, _ = cli.run_experiment(
-        _inline_config(tmp_path, [[-0.4], [-0.1], [0.2], [0.4500000001]]), tmp_path, 1
+        _inline_config(tmp_path, [[-0.4], [-0.1], [0.2], [0.4500000001]]), tmp_path
     )
     assert ssp_calls == [(4, 4)]
     assert records[0]["holds"] is True
@@ -259,7 +259,7 @@ def test_inline_map_that_misses_nu_takes_ssp_route(tmp_path, ssp_calls):
 
 def test_inline_map_that_hits_nu_skips_ssp(tmp_path, ssp_calls):
     records, _, _ = cli.run_experiment(
-        _inline_config(tmp_path, [[-0.4], [-0.1], [0.2], [0.45]]), tmp_path, 1
+        _inline_config(tmp_path, [[-0.4], [-0.1], [0.2], [0.45]]), tmp_path
     )
     assert ssp_calls == []
     assert records[0]["context"]["exact_cost"] == pytest.approx(

@@ -595,7 +595,7 @@ def test_start_takes_one_hinge_batch_per_block(monkeypatch, tmp_path, shift):
     # for mu = nu the start is u = g / 2 from the one batch g(f = 0); for
     # mu != nu a second batch gives f from g.  Newton itself solves no
     # hinge roots.  A mu = nu sweep takes one batch for all its epsilons,
-    # before its pool, and none inside solve.
+    # before its first solve, and none inside solve.
     calls = []
     roots = qot_solver.hinge_roots
 
@@ -627,7 +627,7 @@ def test_start_takes_one_hinge_batch_per_block(monkeypatch, tmp_path, shift):
          "eps_list": [1e-1, 1e-2, 1e-3], "checks": ["DensityUB"], "output_dir": "out"},
         tmp_path,
     )
-    cli.run_experiment(config, tmp_path, 2)
+    cli.run_experiment(config, tmp_path)
     assert len(calls) == 1 and len(calls[0][2]) == 3
     assert inside == [0, 0, 0]
 

@@ -385,8 +385,9 @@ def test_prepare_instance_passes_its_start_to_solve():
     warm = prepare_instance(pushed, SolverConfig(epsilon=0.01), start=first.pot)
     assert warm.coupling.residual <= 1e-10
     assert warm.pot.sweeps < _prepare(pushed, 0.01).pot.sweeps
-    # for mu = nu a sweep passes each epsilon's cold start, computed before
-    # its pool; the solve reaches the potentials it reaches on its own
+    # for mu = nu a sweep passes each epsilon's cold start, all computed
+    # before its first solve; the solve reaches the potentials it reaches on
+    # its own
     tied = Instance("grid", mu, mu, identity_map())
     (start,) = cold_starts(mu, mu, [0.01], cost=tied.cost)
     given = prepare_instance(tied, SolverConfig(epsilon=0.01), start=start)
