@@ -40,6 +40,14 @@ CONFIGS = {
         "checks": ["SymUB", "SymLB", "SuppDiamM", "GradEstimate", "DensityUB"],
         "rate_fit": True, "seed": 0,
     },
+    # the d=3 rate config on the finer grid: n=8217, each n x n float array 0.5 GiB
+    "d3-h0.08": {
+        "instance": {"name": "grid-d3-h0.08", "kind": "grid", "d": 3, "h": 0.08},
+        "eps_list": [0.31622776601683794, 0.1778279410038923, 0.1,
+                     0.05623413251903491, 0.03162277660168379],
+        "checks": ["SymUB", "SymLB", "SuppDiamM", "GradEstimate", "DensityUB"],
+        "rate_fit": True, "seed": 0,
+    },
     "d2-mu-ne-nu": {
         "instance": {"name": "affine-d2-a2-h0.2", "kind": "affine", "d": 2, "a": 2.0, "h": 0.2},
         "eps_list": [1e-1, 1e-2, 1e-3, 1e-4], "checks": "all", "seed": 0,

@@ -245,9 +245,7 @@ def run_experiment(config: ExperimentConfig, base_dir: Path):
             raise CliConfigError("rate_fit needs a spread-resolving grid")
         if len(config.eps_list) < 4:
             raise CliConfigError("rate_fit needs at least four epsilon values")
-        verify.check_rate_floor(
-            inst.mu.min_pairwise_distance(inst.self_cost), inst.mu.dim, min(config.eps_list)
-        )
+        verify.check_rate_floor(inst.mu.min_pairwise_distance(), inst.mu.dim, min(config.eps_list))
     records, spreads = [], []
 
     def one_eps(eps: float, start) -> qot_solver.DualPotentials:
@@ -266,7 +264,7 @@ def run_experiment(config: ExperimentConfig, base_dir: Path):
     # the solve (start None), each later one from its predecessor's potentials
     cold = None
     if inst.self_transport:
-        cold = qot_solver.cold_starts(inst.mu, inst.nu, config.eps_list, cost=inst.cost)
+        cold = qot_solver.cold_starts(inst.mu, inst.nu, config.eps_list)
     pot = None
     for k, eps in enumerate(config.eps_list):
         pot = one_eps(eps, pot if cold is None else cold[k])

@@ -53,15 +53,13 @@ def _integer_masses(weights: np.ndarray, scale: int) -> np.ndarray:
 
 def solve_exact(
     mu: DiscreteMeasure, nu: DiscreteMeasure, monge: Optional[MongeMapSpec] = None,
-    cost: Optional[np.ndarray] = None,
 ) -> ExactOTSolution:
     """Optimal coupling and cost for the quadratic cost: from the Monge map
     when it certifies, by successive shortest paths (up to ATOM_CAP atoms per
-    marginal) otherwise.  cost is cost_matrix(mu.atoms, nu.atoms), which the
-    shortest-path route builds when not given."""
+    marginal, on a dense cost matrix of its own) otherwise."""
     coupling = _map_coupling(mu, nu, monge) if monge is not None else None
     if coupling is None:
-        coupling = _ssp(mu, nu, cost)[0]
+        coupling = _ssp(mu, nu)[0]
     return ExactOTSolution(coupling=coupling, cost=coupling.cost_against(mu.atoms, nu.atoms))
 
 
@@ -106,14 +104,13 @@ def _map_coupling(
     return _sparse_coupling(mu, nu, np.arange(len(mu)), labels, mu.weights)
 
 
-def _ssp(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: Optional[np.ndarray] = None):
+def _ssp(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Optimal coupling and Kantorovich potentials (coupling, f*, g*) by
     successive shortest paths on the integer-scaled problem."""
     n, m = len(mu), len(nu)
     if n > ATOM_CAP or m > ATOM_CAP:
         raise ExactOTError(f"marginals exceed the exact-solver atom cap {ATOM_CAP}")
-    C = cost_matrix(mu.atoms, nu.atoms) if cost is None else cost
-    Cint = np.floor(C * COST_SCALE).astype(np.int64)
+    Cint = np.floor(cost_matrix(mu.atoms, nu.atoms) * COST_SCALE).astype(np.int64)
     supply = _integer_masses(mu.weights, MASS_SCALE)
     demand = _integer_masses(nu.weights, MASS_SCALE)
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -61,15 +60,11 @@ class SpreadProfile:
         return buf.getvalue()
 
 
-def _distance_blocks(mu: DiscreteMeasure, cost: Optional[np.ndarray], width: int):
+def _distance_blocks(mu: DiscreteMeasure, width: int):
     """The distances between mu's atoms rounded to DIST_DECIMALS, in the
     row blocks of measures.row_blocks(len(mu), width)."""
     for rows in row_blocks(len(mu), width):
-        if cost is None:
-            dist = sq_distances(mu.atoms[rows], mu.atoms)
-        else:
-            # twice the cost |x_i - x_j|^2 / 2 is bitwise sq_distances (x 0.5 is exact)
-            dist = np.multiply(cost[rows], 2.0)
+        dist = sq_distances(mu.atoms[rows], mu.atoms)
         np.sqrt(dist, out=dist)
         yield np.round(dist, DIST_DECIMALS, out=dist)
 
@@ -84,11 +79,10 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return flat[keep]
 
 
-def build_spread(mu: DiscreteMeasure, cost: Optional[np.ndarray] = None) -> SpreadProfile:
+def build_spread(mu: DiscreteMeasure) -> SpreadProfile:
     """Profile of rho over all candidate radii (the distinct pairwise
-    distances, rounded to 12 decimals for order-independent breakpoints).
-    cost, when given, is the matrix |x_i - x_j|^2 / 2 of mu's atoms, read
-    instead of recomputing the distances.
+    distances, rounded to 12 decimals for order-independent breakpoints),
+    from the distances computed one row block at a time.
 
     rho at radii[k] is the smallest mass of a closed ball of radius
     radii[k] about an atom; the open ball of any r in (radii[k], radii[k+1]]
@@ -97,7 +91,7 @@ def build_spread(mu: DiscreteMeasure, cost: Optional[np.ndarray] = None) -> Spre
     # q[m] = the largest over all rows of the row's (m+1)-th smallest distance
     q = np.zeros(n)
     parts = []
-    for dist in _distance_blocks(mu, cost, n):
+    for dist in _distance_blocks(mu, n):
         dist.sort(axis=1)
         np.maximum(q, dist.max(axis=0), out=q)
         parts.append(_distinct(dist))
@@ -109,7 +103,7 @@ def build_spread(mu: DiscreteMeasure, cost: Optional[np.ndarray] = None) -> Spre
     R = len(radii)
     rho = np.full(R, np.inf)
     # a block holds about measures.BLOCK_ENTRIES entries of the n x R mass table
-    for dist in _distance_blocks(mu, cost, max(n, R)):
+    for dist in _distance_blocks(mu, max(n, R)):
         order = np.argsort(dist, axis=1, kind="stable")
         cw = np.cumsum(w[order], axis=1)
         # each sorted distance is one of the radii: pos is its exact index
@@ -149,12 +143,15 @@ def delta_st(profile: SpreadProfile, epsilon: float) -> float:
     return float(max(profile.radii[k] ** 2, epsilon / profile.rho_values[k]))
 
 
-def diameter(mu: DiscreteMeasure, cost: Optional[np.ndarray] = None) -> float:
-    """Largest distance between two atoms; cost, when given, is the matrix
-    |x_i - x_j|^2 / 2 of mu's atoms, read instead of recomputing it."""
-    if len(mu) < 2:
+def diameter(mu: DiscreteMeasure) -> float:
+    """Largest distance between two atoms, from the squared distances
+    computed one row block at a time."""
+    n = len(mu)
+    if n < 2:
         raise GeometryError("diameter needs at least two atoms")
-    sq_max = sq_distances(mu.atoms, mu.atoms).max() if cost is None else 2.0 * cost.max()
+    sq_max = max(
+        float(sq_distances(mu.atoms[rows], mu.atoms).max()) for rows in row_blocks(n, n)
+    )
     # sqrt is monotone, so the root of the largest square is the largest distance
     return float(np.sqrt(sq_max))
 

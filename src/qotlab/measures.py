@@ -24,8 +24,9 @@ WEIGHT_SUM_SLACK = 1e-9
 BALL_SLACK = 1e-12
 
 # entries per block wherever a computation streams over blocks of rows
-# instead of holding a whole array: distances, the coupling assembly, the
-# spread profile, the support checks and the d >= 2 surrogate's faces
+# instead of holding a whole array: distances and cost rows, the cold
+# starts, the coupling assembly, the spread profile, the support checks and
+# the d >= 2 surrogate's faces
 BLOCK_ENTRIES = 2**15
 
 
@@ -85,22 +86,16 @@ class DiscreteMeasure:
             and np.array_equal(self.weights, other.weights)
         )
 
-    def min_pairwise_distance(self, cost: Optional[np.ndarray] = None) -> float:
-        """Smallest distance between two distinct atoms.  cost, when given,
-        is the matrix |x_i - x_j|^2 / 2 of these atoms, read instead of
-        recomputing the distances: twice it is bitwise sq_distances."""
+    def min_pairwise_distance(self) -> float:
+        """Smallest distance between two distinct atoms."""
         n = len(self)
         if n < 2:
             raise MeasureError("need at least two atoms for a pairwise distance")
         # the minimum over blocks of rows, each with its diagonal entries set
-        # to +inf, so no n x n array is held; x 2 is exact, so scaling each
-        # entry gives the scaled minimum
+        # to +inf, so no n x n array is held
         best = np.inf
         for rows in row_blocks(n, n):
-            if cost is None:
-                block = sq_distances(self.atoms[rows], self.atoms)
-            else:
-                block = np.multiply(cost[rows], 2.0)
+            block = sq_distances(self.atoms[rows], self.atoms)
             block[np.arange(len(block)), np.arange(rows.start, rows.stop)] = np.inf
             best = min(best, float(block.min()))
         return float(np.sqrt(best))

@@ -17,36 +17,35 @@ Newton converges from any start; solve takes a cold or a warm one.  The
 cold start takes exact scalar updates from f = 0: holding one block fixed,
 each equation in the other block is a scalar convex piecewise-linear
 increasing equation, whose root hinge_roots reads off the sorted thresholds
-and their running sums (the same scalar solve extends f off the mu-atoms in
-evaluate_f_at).  cold_starts gives the cold starts of a whole epsilon list:
-for mu = nu one sort per row block serves every epsilon, so an epsilon sweep
-computes them once, before its first solve.  For mu != nu the warm start is
-the potentials of a nearby larger epsilon, which an epsilon sweep passes
-down as a continuation chain: at small epsilon the cold start leaves some
-nu-atoms with no active pair, and Newton then takes a regularization-sized
-first step.
+and their running sums.  cold_starts gives the cold starts of a whole
+epsilon list: for mu = nu one sort per row block serves every epsilon, so an
+epsilon sweep computes them once, before its first solve.  For mu != nu the
+warm start is the potentials of a nearby larger epsilon, which an epsilon
+sweep passes down as a continuation chain: at small epsilon the cold start
+leaves some nu-atoms with no active pair, and Newton then takes a
+regularization-sized first step.
 
 For mu = nu the unknown is a single potential u = f = g, so the returned
 potentials are symmetric by construction.  Otherwise the shift degree of
 freedom is fixed by balancing the integrals, sum_i mu_i f_i = sum_j nu_j g_j.
 
-The dense n x m cost matrix is built once per instance (verify.Instance)
-and passed to cold_starts and assemble_coupling, which only read it (and
-build it themselves when called without it); solve reads it only to build a
-cold start.  Newton never reads it: since c(x, y) = |x|^2 / 2 + |y|^2 / 2 -
-<x, y>, each trial's slack f_i + g_j - c_ij is one rank-(d + 2) matrix
-product of [f - |x|^2 / 2, 1, x] and [1; g - |y|^2 / 2; y^T]
-(_slack_product).  On the unit ball its rounding is a few ulps of 1, far
-below residual_tol times an active mass; assemble_coupling takes the slack
-from the cost matrix, so every converged potential is re-checked against
-the exact slack.  Dense slack and active-set matrices exist only inside
-solve and assemble_coupling: solve holds one n x m float buffer (the active
-set during CG, then each line-search trial's slack), and assemble_coupling
-one slack buffer and its mask.  The cold start holds row blocks of sorted
-thresholds and their sums, and for mu != nu the thresholds C - g of its
-f-batch, freed before Newton's buffer is built.  Everything downstream,
-max_density and the transport cost included, reads the sparse Coupling,
-whose entries cost 12 bytes each.
+No dense cost matrix is built: the cold start and assemble_coupling compute
+the cost rows they walk, one row block of cost_matrix(mu.atoms[rows],
+nu.atoms) at a time, which is bitwise that block of the whole matrix, and
+for mu != nu the g-batch reads cost_matrix(nu.atoms[rows], mu.atoms), which
+is bitwise the transpose's rows.  Newton reads no cost at all: since
+c(x, y) = |x|^2 / 2 + |y|^2 / 2 - <x, y>, each trial's slack f_i + g_j - c_ij
+is one rank-(d + 2) matrix product of [f - |x|^2 / 2, 1, x] and
+[1; g - |y|^2 / 2; y^T] (_slack_product).  On the unit ball its rounding is
+a few ulps of 1, far below residual_tol times an active mass;
+assemble_coupling takes the slack from the cost rows, so every converged
+potential is re-checked against the exact slack.  Dense slack and
+active-set matrices exist only inside solve and assemble_coupling: solve
+holds one n x m float buffer (the active set during CG, then each
+line-search trial's slack), and assemble_coupling one slack buffer and its
+mask.  The cold start holds row blocks of costs, sorted thresholds and
+their sums.  Everything downstream, max_density and the transport cost
+included, reads the sparse Coupling, whose entries cost 12 bytes each.
 """
 from __future__ import annotations
 
@@ -144,19 +143,6 @@ class Coupling:
         """The row of each entry, as intp."""
         return np.repeat(np.arange(self.n_mu), np.diff(self.indptr))
 
-    @property
-    def row_sums(self) -> np.ndarray:
-        return np.bincount(self.rows(), weights=self.masses, minlength=self.n_mu)
-
-    @property
-    def col_sums(self) -> np.ndarray:
-        return np.bincount(self.j_idx, weights=self.masses, minlength=self.n_nu)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_mu, self.n_nu))
-        dense[self.rows(), self.j_idx] = self.masses
-        return dense
-
     def cost_against(self, X: np.ndarray, Y: np.ndarray) -> float:
         """Transport cost sum pi_ij c(x_i, y_j), with c evaluated only at the
         coupling's entries (bitwise the entries of cost_matrix(X, Y))."""
@@ -171,31 +157,35 @@ def cost_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return C
 
 
-def hinge_roots(T: np.ndarray, w: np.ndarray, eps_list) -> np.ndarray:
-    """Per row j of T and each eps of eps_list, the unique t with
-    h_j(t) = sum_i w_i (t - T_ji)_+ = eps, as a (len(eps_list), rows) array.
+def hinge_roots(X: np.ndarray, Y: np.ndarray, shift, w: np.ndarray, eps_list) -> np.ndarray:
+    """Per row x_i of X and each eps of eps_list, the unique t with
+    h_i(t) = sum_j w_j (t - T_ij)_+ = eps, where T = cost_matrix(X, Y) - shift
+    (shift a scalar or one value per row of Y), as a (len(eps_list), len(X))
+    array.
 
-    h_j is convex, increasing and piecewise linear, with knots at the row's
+    h_i is convex, increasing and piecewise linear, with knots at the row's
     sorted thresholds t_(1) <= t_(2) <= ...  With W_k and P_k the running
-    sums of the sorted weights and of weight times threshold, h_j(t_(k)) =
+    sums of the sorted weights and of weight times threshold, h_i(t_(k)) =
     W_{k-1} t_(k) - P_{k-1}, and on the piece that starts at the last knot
-    <= eps the root is (eps + P_k) / W_k.  Each block of about
-    measures.BLOCK_ENTRIES thresholds is sorted once for the whole eps list,
-    and no array of T's size is built.  The sums run in sorted order, so the
-    roots depend on T's values and the sort's order among ties, not on T's
-    memory layout.
+    <= eps the root is (eps + P_k) / W_k.  T is built one block of about
+    measures.BLOCK_ENTRIES thresholds at a time, each sorted once for the
+    whole eps list, so no array of T's size is built.  The sums run in
+    sorted order, so the roots depend on T's values and the sort's order
+    among ties alone.
     """
-    n, m = T.shape
+    n, m = len(X), len(Y)
     roots = np.empty((len(eps_list), n))
     for rows in row_blocks(n, m):
-        order = np.argsort(T[rows], axis=1)
-        knots = np.take_along_axis(T[rows], order, axis=1)
+        knots = cost_matrix(X[rows], Y)
+        knots -= shift
+        order = np.argsort(knots, axis=1)
+        knots = np.take_along_axis(knots, order, axis=1)
         W = w[order]
         del order
         P = np.multiply(W, knots)
         np.cumsum(P, axis=1, out=P)
         np.cumsum(W, axis=1, out=W)
-        # the sorted thresholds become the knot values h_j(t_(k)) in place
+        # the sorted thresholds become the knot values h_i(t_(k)) in place
         knots[:, 1:] *= W[:, :-1]
         knots[:, 1:] -= P[:, :-1]
         knots[:, 0] = 0.0
@@ -206,22 +196,18 @@ def hinge_roots(T: np.ndarray, w: np.ndarray, eps_list) -> np.ndarray:
     return roots
 
 
-def cold_starts(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, eps_list, cost: Optional[np.ndarray] = None,
-) -> list[DualPotentials]:
+def cold_starts(mu: DiscreteMeasure, nu: DiscreteMeasure, eps_list) -> list[DualPotentials]:
     """solve's cold start at each epsilon of eps_list, as potentials with
     sweeps 0: the exact hinge roots g from f = 0, then, for mu != nu, f from
     g.  For mu = nu both potentials are u = g / 2, whose pair sums u_i + u_j
-    average the roots g_i, g_j; C is then symmetric, so g is read from its
-    rows, one sort per block for the whole list.  cost is
-    cost_matrix(mu.atoms, nu.atoms), built here when not given."""
-    C = cost_matrix(mu.atoms, nu.atoms) if cost is None else cost
+    average the roots g_i, g_j; the cost is then symmetric, so g is read
+    from its rows, one sort per block for the whole list."""
     if mu.same_as(nu):
-        roots = 0.5 * hinge_roots(C, mu.weights, eps_list)
+        roots = 0.5 * hinge_roots(mu.atoms, mu.atoms, 0.0, mu.weights, eps_list)
         return [DualPotentials(f_values=u, g_values=u, epsilon=e) for e, u in zip(eps_list, roots)]
     starts = []
-    for eps, g in zip(eps_list, hinge_roots(C.T, mu.weights, eps_list)):
-        f = hinge_roots(C - g, nu.weights, [eps])[0]
+    for eps, g in zip(eps_list, hinge_roots(nu.atoms, mu.atoms, 0.0, mu.weights, eps_list)):
+        f = hinge_roots(mu.atoms, nu.atoms, g, nu.weights, [eps])[0]
         starts.append(DualPotentials(f_values=f, g_values=g, epsilon=eps))
     return starts
 
@@ -229,7 +215,7 @@ def cold_starts(
 def _slack_product(X: np.ndarray, Y: np.ndarray):
     """The function (f, g, out) that writes the positive slack
     [f_i + g_j - c(x_i, y_j)]_+ into the n x m float64 array out, without
-    reading a cost matrix.
+    computing a cost.
 
     Since c(x, y) = |x|^2 / 2 + |y|^2 / 2 - <x, y>, the slack is the
     rank-(d + 2) product L R of L = [f - |x|^2 / 2, 1, x] (n x (d + 2)) and
@@ -298,7 +284,7 @@ _MIN_STEP = 2.0**-40
 
 def solve(
     mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig,
-    cost: Optional[np.ndarray] = None, start: Optional[DualPotentials] = None,
+    start: Optional[DualPotentials] = None,
 ) -> DualPotentials:
     """Semismooth Newton on the dual until both marginal residual vectors
     have sup-norm <= residual_tol; cfg.max_sweeps caps the Newton iterations,
@@ -306,11 +292,8 @@ def solve(
     starts from, with shapes matching the atoms: a cold start (cold_starts,
     sweeps 0; taken here when start is None) or a warm one, the potentials
     solve returned for the same (mu, nu) at another epsilon, usually the next
-    larger one of a sweep.  cost is cost_matrix(mu.atoms, nu.atoms), read
-    only to build the cold start when start is None (and built then when not
-    given): Newton takes every slack from the atoms by one matrix product
-    (_slack_product), so its bits depend neither on the cost nor on the
-    cost's memory layout.
+    larger one of a sweep.  Only the cold start computes costs: Newton takes
+    every slack from the atoms by one matrix product (_slack_product).
 
     The dual, as a minimization, is the convex piecewise quadratic
 
@@ -331,8 +314,8 @@ def solve(
     The solve stops once each |F_i| is at most residual_tol times the active
     mass sum_j nu_j A_ij of its row (and likewise for G): then no potential is
     more than about residual_tol from its exact hinge root given the other
-    block, so evaluate_f_at reproduces the stored f, and since an active mass
-    is at most 1 the marginal residual gate holds too.
+    block, and since an active mass is at most 1 the marginal residual gate
+    holds too.
 
     For mu = nu (bitwise) the unknown is one potential u = f = g, so
     F_i(u) = sum_j nu_j [u_i + u_j - c_ij]_+ - eps, and the Hessian is the
@@ -350,7 +333,7 @@ def solve(
     mu_w, nu_w = mu.weights, nu.weights
     n = len(mu)
     if start is None:
-        start = cold_starts(mu, nu, [eps], cost=cost)[0]
+        start = cold_starts(mu, nu, [eps])[0]
     elif start.f_values.shape != (n,) or start.g_values.shape != (len(nu),):
         raise ConfigError(
             f"start shapes {start.f_values.shape} and {start.g_values.shape} "
@@ -390,10 +373,10 @@ def solve(
         rf = P @ nu_w
         return F, G, rf, rf if tied else mu_w @ P
 
-    # the one dense buffer, in C order whatever the cost's layout.  It holds
-    # the active set while CG runs; once the direction is found nothing reads
-    # that set again, so each line-search trial writes its positive slack
-    # into it, and the accepted trial, written last, is linearized in place
+    # the one dense buffer.  It holds the active set while CG runs; once the
+    # direction is found nothing reads that set again, so each line-search
+    # trial writes its positive slack into it, and the accepted trial,
+    # written last, is linearized in place
     A = np.empty((n, len(nu)))
     phi, phi_mag = dual(x, A)
     F, G, rf, rg = linearize(A)
@@ -455,26 +438,16 @@ def solve(
     )
 
 
-def evaluate_f_at(x, pot: DualPotentials, nu: DiscreteMeasure) -> float:
-    """f extended off the mu-atoms: the t solving
-    sum_j nu_j [t + g_j - c(x, y_j)]_+ = eps."""
-    pt = np.asarray(x, dtype=float).reshape(1, -1)
-    c_row = cost_matrix(pt, nu.atoms)[0]
-    thresholds = c_row - pot.g_values
-    return float(hinge_roots(thresholds[None, :], nu.weights, [pot.epsilon])[0, 0])
-
-
 def assemble_coupling(
     pot: DualPotentials, mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: SolverConfig,
-    cost: Optional[np.ndarray] = None,
 ) -> Coupling:
     """Coupling masses mu_i nu_j [f_i + g_j - c_ij]_+ / eps, in CSR form, with
-    recomputed marginal residuals attached; stale potentials are rejected.
-    cost is cost_matrix(mu.atoms, nu.atoms), built here when not given."""
-    C = cost_matrix(mu.atoms, nu.atoms) if cost is None else cost
-    # the slack f_i + g_j - c_ij, then its positive part, in one n x m buffer
+    recomputed marginal residuals attached; stale potentials are rejected."""
+    # the slack f_i + g_j - c_ij, then its positive part, in one n x m
+    # buffer; the costs are computed one row block at a time
     positive = np.add.outer(pot.f_values, pot.g_values)
-    positive -= C
+    for rows in row_blocks(*positive.shape):
+        positive[rows] -= cost_matrix(mu.atoms[rows], nu.atoms)
     np.maximum(positive, 0.0, out=positive)
     res_mu, res_nu = _positive_residuals(positive, mu.weights, nu.weights, pot.epsilon)
     residual = max(float(res_mu.max()), float(res_nu.max()))

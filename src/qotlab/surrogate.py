@@ -51,10 +51,6 @@ HULL_TOL = 1e-11
 _FLAT = 1e-12
 
 
-class DetachmentError(AssertionError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class ConvexSurrogate:
     slopes: np.ndarray      # (m, d) nu-atoms
@@ -284,23 +280,3 @@ def minty_reflect(s: ConvexSurrogate, u) -> tuple[np.ndarray, np.ndarray]:
     U = _rows(s, u)
     G = _prox_points(s, U, s.lam + 1.0)
     return U - G, G
-
-
-def minty_map(s: ConvexSurrogate, u) -> np.ndarray:
-    """The 1-Lipschitz reflection F(u) = x' - grad psi(x') = 2 x' - u, per row."""
-    x_prime, g = minty_reflect(s, u)
-    return x_prime - g
-
-
-def quadratic_detachment(s: ConvexSurrogate, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Duality gaps psi(x) + psi*(y) - <x, y> and their quadratic lower bounds
-    |x - y - F(x + y)|^2 / 4 over paired rows of x and y; raises if a gap
-    undercuts its bound."""
-    X, Y = _rows(s, x), _rows(s, y)
-    gap = eval_psi(s, X)[0] + eval_psi_star(s, Y) - (X * Y).sum(axis=1)
-    F = minty_map(s, X + Y)
-    lower = 0.25 * ((X - Y - F) ** 2).sum(axis=1)
-    if np.any(gap < lower - 1e-8):
-        k = int(np.argmin(gap - lower))
-        raise DetachmentError(f"duality gap {gap[k]!r} below quadratic bound {lower[k]!r}")
-    return gap, lower

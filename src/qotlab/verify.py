@@ -98,39 +98,29 @@ def _report(bound_id: str, lhs, rhs, factor, context: dict, holds=None) -> Bound
 @dataclass(frozen=True, eq=False)
 class Instance:
     """One transport problem: the marginals and, when known, the ground-truth
-    map.  Built once per run and shared by every epsilon, together with the
-    read-only cost matrix c(x_i, y_j) that the solver, the coupling assembly
-    and the exact-OT reference read.  The other values that depend on the
-    instance alone are computed on first read and kept, once per run."""
+    map.  Built once per run and shared by every epsilon.  It holds no cost
+    matrix: each reader computes the cost rows it walks.  The values that
+    depend on the instance alone are computed on first read and kept, once
+    per run."""
 
     name: str
     mu: DiscreteMeasure
     nu: DiscreteMeasure
     monge: Optional[MongeMapSpec] = None
     self_transport: bool = field(init=False)
-    cost: np.ndarray = field(init=False, repr=False)   # cost_matrix(mu.atoms, nu.atoms)
 
     def __post_init__(self):
-        cost = qot_solver.cost_matrix(self.mu.atoms, self.nu.atoms)
-        cost.setflags(write=False)
         object.__setattr__(self, "self_transport", self.mu.same_as(self.nu))
-        object.__setattr__(self, "cost", cost)
-
-    @property
-    def self_cost(self) -> Optional[np.ndarray]:
-        """The cost matrix of the mu-atoms against themselves when it is
-        the instance's own (mu = nu), else None."""
-        return self.cost if self.self_transport else None
 
     @functools.cached_property
     def profile(self) -> geometry.SpreadProfile:
         """The spread profile of mu."""
-        return geometry.build_spread(self.mu, cost=self.self_cost)
+        return geometry.build_spread(self.mu)
 
     @functools.cached_property
     def exact(self) -> exact_ot.ExactOTSolution:
         """The unregularized optimal transport, CostSandwich's reference."""
-        return exact_ot.solve_exact(self.mu, self.nu, self.monge, cost=self.cost)
+        return exact_ot.solve_exact(self.mu, self.nu, self.monge)
 
     @functools.cached_property
     def diameter(self) -> Optional[float]:
@@ -138,7 +128,7 @@ class Instance:
         it): 0.0 below two atoms, None for mu != nu."""
         if not self.self_transport:
             return None
-        return geometry.diameter(self.mu, self.cost) if len(self.mu) > 1 else 0.0
+        return geometry.diameter(self.mu) if len(self.mu) > 1 else 0.0
 
     @functools.cached_property
     def boundary_distance(self) -> np.ndarray:
@@ -210,8 +200,8 @@ def prepare_instance(
     """Solve inst at cfg.epsilon.  start, when given, is the potentials the
     solve starts from: a cold start from qot_solver.cold_starts or another
     epsilon's potentials (see qot_solver.solve)."""
-    pot = qot_solver.solve(inst.mu, inst.nu, cfg, cost=inst.cost, start=start)
-    coupling = qot_solver.assemble_coupling(pot, inst.mu, inst.nu, cfg, cost=inst.cost)
+    pot = qot_solver.solve(inst.mu, inst.nu, cfg, start=start)
+    coupling = qot_solver.assemble_coupling(pot, inst.mu, inst.nu, cfg)
     return SolvedInstance(
         instance=inst,
         cfg=cfg,
@@ -222,22 +212,25 @@ def prepare_instance(
 
 
 def _support_spread(inst: SolvedInstance) -> float:
-    # the cost c_ij = |x_i - y_j|^2 / 2 read at the support pairs: twice it is
-    # bitwise the squared distance (x 0.5 is exact), and sqrt is monotone, so
-    # the root of twice the largest cost is the largest distance
-    cpl, flat_cost = inst.coupling, inst.instance.cost.ravel()
-    m = cpl.n_nu
+    # the squared distance |x_i - y_j|^2 at the support entries, block of
+    # rows by block of rows, with the squared coordinate differences added
+    # one coordinate at a time (bitwise measures.sq_distances); sqrt is
+    # monotone, so the root of the largest square is the largest distance
+    cpl, X, Y = inst.coupling, inst.instance.mu.atoms, inst.instance.nu.atoms
     worst = 0.0
-    for rows in measures.row_blocks(cpl.n_mu, m):
+    for rows in measures.row_blocks(cpl.n_mu, cpl.n_nu):
         lo, hi = cpl.indptr[rows.start], cpl.indptr[rows.stop]
         if lo == hi:
             continue
-        counts = np.diff(cpl.indptr[rows.start:rows.stop + 1])
-        # entry (i, j) of the row-major cost sits at i * m + j
-        flat = np.repeat(np.arange(rows.start, rows.stop) * m, counts)
-        flat += cpl.j_idx[lo:hi]
-        worst = max(worst, float(flat_cost.take(flat).max()))
-    return math.sqrt(2.0 * worst)
+        counts, jj = np.diff(cpl.indptr[rows.start:rows.stop + 1]), cpl.j_idx[lo:hi]
+        sq = None
+        for x, y in zip(X[rows].T, Y.T):
+            diff = x.repeat(counts)
+            diff -= y.take(jj)
+            diff *= diff
+            sq = diff if sq is None else np.add(sq, diff, out=sq)
+        worst = max(worst, float(sq.max()))
+    return math.sqrt(worst)
 
 
 def _grad_estimate_lhs(inst: SolvedInstance) -> float:

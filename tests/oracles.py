@@ -21,9 +21,17 @@ from np.bincount segment sums (the library multiplies a blocked 0/1 support
 mask by the weights and weighted atoms), Newton's positive slack from the
 cost matrix (the library takes it from one rank-(d + 2) matrix product of
 the potentials and the atoms), marginal residuals from the dense slack (the
-library reads the coupling assembly's positive slack), and d=2
+library reads the coupling assembly's positive slack), d=2
 hull-boundary distances from projections onto the hull's segments (the
-library takes the least slack of the facet inequalities).
+library takes the least slack of the facet inequalities), and the cold
+starts, the coupling assembly and the support spread from one dense cost
+matrix (the library computes the cost rows it walks, one row block at a
+time).
+
+The module also keeps what only the tests use of the library's old API:
+the dense view and marginals of a Coupling, the extension of f off the
+mu-atoms, and the Minty reflection map with its quadratic detachment
+inequality.
 """
 from __future__ import annotations
 
@@ -34,8 +42,15 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
+from qotlab import measures, surrogate
 from qotlab.geometry import DIST_DECIMALS
-from qotlab.qot_solver import cost_matrix
+from qotlab.qot_solver import (
+    Coupling,
+    DualPotentials,
+    InconsistencyError,
+    cost_matrix,
+    hinge_roots,
+)
 
 
 def marginal_residuals(
@@ -329,6 +344,85 @@ def coordinate_support_spread(inst) -> float:
     return math.sqrt(float(sq.max()))
 
 
+def dense_hinge_roots(T: np.ndarray, w: np.ndarray, eps_list) -> np.ndarray:
+    """Per row j of the threshold matrix T and each eps of eps_list, the t
+    with sum_i w_i (t - T_ji)_+ = eps, from the sorted thresholds of each row
+    block of T and their running sums: qot_solver.hinge_roots as it read a
+    given threshold matrix, before it computed the cost rows itself."""
+    n, m = T.shape
+    roots = np.empty((len(eps_list), n))
+    for rows in measures.row_blocks(n, m):
+        order = np.argsort(T[rows], axis=1)
+        knots = np.take_along_axis(T[rows], order, axis=1)
+        W = w[order]
+        P = np.multiply(W, knots)
+        np.cumsum(P, axis=1, out=P)
+        np.cumsum(W, axis=1, out=W)
+        knots[:, 1:] *= W[:, :-1]
+        knots[:, 1:] -= P[:, :-1]
+        knots[:, 0] = 0.0
+        r = np.arange(len(knots))
+        for e, eps in enumerate(eps_list):
+            k = np.count_nonzero(knots <= eps, axis=1) - 1
+            roots[e, rows] = (eps + P[r, k]) / W[r, k]
+    return roots
+
+
+def dense_cost_cold_starts(mu, nu, eps_list) -> list:
+    """qot_solver.cold_starts from the whole cost matrix C: the hinge roots
+    g of the rows of C (mu = nu, halved) or of C.T, then for mu != nu f from
+    the rows of C - g."""
+    C = cost_matrix(mu.atoms, nu.atoms)
+    if mu.same_as(nu):
+        roots = 0.5 * dense_hinge_roots(C, mu.weights, eps_list)
+        return [DualPotentials(f_values=u, g_values=u, epsilon=e) for e, u in zip(eps_list, roots)]
+    starts = []
+    for eps, g in zip(eps_list, dense_hinge_roots(C.T, mu.weights, eps_list)):
+        f = dense_hinge_roots(C - g, nu.weights, [eps])[0]
+        starts.append(DualPotentials(f_values=f, g_values=g, epsilon=eps))
+    return starts
+
+
+def dense_cost_coupling(pot, mu, nu, cfg) -> Coupling:
+    """qot_solver.assemble_coupling from the whole cost matrix: the positive
+    slack [f_i + g_j - C_ij]_+ in one buffer, its residuals, then the
+    entries in row-major order from np.nonzero, with masses
+    (slack / eps) * (mu_i nu_j)."""
+    positive = np.add.outer(pot.f_values, pot.g_values)
+    positive -= cost_matrix(mu.atoms, nu.atoms)
+    np.maximum(positive, 0.0, out=positive)
+    res_mu = np.abs(positive @ nu.weights - pot.epsilon)
+    res_nu = np.abs(mu.weights @ positive - pot.epsilon)
+    residual = max(float(res_mu.max()), float(res_nu.max()))
+    if residual > 10.0 * cfg.residual_tol:
+        raise InconsistencyError(f"marginal residual {residual:.3e}")
+    i_idx, j_idx = np.nonzero(positive > 0.0)
+    densities = positive[i_idx, j_idx] / pot.epsilon
+    indptr = np.zeros(len(mu) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i_idx, minlength=len(mu)), out=indptr[1:])
+    return Coupling(
+        n_mu=len(mu),
+        n_nu=len(nu),
+        epsilon=pot.epsilon,
+        indptr=indptr,
+        j_idx=j_idx.astype(np.int32),
+        masses=densities * (mu.weights[i_idx] * nu.weights[j_idx]),
+        density_max=float(densities.max()),
+        residual=residual,
+    )
+
+
+def gathered_cost_support_spread(inst) -> float:
+    """Largest |x_i - y_j| over the support pairs of a SolvedInstance, 0 on
+    an empty support: the root of twice the largest entry of the whole cost
+    matrix gathered at the support pairs (x 2 undoes the exact x 0.5)."""
+    cpl = inst.coupling
+    if not len(cpl.masses):
+        return 0.0
+    C = cost_matrix(inst.instance.mu.atoms, inst.instance.nu.atoms)
+    return math.sqrt(2.0 * float(C[cpl.rows(), cpl.j_idx].max()))
+
+
 def loop_grad_estimate(inst) -> float:
     """GradEstimate's lhs for a SolvedInstance, one row of the support at a
     time: the row's weight total and weighted coordinate sums added term by
@@ -521,3 +615,52 @@ def psi_star_lp(s, pt: np.ndarray) -> float:
     if not res.success:
         return math.inf
     return float(res.fun)
+
+
+def dense_coupling(cpl: Coupling) -> np.ndarray:
+    """The n_mu x n_nu matrix of a coupling's masses."""
+    dense = np.zeros((cpl.n_mu, cpl.n_nu))
+    dense[cpl.rows(), cpl.j_idx] = cpl.masses
+    return dense
+
+
+def row_sums(cpl: Coupling) -> np.ndarray:
+    return np.bincount(cpl.rows(), weights=cpl.masses, minlength=cpl.n_mu)
+
+
+def col_sums(cpl: Coupling) -> np.ndarray:
+    return np.bincount(cpl.j_idx, weights=cpl.masses, minlength=cpl.n_nu)
+
+
+def evaluate_f_at(x, pot: DualPotentials, nu) -> float:
+    """f extended off the mu-atoms: the t solving
+    sum_j nu_j [t + g_j - c(x, y_j)]_+ = eps."""
+    pt = np.asarray(x, dtype=float).reshape(1, -1)
+    return float(hinge_roots(pt, nu.atoms, pot.g_values, nu.weights, [pot.epsilon])[0, 0])
+
+
+class DetachmentError(AssertionError):
+    pass
+
+
+def minty_map(s, u) -> np.ndarray:
+    """The 1-Lipschitz reflection F(u) = x' - grad psi(x') = 2 x' - u, per
+    row, of a surrogate s."""
+    x_prime, g = surrogate.minty_reflect(s, u)
+    return x_prime - g
+
+
+def quadratic_detachment(s, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Duality gaps psi(x) + psi*(y) - <x, y> of a surrogate s and their
+    quadratic lower bounds |x - y - F(x + y)|^2 / 4 over paired rows of x
+    and y; raises if a gap undercuts its bound."""
+    d = s.slopes.shape[1]
+    X = np.asarray(x, dtype=float).reshape(-1, d)
+    Y = np.asarray(y, dtype=float).reshape(-1, d)
+    gap = surrogate.eval_psi(s, X)[0] + surrogate.eval_psi_star(s, Y) - (X * Y).sum(axis=1)
+    F = minty_map(s, X + Y)
+    lower = 0.25 * ((X - Y - F) ** 2).sum(axis=1)
+    if np.any(gap < lower - 1e-8):
+        k = int(np.argmin(gap - lower))
+        raise DetachmentError(f"duality gap {gap[k]!r} below quadratic bound {lower[k]!r}")
+    return gap, lower

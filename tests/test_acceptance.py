@@ -11,12 +11,17 @@ import time
 import numpy as np
 import pytest
 
-from oracles import qp_oracle_coupling
+from oracles import (
+    dense_coupling,
+    evaluate_f_at,
+    minty_map,
+    qp_oracle_coupling,
+    quadratic_detachment,
+)
 from qotlab import cli, verify
 from qotlab.geometry import build_spread, delta, delta_st
 from qotlab.measures import make_measure, uniform_ball_grid
-from qotlab.qot_solver import SolverConfig, assemble_coupling, evaluate_f_at, solve
-from qotlab.surrogate import minty_map, quadratic_detachment
+from qotlab.qot_solver import SolverConfig, assemble_coupling, solve
 
 EPS_SWEEP = [1e-1, 1e-2, 1e-3, 1e-4]
 RESIDUAL_TOL = 1e-10
@@ -96,7 +101,7 @@ def test_criterion_2_oracle_equivalence(shipped_instances):
             pot = solve(mu, nu, cfg)
             cpl = assemble_coupling(pot, mu, nu, cfg)
             oracle = qp_oracle_coupling(mu, nu, eps)
-            frob = float(np.linalg.norm(cpl.to_dense() - oracle))
+            frob = float(np.linalg.norm(dense_coupling(cpl) - oracle))
             assert frob <= 1e-6, (name, eps, frob)
             worst = max(worst, frob)
     _announce(

@@ -351,39 +351,48 @@ def test_support_spread_computed_once_per_eps(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "instance",
+    "instance, ssp_builds",
     [
-        {"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1},
+        ({"name": "a2", "kind": "affine", "a": 2.0, "h": 0.1}, []),
         # the map misses nu by 1e-10, so the exact cost takes the SSP route
-        {"name": "ssp", "kind": "inline", "monge": {"kind": "affine", "a": 0.5},
-         "mu": {"dim": 1, "atoms": [[-0.8], [-0.2], [0.4], [0.9]], "weights": [0.25] * 4},
-         "nu": {"dim": 1, "atoms": [[-0.4], [-0.1], [0.2], [0.4500000001]],
-                "weights": [0.25] * 4}},
+        ({"name": "ssp", "kind": "inline", "monge": {"kind": "affine", "a": 0.5},
+          "mu": {"dim": 1, "atoms": [[-0.8], [-0.2], [0.4], [0.9]], "weights": [0.25] * 4},
+          "nu": {"dim": 1, "atoms": [[-0.4], [-0.1], [0.2], [0.4500000001]],
+                 "weights": [0.25] * 4}},
+         [(4, 4)]),
     ],
     ids=["map-route", "ssp-route"],
 )
-def test_cost_matrix_built_once_per_run(tmp_path, monkeypatch, instance):
-    # the instance builds the n x m cost matrix; the solver, the coupling
-    # assembly and the exact-OT reference read it, and every checker reads
-    # the sparse coupling
-    n = len(cli.build_instance(instance).mu)
-    calls = []
+def test_cost_matrix_built_one_row_block_at_a_time(tmp_path, monkeypatch, instance, ssp_builds):
+    # no cost matrix is held: the solver's start and the coupling assembly
+    # compute the cost rows they walk, blocks of 3 rows here, and every
+    # checker reads the sparse coupling.  Only the exact-OT reference's
+    # shortest-path route, capped at exact_ot.ATOM_CAP atoms, builds a whole
+    # cost matrix of its own, once per run
+    inst = cli.build_instance(instance)
+    monkeypatch.setattr(measures, "BLOCK_ENTRIES", 3 * max(len(inst.mu), len(inst.nu)))
+    blocks, ssp = [], []
     cost_matrix = qot_solver.cost_matrix
 
-    def counted(X, Y):
-        calls.append((len(X), len(Y)))
-        return cost_matrix(X, Y)
+    def counted(calls):
+        def count(X, Y):
+            calls.append((len(X), len(Y)))
+            return cost_matrix(X, Y)
+        return count
 
-    monkeypatch.setattr(qot_solver, "cost_matrix", counted)
-    monkeypatch.setattr(exact_ot, "cost_matrix", counted)
+    monkeypatch.setattr(qot_solver, "cost_matrix", counted(blocks))
+    monkeypatch.setattr(exact_ot, "cost_matrix", counted(ssp))
     cfg = _write_config(tmp_path, instance=instance, eps_list=[0.1, 0.01])
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
-    assert calls == [(n, n)]
+    assert blocks and all(rows <= 3 for rows, _ in blocks)
+    assert ssp == ssp_builds
 
 
-def test_self_transport_run_computes_distances_once(tmp_path, monkeypatch):
-    # for mu = nu the diameter, the rate floor's minimum distance and the
-    # spread profile read the instance's cost matrix: one distance kernel call
+def test_self_transport_run_computes_distances_one_row_block_at_a_time(tmp_path, monkeypatch):
+    # for mu = nu the rate floor's minimum distance, the diameter, the
+    # spread profile and the cold starts take one pass each over the rows,
+    # and each epsilon's coupling assembly one more, all in blocks of 8 rows
+    # here: no distance or cost matrix is held
     calls = []
     kernel = measures.sq_distances
 
@@ -393,15 +402,19 @@ def test_self_transport_run_computes_distances_once(tmp_path, monkeypatch):
 
     for module in (measures, geometry, qot_solver):
         monkeypatch.setattr(module, "sq_distances", counted)
+    n = len(measures.uniform_ball_grid(1, 0.02))
+    monkeypatch.setattr(measures, "BLOCK_ENTRIES", 8 * n)
+    eps_list = [10.0**-1, 10.0**-1.5, 10.0**-2, 10.0**-2.5]
     cfg = _write_config(
         tmp_path,
         instance={"name": "grid", "kind": "grid", "d": 1, "h": 0.02},
-        eps_list=[10.0**-1, 10.0**-1.5, 10.0**-2, 10.0**-2.5],
+        eps_list=eps_list,
         checks=["SymUB", "SymLB", "SuppDiamM", "GradEstimate", "DensityUB"],
         rate_fit=True,
     )
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
-    assert calls == [(101, 101)]
+    assert all(rows <= 8 and cols == n for rows, cols in calls)
+    assert sum(rows for rows, _ in calls) == n * (4 + len(eps_list))
 
 
 def test_d3_grid_rate_checks_smoke(tmp_path):

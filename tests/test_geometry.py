@@ -173,6 +173,22 @@ def test_diameter():
         diameter(make_measure([0.0], [1.0]))
 
 
+def test_diameter_and_min_distance_hold_no_square_array():
+    # grid d=2 h=0.05 (n=1257): both walk the squared distances one row
+    # block at a time, so they hold a few blocks (a block of distances and
+    # sq_distances' scratch block among them), not an n x n array, which
+    # is 48 blocks here
+    mu = uniform_ball_grid(2, 0.05)
+    tracemalloc.start()
+    try:
+        diam, spacing = diameter(mu), mu.min_pairwise_distance()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diam == pytest.approx(2.0) and spacing == pytest.approx(0.05)
+    assert peak < 4 * 8 * measures.BLOCK_ENTRIES
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_distances_bitwise_match_broadcast(d, monkeypatch):
     monkeypatch.setattr(measures, "BLOCK_ENTRIES", 7 * 30)  # blocks of 7 rows
@@ -180,37 +196,15 @@ def test_distances_bitwise_match_broadcast(d, monkeypatch):
     dist = np.sqrt(broadcast_sq_distances(mu.atoms, mu.atoms))
     assert diameter(mu) == float(dist.max())
     expected = np.round(dist, DIST_DECIMALS)
-    blocks = np.concatenate(list(_distance_blocks(mu, None, len(mu))))
+    blocks = np.concatenate(list(_distance_blocks(mu, len(mu))))
     assert blocks.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize(
-    "mu",
-    [
-        uniform_ball_grid(1, 0.05),
-        uniform_ball_grid(2, 0.2),
-        uniform_ball_grid(3, 0.25),
-        _random_measure(5, n=40, d=2),
-    ],
-    ids=["grid-d1", "grid-d2", "grid-d3", "random-weights-d2"],
-)
-def test_distances_from_cost_bitwise_match_standalone(mu):
-    # twice the self-cost is bitwise the squared distances, so what an
-    # instance reads off its cost matrix is what the standalone functions compute
-    cost = cost_matrix(mu.atoms, mu.atoms)
-    cost.setflags(write=False)
-    assert diameter(mu, cost) == diameter(mu)
-    assert mu.min_pairwise_distance(cost) == mu.min_pairwise_distance()
-    from_cost, standalone = build_spread(mu, cost=cost), build_spread(mu)
-    assert from_cost.radii.tobytes() == standalone.radii.tobytes()
-    assert from_cost.rho_values.tobytes() == standalone.rho_values.tobytes()
 
 
 def _assert_spread_matches_loop(mu):
     # read off the atoms, and off the cost matrix as a self-transport run does
     for cost in (None, cost_matrix(mu.atoms, mu.atoms)):
         radii, rho = loop_spread(mu, cost)
-        prof = build_spread(mu, cost=cost)
+        prof = build_spread(mu)
         assert prof.radii.tobytes() == radii.tobytes()
         assert prof.rho_values.tobytes() == rho.tobytes()
 
@@ -275,10 +269,9 @@ def test_spread_bitwise_matches_loop_weighted(case):
 def test_spread_holds_no_dense_matrix(d, h):
     # the per-row loop peaked at 2.56 and 2.30 n^2 floats on these grids
     mu = uniform_ball_grid(d, h)
-    cost = cost_matrix(mu.atoms, mu.atoms)
     tracemalloc.start()
     try:
-        build_spread(mu, cost=cost)
+        build_spread(mu)
         peak = tracemalloc.get_traced_memory()[1] / 8.0
     finally:
         tracemalloc.stop()

@@ -183,27 +183,6 @@ def test_min_pairwise_distance_bitwise_matches_broadcast(d):
     assert mu.min_pairwise_distance() == float(dist.min())
 
 
-def test_min_pairwise_distance_from_cost_holds_no_square_array():
-    # the d=3 h=0.1 grid (n=4169): the row-block minimum is bitwise the
-    # minimum under an n x n off-diagonal mask, and holds well under the
-    # n^2 bytes (16.6 MiB) that mask took
-    mu = uniform_ball_grid(3, 0.1)
-    cost = 0.5 * sq_distances(mu.atoms, mu.atoms)
-    cost.setflags(write=False)
-    off_diagonal = ~np.eye(len(mu), dtype=bool)
-    want = float(np.sqrt(2.0 * cost.min(where=off_diagonal, initial=np.inf)))
-    del off_diagonal
-    tracemalloc.start()
-    try:
-        got = mu.min_pairwise_distance(cost)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == want
-    assert abs(got - 0.1) < 1e-12
-    assert peak < 2**20
-
-
 def test_identity_pushforward_is_noop():
     mu = uniform_ball_grid(2, 0.5)
     nu = pushforward(mu, identity_map())

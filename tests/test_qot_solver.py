@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 
 from oracles import (
     alternating_solve,
+    col_sums,
+    dense_cost_cold_starts,
+    dense_cost_coupling,
+    dense_coupling,
+    evaluate_f_at,
     fresh_hinge_root_batch,
     marginal_residuals,
     nonzero_coupling,
     outer_positive_slack,
     qp_oracle_coupling,
+    row_sums,
 )
 from qotlab import cli, measures, qot_solver
 from qotlab.measures import make_measure, uniform_ball_grid
@@ -27,7 +33,6 @@ from qotlab.qot_solver import (
     assemble_coupling,
     cold_starts,
     cost_matrix,
-    evaluate_f_at,
     hinge_roots,
     max_density,
     solve,
@@ -37,9 +42,20 @@ SINGLETON = make_measure([0.0], [1.0])
 TWO_POINT = make_measure([-1.0, 1.0], [0.5, 0.5])
 
 
+def _threshold_roots(T, w, eps_list) -> np.ndarray:
+    """hinge_roots of the rows of the threshold matrix T: row j is the cost
+    row of an atom at the origin against atoms all at the origin, 0, shifted
+    by -T_j, so its thresholds are bitwise T_j."""
+    T = np.asarray(T, dtype=float)
+    origin, at_origin = np.zeros((1, 1)), np.zeros((T.shape[1], 1))
+    return np.stack(
+        [hinge_roots(origin, at_origin, -row, w, eps_list)[:, 0] for row in T], axis=1,
+    )
+
+
 def _scalar_root(thresholds, weights, eps) -> float:
     """The hinge root of one row of thresholds at one eps."""
-    return float(hinge_roots(np.array([thresholds], dtype=float), np.asarray(weights), [eps])[0, 0])
+    return float(_threshold_roots([thresholds], np.asarray(weights), [eps])[0, 0])
 
 
 def test_scalar_update_single_piece():
@@ -107,13 +123,13 @@ def test_hinge_roots_match_newton_oracle(n, m, seed, log_eps, root_on_knot):
     eps_list = [10.0**e for e in log_eps]
     if root_on_knot:
         eps_list[0] = _on_a_knot(rng, S, w, eps_list[0])
-    roots = hinge_roots(S.T, w, eps_list)
+    roots = _threshold_roots(S.T, w, eps_list)
     assert roots.shape == (len(eps_list), m)
     # the bits depend on the values alone, not on the layout or the list
     for layout in (np.ascontiguousarray, np.asfortranarray):
-        assert roots.tobytes() == hinge_roots(layout(S.T), w, eps_list).tobytes()
+        assert roots.tobytes() == _threshold_roots(layout(S.T), w, eps_list).tobytes()
     for t, eps in zip(roots, eps_list):
-        assert t.tobytes() == hinge_roots(S.T, w, [eps])[0].tobytes()
+        assert t.tobytes() == _threshold_roots(S.T, w, [eps])[0].tobytes()
         ref = fresh_hinge_root_batch(S, w, eps)
         scale = np.maximum(np.abs(ref), np.abs(S).max(axis=0)) + eps
         assert np.all(np.abs(t - ref) <= HINGE_RTOL * scale)
@@ -143,13 +159,13 @@ def test_self_transport_roots_do_not_depend_on_the_transpose(d, seed, log_eps, r
     eps_list = [10.0**e for e in log_eps]
     if root_on_knot:
         eps_list[0] = _on_a_knot(rng, C, mu.weights, eps_list[0])
-    roots = hinge_roots(C, mu.weights, eps_list)
-    assert roots.tobytes() == hinge_roots(C.T, mu.weights, eps_list).tobytes()
-    starts = cold_starts(mu, mu, eps_list, cost=C)
+    roots = hinge_roots(mu.atoms, mu.atoms, 0.0, mu.weights, eps_list)
+    assert roots.tobytes() == _threshold_roots(C.T, mu.weights, eps_list).tobytes()
+    starts = cold_starts(mu, mu, eps_list)
     for eps, start in zip(eps_list, starts):
         cfg = SolverConfig(epsilon=eps)
         own = solve(mu, mu, cfg)
-        given_start = solve(mu, mu, cfg, cost=C, start=start)
+        given_start = solve(mu, mu, cfg, start=start)
         assert own.f_values.tobytes() == given_start.f_values.tobytes()
         assert own.sweeps == given_start.sweeps
 
@@ -157,11 +173,58 @@ def test_self_transport_roots_do_not_depend_on_the_transpose(d, seed, log_eps, r
 def test_hinge_roots_hold_no_dense_array():
     # the start sorts and sums row blocks; nothing of C's size is built
     mu = uniform_ball_grid(2, 0.05)
-    C = cost_matrix(mu.atoms, mu.atoms)
     eps_list = [10.0**e for e in (-0.5, -1.0, -1.5, -2.0, -2.4)]
-    roots, peak = _peak_of(lambda: hinge_roots(C, mu.weights, eps_list))
+    roots, peak = _peak_of(lambda: hinge_roots(mu.atoms, mu.atoms, 0.0, mu.weights, eps_list))
     assert roots.shape == (len(eps_list), len(mu))
-    assert peak <= 0.25 * C.nbytes
+    assert peak <= 0.25 * 8 * len(mu) ** 2
+
+
+def _other_measure(d, h):
+    """A measure on other atoms than uniform_ball_grid(d, h), with fewer of
+    them: a coarser grid, shrunk and shifted."""
+    grid = uniform_ball_grid(d, 1.3 * h)
+    return make_measure(0.8 * grid.atoms + 0.1, grid.weights)
+
+
+@pytest.mark.parametrize("shift", [False, True], ids=["self-transport", "mu-ne-nu"])
+@pytest.mark.parametrize("d, h, eps", [(1, 0.05, 0.01), (2, 0.2, 0.03), (3, 0.3, 0.1)])
+def test_blocked_cost_readers_match_dense_cost_oracles(d, h, eps, shift, monkeypatch):
+    # the cold starts and the coupling assembly compute their cost rows one
+    # block at a time; blocks of a few rows, whose edges fall inside the
+    # matrix in both orientations, give bitwise what the whole cost matrix
+    # gave.  The mu != nu g-batch reads the rows of cost_matrix(nu, mu),
+    # which are bitwise the columns of cost_matrix(mu, nu)
+    mu = uniform_ball_grid(d, h)
+    nu = _other_measure(d, h) if shift else mu
+    monkeypatch.setattr(measures, "BLOCK_ENTRIES", 5 * max(len(mu), len(nu)) + 3)
+    C = cost_matrix(mu.atoms, nu.atoms)
+    assert cost_matrix(nu.atoms, mu.atoms).tobytes() == np.ascontiguousarray(C.T).tobytes()
+    eps_list = [10.0 * eps, eps]
+    for got, want in zip(cold_starts(mu, nu, eps_list), dense_cost_cold_starts(mu, nu, eps_list)):
+        assert got.f_values.tobytes() == want.f_values.tobytes()
+        assert got.g_values.tobytes() == want.g_values.tobytes()
+    cfg = SolverConfig(epsilon=eps)
+    pot = solve(mu, nu, cfg)
+    got, want = assemble_coupling(pot, mu, nu, cfg), dense_cost_coupling(pot, mu, nu, cfg)
+    assert 0 < len(got.masses) < C.size
+    for field in dataclasses.fields(Coupling):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert np.float64(a).tobytes() == np.float64(b).tobytes(), field.name
+
+
+def test_mu_ne_nu_cold_starts_hold_less_than_one_cost_matrix():
+    # grid d=2 h=0.05 (n=1257) against other atoms: the g-batch and each
+    # f-batch compute their thresholds one row block at a time, so the
+    # start never holds a whole cost matrix, let alone C and C - g at once
+    mu = uniform_ball_grid(2, 0.05)
+    nu = make_measure(0.9 * mu.atoms + 0.05, mu.weights)
+    eps_list = [10.0**e for e in (-0.5, -1.0, -1.5)]
+    starts, peak = _peak_of(lambda: cold_starts(mu, nu, eps_list))
+    assert len(starts) == len(eps_list)
+    assert peak < 8.0 * len(mu) * len(nu)
 
 
 def test_config_validation():
@@ -203,7 +266,7 @@ def test_two_point_matches_qp_oracle():
     pot = solve(TWO_POINT, TWO_POINT, cfg)
     cpl = assemble_coupling(pot, TWO_POINT, TWO_POINT, cfg)
     oracle = qp_oracle_coupling(TWO_POINT, TWO_POINT, 0.01)
-    assert np.linalg.norm(cpl.to_dense() - oracle) <= 1e-6
+    assert np.linalg.norm(dense_coupling(cpl) - oracle) <= 1e-6
     # potentials agree with the oracle through the density identity
     # f_i + g_j = c_ij + eps * pi_ij / (mu_i nu_j) on the support
     C = cost_matrix(TWO_POINT.atoms, TWO_POINT.atoms)
@@ -344,15 +407,15 @@ def test_coupling_marginals_match_weights():
     cpl = assemble_coupling(pot, mu, mu, cfg)
     # equation residual <= tol translates to mass deviation mu_i * tol / eps
     scale = cfg.residual_tol * max(1.0, float(mu.weights.max()) / cfg.epsilon)
-    assert np.abs(cpl.row_sums - mu.weights).max() <= scale
-    assert np.abs(cpl.col_sums - mu.weights).max() <= scale
+    assert np.abs(row_sums(cpl) - mu.weights).max() <= scale
+    assert np.abs(col_sums(cpl) - mu.weights).max() <= scale
 
 
 def test_coupling_marginals_literal_tolerance_at_moderate_eps():
     pot = solve(TWO_POINT, TWO_POINT, SolverConfig(epsilon=1.0))
     cpl = assemble_coupling(pot, TWO_POINT, TWO_POINT, SolverConfig(epsilon=1.0))
-    assert np.abs(cpl.row_sums - TWO_POINT.weights).max() <= 1e-10
-    assert np.abs(cpl.col_sums - TWO_POINT.weights).max() <= 1e-10
+    assert np.abs(row_sums(cpl) - TWO_POINT.weights).max() <= 1e-10
+    assert np.abs(col_sums(cpl) - TWO_POINT.weights).max() <= 1e-10
 
 
 def test_assemble_rejects_stale_potentials():
@@ -418,7 +481,7 @@ def test_disconnected_support_self_transport_symmetrizes():
     assert pot.residual <= cfg.residual_tol
     cpl = assemble_coupling(pot, mu, mu, cfg)
     oracle = qp_oracle_coupling(mu, mu, 0.003)
-    assert np.linalg.norm(cpl.to_dense() - oracle) <= 1e-6
+    assert np.linalg.norm(dense_coupling(cpl) - oracle) <= 1e-6
 
 
 def test_knife_edge_boundary_pair_does_not_merge_components():
@@ -434,7 +497,7 @@ def test_knife_edge_boundary_pair_does_not_merge_components():
     assert pot.residual <= cfg.residual_tol
     cpl = assemble_coupling(pot, mu, mu, cfg)
     oracle = qp_oracle_coupling(mu, mu, 0.01)
-    assert np.linalg.norm(cpl.to_dense() - oracle) <= 1e-6
+    assert np.linalg.norm(dense_coupling(cpl) - oracle) <= 1e-6
 
 
 @settings(max_examples=50, deadline=None)
@@ -461,7 +524,7 @@ def test_self_transport_midpoint_matches_oracle(n, seed, eps):
         assert abs(evaluate_f_at(atom, pot, mu) - pot.f_values[i]) <= cfg.residual_tol + 1e-14
     cpl = assemble_coupling(pot, mu, mu, cfg)
     oracle = qp_oracle_coupling(mu, mu, eps)
-    assert np.linalg.norm(cpl.to_dense() - oracle) <= 1e-6
+    assert np.linalg.norm(dense_coupling(cpl) - oracle) <= 1e-6
 
 
 def _peak_of(fn):
@@ -487,34 +550,35 @@ def test_cost_matrix_peak_memory_stays_below_three_matrices():
 
 
 def test_assemble_coupling_peak_memory_given_cost():
-    # given the cost, the slack and then its positive part fill one n x m
-    # buffer, freed before the support-sized arrays are built
+    # the slack and then its positive part fill one n x m buffer, with the
+    # costs subtracted one row block at a time, freed before the
+    # support-sized arrays are built
     mu = uniform_ball_grid(2, 0.1)
     cfg = SolverConfig(epsilon=0.001)
     C = cost_matrix(mu.atoms, mu.atoms)
-    pot = solve(mu, mu, cfg, cost=C)
-    cpl, peak = _peak_of(lambda: assemble_coupling(pot, mu, mu, cfg, cost=C))
+    pot = solve(mu, mu, cfg)
+    cpl, peak = _peak_of(lambda: assemble_coupling(pot, mu, mu, cfg))
     assert len(cpl.masses) <= 0.1 * C.size
     assert peak <= 2.5 * C.nbytes
 
 
 @pytest.mark.parametrize("shift", [False, True], ids=["cold", "warm"])
 def test_solve_holds_one_dense_float_buffer(shift):
-    # given the cost and a start, Newton keeps one n x m float buffer: the
-    # active set during CG, then each line-search trial's slack
+    # given a start, Newton keeps one n x m float buffer: the active set
+    # during CG, then each line-search trial's slack
     mu = uniform_ball_grid(2, 0.1)
     cfg = SolverConfig(epsilon=10.0**-1.5)
     if shift:
         # the same atoms in reverse order: mu != nu bitwise
         nu = make_measure(mu.atoms[::-1], mu.weights[::-1])
         C = cost_matrix(mu.atoms, nu.atoms)
-        given = {"start": solve(mu, nu, SolverConfig(epsilon=0.1), cost=C)}
+        given = {"start": solve(mu, nu, SolverConfig(epsilon=0.1))}
     else:
         nu = mu
         C = cost_matrix(mu.atoms, mu.atoms)
         # the mu = nu start comes from cold_starts, as a sweep takes it
-        given = {"start": cold_starts(mu, mu, [cfg.epsilon], cost=C)[0]}
-    pot, peak = _peak_of(lambda: solve(mu, nu, cfg, cost=C, **given))
+        given = {"start": cold_starts(mu, mu, [cfg.epsilon])[0]}
+    pot, peak = _peak_of(lambda: solve(mu, nu, cfg, **given))
     assert pot.sweeps >= 2 and pot.residual <= cfg.residual_tol
     assert peak <= 1.25 * C.nbytes
 
@@ -543,32 +607,36 @@ def test_slack_product_matches_cost_matrix_oracle(d):
     assert np.all(np.abs(got - want) <= tol)
 
 
-def test_newton_never_reads_the_cost_after_its_start():
-    # the cost is read only to build a cold start: given one, Newton takes
-    # its slack from the atoms, so a cost of nans changes nothing, and the
-    # coupling assembly, which reads the real cost, accepts the potentials
+def test_newton_never_reads_the_cost_after_its_start(monkeypatch):
+    # costs are computed only to build a cold start: given one, Newton takes
+    # its slack from the atoms and never calls cost_matrix, and the coupling
+    # assembly, which computes the exact cost rows, accepts the potentials
     mu = uniform_ball_grid(2, 0.2)
     cfg = SolverConfig(epsilon=0.01)
     for nu in (mu, make_measure(0.9 * mu.atoms + 0.05, mu.weights)):
-        C = cost_matrix(mu.atoms, nu.atoms)
-        (start,) = cold_starts(mu, nu, [cfg.epsilon], cost=C)
-        pot = solve(mu, nu, cfg, cost=np.full_like(C, np.nan), start=start)
+        (start,) = cold_starts(mu, nu, [cfg.epsilon])
+        with monkeypatch.context() as patched:
+            patched.setattr(qot_solver, "cost_matrix", mock.Mock(side_effect=AssertionError))
+            pot = solve(mu, nu, cfg, start=start)
         assert pot.sweeps >= 1 and pot.residual <= cfg.residual_tol
-        assert assemble_coupling(pot, mu, nu, cfg, cost=C).residual <= 10 * cfg.residual_tol
+        assert assemble_coupling(pot, mu, nu, cfg).residual <= 10 * cfg.residual_tol
 
 
 @pytest.mark.parametrize("shift", [False, True], ids=["self-transport", "mu-ne-nu"])
 @pytest.mark.parametrize("d, h, eps", [(1, 0.05, 0.01), (2, 0.1, 10.0**-1.5)])
 def test_solve_does_not_depend_on_the_cost_layout(d, h, eps, shift):
-    # Newton's buffer is C-ordered whatever the cost's layout, and the cold
-    # start's sorted sums do not depend on it, so an F-ordered cost gives
-    # the same bits
+    # the cost rows and Newton's buffer are C-ordered whatever the atoms'
+    # layout, and the cold start's sorted sums do not depend on it, so
+    # F-ordered atoms give the same bits
     mu = uniform_ball_grid(d, h)
     nu = make_measure(0.9 * mu.atoms + 0.05, mu.weights) if shift else mu
-    C = cost_matrix(mu.atoms, nu.atoms)
     cfg = SolverConfig(epsilon=eps)
-    pot = solve(mu, nu, cfg, cost=C)
-    fortran = solve(mu, nu, cfg, cost=np.asfortranarray(C))
+    pot = solve(mu, nu, cfg)
+
+    def fortran_atoms(m):
+        return dataclasses.replace(m, atoms=np.asfortranarray(m.atoms))
+
+    fortran = solve(fortran_atoms(mu), fortran_atoms(nu), cfg)
     assert pot.f_values.tobytes() == fortran.f_values.tobytes()
     assert pot.g_values.tobytes() == fortran.g_values.tobytes()
 
@@ -628,7 +696,7 @@ def test_start_takes_one_hinge_batch_per_block(monkeypatch, tmp_path, shift):
         tmp_path,
     )
     cli.run_experiment(config, tmp_path)
-    assert len(calls) == 1 and len(calls[0][2]) == 3
+    assert len(calls) == 1 and len(calls[0][4]) == 3
     assert inside == [0, 0, 0]
 
 
@@ -703,7 +771,7 @@ def test_newton_matches_alternating_oracle(n, m, d, seed, log_eps, layout, pairi
         res_mu, res_nu = marginal_residuals(slack, mu.weights, nu.weights, eps)
         assert res_mu.max() <= cfg.residual_tol and res_nu.max() <= cfg.residual_tol
         cpl = assemble_coupling(pot, mu, nu, cfg)
-        assert np.linalg.norm(cpl.to_dense() - qp_oracle_coupling(mu, nu, eps)) <= 1e-6
+        assert np.linalg.norm(dense_coupling(cpl) - qp_oracle_coupling(mu, nu, eps)) <= 1e-6
         return
     slack0 = f0[:, None] + g0[None, :] - C
     taus = []
@@ -827,9 +895,9 @@ def test_warm_start_matches_cold_start(n, m, d, seed, log_eps, log_ratio, layout
     eps_hi = 10.0**log_eps
     cfg = SolverConfig(epsilon=eps_hi / 10.0**log_ratio)
     C = cost_matrix(mu.atoms, nu.atoms)
-    previous = solve(mu, nu, SolverConfig(epsilon=eps_hi), cost=C)
-    warm = solve(mu, nu, cfg, cost=C, start=previous)
-    cold = solve(mu, nu, cfg, cost=C)
+    previous = solve(mu, nu, SolverConfig(epsilon=eps_hi))
+    warm = solve(mu, nu, cfg, start=previous)
+    cold = solve(mu, nu, cfg)
     slacks = []
     for pot in (warm, cold):
         slack = pot.f_values[:, None] + pot.g_values[None, :] - C
@@ -859,12 +927,11 @@ def test_warm_start_halves_the_newton_iterations():
     mu = uniform_ball_grid(1, 0.1)
     mu = make_measure(mu.atoms / 2.0, mu.weights)
     nu = make_measure(2.0 * mu.atoms, mu.weights)
-    C = cost_matrix(mu.atoms, nu.atoms)
     cold, warm, start = 0, 0, None
     for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
         cfg = SolverConfig(epsilon=eps)
-        cold += solve(mu, nu, cfg, cost=C).sweeps
-        start = solve(mu, nu, cfg, cost=C, start=start)
+        cold += solve(mu, nu, cfg).sweeps
+        start = solve(mu, nu, cfg, start=start)
         assert start.residual <= cfg.residual_tol
         warm += start.sweeps
     assert warm <= cold / 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradient, psi_star_lp, simplex_qp
+from oracles import fd_gradient, minty_map, psi_star_lp, quadratic_detachment, simplex_qp
 from qotlab.geometry import build_spread, delta
 from qotlab.measures import make_measure, uniform_ball_grid
 from qotlab.qot_solver import DualPotentials, SolverConfig, solve
@@ -17,9 +17,7 @@ from qotlab.surrogate import (
     eval_psi,
     eval_psi_prime,
     eval_psi_star,
-    minty_map,
     minty_reflect,
-    quadratic_detachment,
 )
 
 

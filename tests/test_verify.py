@@ -1,10 +1,16 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import bincount_grad_estimate, coordinate_support_spread, loop_grad_estimate
+from oracles import (
+    bincount_grad_estimate,
+    coordinate_support_spread,
+    gathered_cost_support_spread,
+    loop_grad_estimate,
+)
 from qotlab import cli, geometry, measures, surrogate, verify
 from qotlab.measures import affine_map, identity_map, make_measure, pushforward, uniform_ball_grid
 from qotlab.qot_solver import SolverConfig, cold_starts
@@ -340,6 +346,37 @@ def test_support_spread_from_cost_matches_coordinate_loop(d, h, eps):
     assert np.float64(inst.support_spread).tobytes() == np.float64(want).tobytes()
 
 
+@pytest.mark.parametrize("shift", [False, True], ids=["self-transport", "mu-ne-nu"])
+@pytest.mark.parametrize("d, h, eps", [(1, 0.05, 0.05), (2, 0.2, 0.03), (3, 0.3, 0.1)])
+def test_support_spread_matches_dense_cost_oracle(d, h, eps, shift, monkeypatch):
+    # the blocked squared distances at the support entries, in blocks of a
+    # few rows, are bitwise twice the entries of the whole cost matrix there
+    mu, nu = uniform_ball_grid(d, h), uniform_ball_grid(d, 1.3 * h)
+    nu = make_measure(0.8 * nu.atoms + 0.1, nu.weights) if shift else mu
+    monkeypatch.setattr(measures, "BLOCK_ENTRIES", 5 * max(len(mu), len(nu)) + 3)
+    inst = prepare_instance(Instance(f"grid-d{d}", mu, nu), SolverConfig(epsilon=eps))
+    assert 0 < len(inst.coupling.masses) < len(mu) * len(nu)
+    want = gathered_cost_support_spread(inst)
+    assert want > 0.0
+    assert np.float64(verify._support_spread(inst)).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("shift", [False, True], ids=["self-transport", "mu-ne-nu"])
+def test_instance_holds_no_cost_matrix(shift):
+    # grid d=2 h=0.05 (n=1257): building an instance computes no cost; the
+    # readers compute the cost rows they walk
+    mu = uniform_ball_grid(2, 0.05)
+    nu = make_measure(0.9 * mu.atoms + 0.05, mu.weights) if shift else mu
+    tracemalloc.start()
+    try:
+        inst = Instance("grid", mu, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.self_transport is not shift
+    assert peak < 0.05 * 8.0 * len(mu) * len(nu)
+
+
 def _grid_d2_half_map_solved():
     # a d=2 grid against itself with the map x -> x / 2: some images are
     # grid atoms and some are not, and many support pairs share a sum x + y
@@ -389,6 +426,6 @@ def test_prepare_instance_passes_its_start_to_solve():
     # before its first solve; the solve reaches the potentials it reaches on
     # its own
     tied = Instance("grid", mu, mu, identity_map())
-    (start,) = cold_starts(mu, mu, [0.01], cost=tied.cost)
+    (start,) = cold_starts(mu, mu, [0.01])
     given = prepare_instance(tied, SolverConfig(epsilon=0.01), start=start)
     assert given.pot.f_values.tobytes() == _prepare(tied, 0.01).pot.f_values.tobytes()
