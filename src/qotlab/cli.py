@@ -245,7 +245,7 @@ def run_experiment(config: ExperimentConfig, base_dir: Path):
             raise CliConfigError("rate_fit needs a spread-resolving grid")
         if len(config.eps_list) < 4:
             raise CliConfigError("rate_fit needs at least four epsilon values")
-        verify.check_rate_floor(inst.mu.min_pairwise_distance(), inst.mu.dim, min(config.eps_list))
+        verify.check_rate_floor(inst.profile.min_distance, inst.mu.dim, min(config.eps_list))
     records, spreads = [], []
 
     def one_eps(eps: float, start) -> qot_solver.DualPotentials:

@@ -19,11 +19,13 @@ for bit the per-row value, since a running sum of equal weights depends only
 on how many terms it has, and the running sum never decreases, so the
 smallest count gives the smallest mass.  Unequal weights take a second pass
 over the blocks, with per-row stable sorts and running sums evaluated at the
-breakpoints, which the first pass collects.
+breakpoints, which the first pass collects.  The first pass also gives the
+atoms' least and largest pairwise distance, with no pass of their own.
 """
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +42,13 @@ class GeometryError(ValueError):
 @dataclass(frozen=True, eq=False)
 class SpreadProfile:
     """Step function rho: rho(r) = rho_values[k] on (radii[k], radii[k+1]],
-    and rho(r) = rho_values[-1] = 1 beyond the last breakpoint.  radii[0] = 0."""
+    and rho(r) = rho_values[-1] = 1 beyond the last breakpoint.  radii[0] = 0.
+    min_distance and diameter are the least and largest atom distances, unrounded."""
 
     radii: np.ndarray
     rho_values: np.ndarray
+    min_distance: float  # inf for one atom
+    diameter: float      # 0.0 for one atom
 
     def rho_at(self, r: float) -> float:
         if r <= 0:
@@ -86,20 +91,29 @@ def build_spread(mu: DiscreteMeasure) -> SpreadProfile:
 
     rho at radii[k] is the smallest mass of a closed ball of radius
     radii[k] about an atom; the open ball of any r in (radii[k], radii[k+1]]
-    contains exactly these atoms."""
+    contains exactly these atoms.  Each block of squares is sorted before
+    its (monotone) root and rounding; as its diagonal is exactly 0 and no
+    entry is negative, each sorted row's second and last squares give the
+    spacing and the diameter."""
     n, w = len(mu), mu.weights
     # q[m] = the largest over all rows of the row's (m+1)-th smallest distance
     q = np.zeros(n)
-    parts = []
-    for dist in _distance_blocks(mu, n):
+    sq_min, sq_max, parts = np.inf, 0.0, []
+    for rows in row_blocks(n, n):
+        dist = sq_distances(mu.atoms[rows], mu.atoms)
         dist.sort(axis=1)
+        sq_min = min(sq_min, float(dist[:, 1:2].min(initial=np.inf)))
+        sq_max = max(sq_max, float(dist[:, -1].max()))
+        np.round(np.sqrt(dist, out=dist), DIST_DECIMALS, out=dist)
         np.maximum(q, dist.max(axis=0), out=q)
         parts.append(_distinct(dist))
+        del dist  # so the next block is computed beside no old one
+    spacing, diam = math.sqrt(sq_min), math.sqrt(sq_max)
     # every row holds its self-distance 0, so radii[0] = 0 and each count >= 1
     radii = _distinct(np.concatenate(parts))
     if (w == w[0]).all():
         rho = np.cumsum(w)[np.searchsorted(q, radii, side="right") - 1]
-        return SpreadProfile(radii=radii, rho_values=rho)
+        return SpreadProfile(radii, rho, spacing, diam)
     R = len(radii)
     rho = np.full(R, np.inf)
     # a block holds about measures.BLOCK_ENTRIES entries of the n x R mass table
@@ -115,7 +129,7 @@ def build_spread(mu: DiscreteMeasure) -> SpreadProfile:
         within = np.bincount(pos.ravel(), minlength=rows * R).reshape(rows, R).cumsum(axis=1)
         within -= 1
         np.minimum(rho, np.take_along_axis(cw, within, axis=1).min(axis=0), out=rho)
-    return SpreadProfile(radii=radii, rho_values=rho)
+    return SpreadProfile(radii, rho, spacing, diam)
 
 
 def _first_piece_exceeding(profile: SpreadProfile, eps: float, squared: bool) -> int:
@@ -141,19 +155,6 @@ def delta_st(profile: SpreadProfile, epsilon: float) -> float:
         raise GeometryError("epsilon must be positive")
     k = _first_piece_exceeding(profile, epsilon, squared=True)
     return float(max(profile.radii[k] ** 2, epsilon / profile.rho_values[k]))
-
-
-def diameter(mu: DiscreteMeasure) -> float:
-    """Largest distance between two atoms, from the squared distances
-    computed one row block at a time."""
-    n = len(mu)
-    if n < 2:
-        raise GeometryError("diameter needs at least two atoms")
-    sq_max = max(
-        float(sq_distances(mu.atoms[rows], mu.atoms).max()) for rows in row_blocks(n, n)
-    )
-    # sqrt is monotone, so the root of the largest square is the largest distance
-    return float(np.sqrt(sq_max))
 
 
 def boundary_distance(mu: DiscreteMeasure) -> np.ndarray:

@@ -86,20 +86,6 @@ class DiscreteMeasure:
             and np.array_equal(self.weights, other.weights)
         )
 
-    def min_pairwise_distance(self) -> float:
-        """Smallest distance between two distinct atoms."""
-        n = len(self)
-        if n < 2:
-            raise MeasureError("need at least two atoms for a pairwise distance")
-        # the minimum over blocks of rows, each with its diagonal entries set
-        # to +inf, so no n x n array is held
-        best = np.inf
-        for rows in row_blocks(n, n):
-            block = sq_distances(self.atoms[rows], self.atoms)
-            block[np.arange(len(block)), np.arange(rows.start, rows.stop)] = np.inf
-            best = min(best, float(block.min()))
-        return float(np.sqrt(best))
-
     def to_dict(self) -> dict:
         return {
             "dim": self.dim,

@@ -17,8 +17,9 @@ Newton converges from any start; solve takes a cold or a warm one.  The
 cold start takes exact scalar updates from f = 0: holding one block fixed,
 each equation in the other block is a scalar convex piecewise-linear
 increasing equation, whose root hinge_roots reads off the sorted thresholds
-and their running sums.  cold_starts gives the cold starts of a whole
-epsilon list: for mu = nu one sort per row block serves every epsilon, so an
+and their running sums (an in-place sort for equal weights, an argsort and
+gather otherwise).  cold_starts gives the cold starts of a whole epsilon
+list: for mu = nu one sort per row block serves every epsilon, so an
 epsilon sweep computes them once, before its first solve.  For mu != nu the
 warm start is the potentials of a nearby larger epsilon, which an epsilon
 sweep passes down as a continuation chain: at small epsilon the cold start
@@ -171,20 +172,27 @@ def hinge_roots(X: np.ndarray, Y: np.ndarray, shift, w: np.ndarray, eps_list) ->
     measures.BLOCK_ENTRIES thresholds at a time, each sorted once for the
     whole eps list, so no array of T's size is built.  The sums run in
     sorted order, so the roots depend on T's values and the sort's order
-    among ties alone.
+    among ties alone.  Equal weights (every grid) need no sort order: the
+    sorted weights are w[0] in any order, so a block is sorted in place and
+    W is one shared row, bitwise what an argsort and gather give.
     """
     n, m = len(X), len(Y)
     roots = np.empty((len(eps_list), n))
+    equal = (w == w[0]).all()
+    W_row = np.cumsum(np.full(m, w[0]))  # the running sums of equal weights
     for rows in row_blocks(n, m):
         knots = cost_matrix(X[rows], Y)
         knots -= shift
-        order = np.argsort(knots, axis=1)
-        knots = np.take_along_axis(knots, order, axis=1)
-        W = w[order]
-        del order
-        P = np.multiply(W, knots)
+        if equal:
+            knots.sort(axis=1)
+            ws, W = w[0], np.broadcast_to(W_row, knots.shape)
+        else:
+            order = np.argsort(knots, axis=1)
+            knots, ws = np.take_along_axis(knots, order, axis=1), w[order]
+            del order
+            W = np.cumsum(ws, axis=1)
+        P = np.multiply(ws, knots)
         np.cumsum(P, axis=1, out=P)
-        np.cumsum(W, axis=1, out=W)
         # the sorted thresholds become the knot values h_i(t_(k)) in place
         knots[:, 1:] *= W[:, :-1]
         knots[:, 1:] -= P[:, :-1]
@@ -201,7 +209,7 @@ def cold_starts(mu: DiscreteMeasure, nu: DiscreteMeasure, eps_list) -> list[Dual
     sweeps 0: the exact hinge roots g from f = 0, then, for mu != nu, f from
     g.  For mu = nu both potentials are u = g / 2, whose pair sums u_i + u_j
     average the roots g_i, g_j; the cost is then symmetric, so g is read
-    from its rows, one sort per block for the whole list."""
+    from its rows, one sort per block for the whole list, in place on a grid."""
     if mu.same_as(nu):
         roots = 0.5 * hinge_roots(mu.atoms, mu.atoms, 0.0, mu.weights, eps_list)
         return [DualPotentials(f_values=u, g_values=u, epsilon=e) for e, u in zip(eps_list, roots)]

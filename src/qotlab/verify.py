@@ -124,11 +124,9 @@ class Instance:
 
     @functools.cached_property
     def diameter(self) -> Optional[float]:
-        """Of the mu-atoms, for mu = nu only (the self-transport checks read
-        it): 0.0 below two atoms, None for mu != nu."""
-        if not self.self_transport:
-            return None
-        return geometry.diameter(self.mu) if len(self.mu) > 1 else 0.0
+        """Of the mu-atoms, from the spread profile, for mu = nu only (the
+        self-transport checks read it): 0.0 for one atom, None for mu != nu."""
+        return self.profile.diameter if self.self_transport else None
 
     @functools.cached_property
     def boundary_distance(self) -> np.ndarray:

@@ -5,10 +5,14 @@ the primal QP oracle is accelerated projected gradient with Dykstra
 projections (the library solves the dual system), the dual oracle sweeps exact
 coordinate updates (the library runs semismooth Newton on the whole dual),
 scalar hinge roots come from Newton on the active set (the library sorts
-the thresholds and reads each root off their running sums), spread values
+the thresholds and reads each root off their running sums) and from an
+argsort of every row block with the weights gathered in its order (the
+library sorts equal-weight rows in place), spread values
 come from a direct double loop and spread profiles from a dense per-row loop
 (the library streams row blocks and, for equal weights, reads order
-statistics), spread inverses from bisection, envelope
+statistics), the atoms' spacing and diameter from a blocked pass each
+(the library reads both off the spread profile's sorted squared distances),
+spread inverses from bisection, envelope
 gradients from finite differences, exact-transport costs from matching
 enumeration or an LP, squared distances from the (n, m, d) broadcast
 (the library adds one coordinate at a time), and coupling entries from
@@ -90,6 +94,35 @@ def broadcast_sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Squared distances through the (n, m, d) broadcast, the form that
     measures.sq_distances replaced."""
     return ((X[:, None] - Y[None]) ** 2).sum(-1)
+
+
+def min_pairwise_distance(mu) -> float:
+    """Smallest distance between two distinct atoms, the minimum over
+    blocks of squared distances with their diagonal entries set to +inf:
+    the pass that geometry.build_spread's min_distance replaced."""
+    n = len(mu)
+    if n < 2:
+        raise ValueError("need at least two atoms for a pairwise distance")
+    best = np.inf
+    for rows in measures.row_blocks(n, n):
+        block = measures.sq_distances(mu.atoms[rows], mu.atoms)
+        block[np.arange(len(block)), np.arange(rows.start, rows.stop)] = np.inf
+        best = min(best, float(block.min()))
+    return float(np.sqrt(best))
+
+
+def diameter(mu) -> float:
+    """Largest distance between two atoms, the root of the largest squared
+    distance over blocks of rows: the pass that geometry.build_spread's
+    diameter replaced."""
+    n = len(mu)
+    if n < 2:
+        raise ValueError("diameter needs at least two atoms")
+    sq_max = max(
+        float(measures.sq_distances(mu.atoms[rows], mu.atoms).max())
+        for rows in measures.row_blocks(n, n)
+    )
+    return float(np.sqrt(sq_max))
 
 
 def _affine_marginal_projection(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -366,6 +399,13 @@ def dense_hinge_roots(T: np.ndarray, w: np.ndarray, eps_list) -> np.ndarray:
             k = np.count_nonzero(knots <= eps, axis=1) - 1
             roots[e, rows] = (eps + P[r, k]) / W[r, k]
     return roots
+
+
+def argsort_hinge_roots(X: np.ndarray, Y: np.ndarray, shift, w: np.ndarray, eps_list) -> np.ndarray:
+    """qot_solver.hinge_roots as it was before it sorted equal-weight rows in
+    place: one argsort and weight gather per row block of the thresholds
+    cost_matrix(X, Y) - shift, whatever the weights."""
+    return dense_hinge_roots(cost_matrix(X, Y) - shift, w, eps_list)
 
 
 def dense_cost_cold_starts(mu, nu, eps_list) -> list:

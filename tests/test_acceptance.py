@@ -128,8 +128,8 @@ def test_criterion_3_explicit_constant_suite(sweep):
 
 def _rate_sweep(d: int, h: float, eps_list, cap_seconds=None):
     mu = uniform_ball_grid(d, h)
-    verify.check_rate_floor(mu.min_pairwise_distance(), d, min(eps_list))
     profile = build_spread(mu)
+    verify.check_rate_floor(profile.min_distance, d, min(eps_list))
     diam = 2.0
     spreads, lb_constants = [], []
     t0 = time.perf_counter()

@@ -308,14 +308,15 @@ def test_rate_fit_outputs(tmp_path):
 
 
 def test_diameter_computed_once_per_run(tmp_path, monkeypatch):
+    # the diameter is read off the spread profile, which is built once
     calls = []
-    diameter = geometry.diameter
+    build_spread = geometry.build_spread
 
     def counted(mu, *rest):
         calls.append(len(mu))
-        return diameter(mu, *rest)
+        return build_spread(mu, *rest)
 
-    monkeypatch.setattr(geometry, "diameter", counted)
+    monkeypatch.setattr(geometry, "build_spread", counted)
     cfg = _write_config(
         tmp_path,
         instance={"name": "grid", "kind": "grid", "d": 1, "h": 0.1},
@@ -389,10 +390,10 @@ def test_cost_matrix_built_one_row_block_at_a_time(tmp_path, monkeypatch, instan
 
 
 def test_self_transport_run_computes_distances_one_row_block_at_a_time(tmp_path, monkeypatch):
-    # for mu = nu the rate floor's minimum distance, the diameter, the
-    # spread profile and the cold starts take one pass each over the rows,
-    # and each epsilon's coupling assembly one more, all in blocks of 8 rows
-    # here: no distance or cost matrix is held
+    # for mu = nu the spread profile (which gives the rate floor's minimum
+    # distance and the diameter too) and the cold starts take one pass each
+    # over the rows, and each epsilon's coupling assembly one more, all in
+    # blocks of 8 rows here: no distance or cost matrix is held
     calls = []
     kernel = measures.sq_distances
 
@@ -414,7 +415,7 @@ def test_self_transport_run_computes_distances_one_row_block_at_a_time(tmp_path,
     )
     assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_OK
     assert all(rows <= 8 and cols == n for rows, cols in calls)
-    assert sum(rows for rows, _ in calls) == n * (4 + len(eps_list))
+    assert sum(rows for rows, _ in calls) == n * (2 + len(eps_list))
 
 
 def test_d3_grid_rate_checks_smoke(tmp_path):

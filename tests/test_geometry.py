@@ -9,7 +9,9 @@ from oracles import (
     bisect_delta_st,
     broadcast_sq_distances,
     brute_force_rho,
+    diameter,
     loop_spread,
+    min_pairwise_distance,
     segment_boundary_distance,
 )
 from qotlab import measures, verify
@@ -22,7 +24,6 @@ from qotlab.geometry import (
     build_spread,
     delta,
     delta_st,
-    diameter,
 )
 from qotlab.measures import make_measure, uniform_ball_grid
 from qotlab.qot_solver import cost_matrix
@@ -168,24 +169,28 @@ def test_delta_rejects_nonpositive_eps(two_point):
 
 
 def test_diameter():
-    assert diameter(make_measure([-1.0, 1.0], [0.5, 0.5])) == pytest.approx(2.0)
-    with pytest.raises(GeometryError):
-        diameter(make_measure([0.0], [1.0]))
+    # the spread profile's diameter against the blocked pass it replaced;
+    # one atom has diameter 0 and no spacing
+    two = make_measure([-1.0, 1.0], [0.5, 0.5])
+    assert build_spread(two).diameter == diameter(two) == 2.0
+    assert build_spread(two).min_distance == min_pairwise_distance(two) == 2.0
+    one = build_spread(make_measure([0.3], [1.0]))
+    assert one.diameter == 0.0 and one.min_distance == np.inf
 
 
 def test_diameter_and_min_distance_hold_no_square_array():
-    # grid d=2 h=0.05 (n=1257): both walk the squared distances one row
-    # block at a time, so they hold a few blocks (a block of distances and
-    # sq_distances' scratch block among them), not an n x n array, which
-    # is 48 blocks here
+    # grid d=2 h=0.05 (n=1257): the spread profile reads both off its pass
+    # over the squared distances, one row block at a time, so it holds a few
+    # blocks (a block of distances, its distinct values and sq_distances'
+    # scratch block among them), not an n x n array, which is 48 blocks here
     mu = uniform_ball_grid(2, 0.05)
     tracemalloc.start()
     try:
-        diam, spacing = diameter(mu), mu.min_pairwise_distance()
+        prof = build_spread(mu)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert diam == pytest.approx(2.0) and spacing == pytest.approx(0.05)
+    assert prof.diameter == pytest.approx(2.0) and prof.min_distance == pytest.approx(0.05)
     assert peak < 4 * 8 * measures.BLOCK_ENTRIES
 
 
@@ -194,10 +199,33 @@ def test_distances_bitwise_match_broadcast(d, monkeypatch):
     monkeypatch.setattr(measures, "BLOCK_ENTRIES", 7 * 30)  # blocks of 7 rows
     mu = _random_measure(d, n=30, d=d)
     dist = np.sqrt(broadcast_sq_distances(mu.atoms, mu.atoms))
-    assert diameter(mu) == float(dist.max())
     expected = np.round(dist, DIST_DECIMALS)
     blocks = np.concatenate(list(_distance_blocks(mu, len(mu))))
     assert blocks.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+@pytest.mark.parametrize(
+    "mu",
+    [
+        make_measure([[0.1, -0.2], [0.4, 0.3]], [0.5, 0.5]),
+        _random_measure(1, n=30, d=1),
+        _random_measure(2, n=30, d=2),
+        _random_measure(3, n=30, d=3),
+        uniform_ball_grid(2, 0.2),
+    ],
+    ids=["two-atom", "random-weights-d1", "random-weights-d2", "random-weights-d3", "grid-d2"],
+)
+def test_spread_extremes_bitwise_match_oracles(mu, block_rows, monkeypatch):
+    # the spacing and the diameter come out of the profile's own pass,
+    # whatever its row blocks, bitwise as the blocked passes they replaced
+    # and as the dense distance matrix gives them
+    monkeypatch.setattr(measures, "BLOCK_ENTRIES", block_rows * len(mu))
+    prof = build_spread(mu)
+    dist = np.sqrt(broadcast_sq_distances(mu.atoms, mu.atoms))
+    assert prof.diameter == diameter(mu) == float(dist.max())
+    np.fill_diagonal(dist, np.inf)
+    assert prof.min_distance == min_pairwise_distance(mu) == float(dist.min())
 
 
 def _assert_spread_matches_loop(mu):

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import broadcast_sq_distances
+from oracles import broadcast_sq_distances, min_pairwise_distance
 from qotlab import measures
+from qotlab.geometry import build_spread
 from qotlab.measures import (
     MeasureError,
     affine_map,
@@ -134,29 +135,34 @@ def test_grid_atom_cap():
 @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
 def test_grid_min_distance_is_h(h):
     mu = uniform_ball_grid(1, h)
-    assert abs(mu.min_pairwise_distance() - h) < 1e-12
+    assert abs(build_spread(mu).min_distance - h) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(1, 9), extra=st.integers(1, 4), d=st.integers(1, 5))
 def test_sq_distances_bitwise_matches_broadcast(data, n, extra, d):
-    # n != m, so a transposed or misaligned accumulation cannot pass
-    coords = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=True)
+    # n != m, so a transposed or misaligned accumulation cannot pass; the
+    # sampled coordinates make exact-zero differences and signed zeros common
+    coords = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.5, -1.0]),
+        st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=True),
+    )
     X = data.draw(hnp.arrays(np.float64, (n, d), elements=coords))
     Y = data.draw(hnp.arrays(np.float64, (n + extra, d), elements=coords))
-    for A, B in ((X, Y), (Y, X)):
+    for A, B in ((X, Y), (Y, X), (X, X), (X[:1], Y[:1])):
         got = sq_distances(A, B)
         assert got.shape == (len(A), len(B))
         assert got.tobytes() == broadcast_sq_distances(A, B).tobytes()
 
 
 @pytest.mark.parametrize("scratch_entries", [1, 13, 40])
-@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_sq_distances_bitwise_across_scratch_blocks(d, scratch_entries, monkeypatch):
     # scratch blocks of one row, a few rows, or a part of the matrix
     monkeypatch.setattr(measures, "BLOCK_ENTRIES", scratch_entries)
     rng = np.random.default_rng(d)
     X, Y = rng.uniform(-1.0, 1.0, size=(23, d)), rng.uniform(-1.0, 1.0, size=(11, d))
+    Y[:3] = X[:3]  # exact-zero differences inside and across the blocks
     for A, B in ((X, Y), (Y, X)):
         assert sq_distances(A, B).tobytes() == broadcast_sq_distances(A, B).tobytes()
 
@@ -176,11 +182,12 @@ def test_sq_distances_holds_one_matrix(d, h):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_min_pairwise_distance_bitwise_matches_broadcast(d):
+    # the spread profile's spacing against the blocked pass it replaced
     rng = np.random.default_rng(d)
     mu = make_measure(rng.uniform(-0.5, 0.5, size=(40, d)), np.full(40, 1 / 40))
     dist = np.sqrt(broadcast_sq_distances(mu.atoms, mu.atoms))
     np.fill_diagonal(dist, np.inf)
-    assert mu.min_pairwise_distance() == float(dist.min())
+    assert build_spread(mu).min_distance == min_pairwise_distance(mu) == float(dist.min())
 
 
 def test_identity_pushforward_is_noop():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     alternating_solve,
+    argsort_hinge_roots,
     col_sums,
     dense_cost_cold_starts,
     dense_cost_coupling,
@@ -184,6 +185,65 @@ def _other_measure(d, h):
     them: a coarser grid, shrunk and shifted."""
     grid = uniform_ball_grid(d, 1.3 * h)
     return make_measure(0.8 * grid.atoms + 0.1, grid.weights)
+
+
+def _counted_argsort(monkeypatch) -> list:
+    """The shapes numpy's argsort is called on, from now on."""
+    calls = []
+    argsort = np.argsort
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return calls
+
+
+def _assert_roots_match_argsort(X, Y, shift, w, eps_list):
+    got = hinge_roots(X, Y, shift, w, eps_list)
+    assert got.tobytes() == argsort_hinge_roots(X, Y, shift, w, eps_list).tobytes()
+
+
+@pytest.mark.parametrize("block", [None, "edges"])
+@pytest.mark.parametrize("d, h", [(1, 0.05), (2, 0.15), (3, 0.3)])
+def test_equal_weight_hinge_roots_bitwise_match_argsort_oracle(d, h, block, monkeypatch):
+    # on lattice rows, where many thresholds tie, the in-place sort and the
+    # shared running sum of the weights give the argsort route's roots bit
+    # for bit: for mu = nu, and for the mu != nu f-batch with its shift g
+    # per column, in whole blocks or in blocks whose edges fall inside the
+    # matrix
+    mu = uniform_ball_grid(d, h)
+    nu = _other_measure(d, h)
+    if block:
+        monkeypatch.setattr(measures, "BLOCK_ENTRIES", 5 * max(len(mu), len(nu)) + 3)
+    eps_list = [10.0**e for e in (-0.5, -1.0, -1.5, -2.0, -3.0)]
+    _assert_roots_match_argsort(mu.atoms, mu.atoms, 0.0, mu.weights, eps_list)
+    g = hinge_roots(nu.atoms, mu.atoms, 0.0, mu.weights, eps_list[2:3])[0]
+    _assert_roots_match_argsort(nu.atoms, mu.atoms, 0.0, mu.weights, eps_list)
+    _assert_roots_match_argsort(mu.atoms, nu.atoms, g, nu.weights, eps_list[2:3])
+
+
+def test_unequal_weight_hinge_roots_take_the_argsort_route(monkeypatch):
+    # one argsort per row block, and the oracle's bits
+    mu = uniform_ball_grid(2, 0.2)
+    w = np.linspace(1.0, 2.0, len(mu))
+    mu = make_measure(mu.atoms, w / w.sum())
+    calls = _counted_argsort(monkeypatch)
+    roots = hinge_roots(mu.atoms, mu.atoms, 0.0, mu.weights, [0.1, 0.01])
+    assert calls == [(len(mu), len(mu))]
+    assert roots.tobytes() == argsort_hinge_roots(
+        mu.atoms, mu.atoms, 0.0, mu.weights, [0.1, 0.01]
+    ).tobytes()
+
+
+@pytest.mark.parametrize("shift", [False, True], ids=["self-transport", "mu-ne-nu"])
+def test_equal_weight_cold_starts_never_argsort(shift, monkeypatch):
+    mu = uniform_ball_grid(2, 0.15)
+    nu = _other_measure(2, 0.15) if shift else mu
+    calls = _counted_argsort(monkeypatch)
+    starts = cold_starts(mu, nu, [0.1, 0.01])
+    assert len(starts) == 2 and calls == []
 
 
 @pytest.mark.parametrize("shift", [False, True], ids=["self-transport", "mu-ne-nu"])

@@ -137,15 +137,16 @@ def test_self_transport_checks_rejected_for_asymmetric(shift_solved):
 
 
 def test_diameter_is_built_for_self_transport_only(monkeypatch):
-    # only the mu = nu checks read it, so a mu != nu instance skips the work
+    # only the mu = nu checks read it, so a mu != nu instance does not build
+    # the spread profile it is read from
     calls = []
-    diameter = geometry.diameter
+    build_spread = geometry.build_spread
 
     def counted(mu, *rest):
         calls.append(len(mu))
-        return diameter(mu, *rest)
+        return build_spread(mu, *rest)
 
-    monkeypatch.setattr(geometry, "diameter", counted)
+    monkeypatch.setattr(geometry, "build_spread", counted)
     monge = affine_map([[0.5]])
     assert Instance("shift", TWO_POINT, pushforward(TWO_POINT, monge), monge).diameter is None
     assert calls == []
