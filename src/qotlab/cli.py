@@ -106,7 +106,7 @@ def _materialize(spec: dict, base_dir: Path) -> verify.Instance:
         a = spec.get("a")
         if a is None:
             return verify.Instance(name, mu, mu, identity_map())
-        monge = _monge_from_dict({"kind": "affine", "a": float(a)}, 1)
+        monge = affine_map(float(a) * np.eye(1))
         return verify.Instance(name, mu, pushforward(mu, monge), monge)
     if kind == "grid":
         mu = uniform_ball_grid(int(spec["d"]), float(spec["h"]))
@@ -118,25 +118,19 @@ def _materialize(spec: dict, base_dir: Path) -> verify.Instance:
         if a > 1.0:
             # shrink the source grid so images a * x stay inside the ball
             base = make_measure(base.atoms / a, base.weights)
-        monge = _monge_from_dict({"kind": "affine", "a": a}, d)
+        monge = affine_map(a * np.eye(d))
         nu = base if a == 1.0 else pushforward(base, monge)
         return verify.Instance(name, base, nu, monge)
-    if kind == "files":
-        mu = load_measure(base_dir / spec["mu"])
-        nu_spec = spec.get("nu", "same")
-        nu = mu if nu_spec == "same" else load_measure(base_dir / nu_spec)
-        monge = None
+    if kind in ("files", "inline"):
+        # files name measure files under base_dir; inline holds the records
+        read = measure_from_dict if kind == "inline" else lambda ref: load_measure(base_dir / ref)
+        mu = read(spec["mu"])
+        same = spec.get("nu", "same") == "same"
+        nu = mu if same else read(spec["nu"])
         if spec.get("monge"):
             monge = _monge_from_dict(spec["monge"], mu.dim)
-        elif nu_spec == "same":
-            monge = identity_map()
-        return verify.Instance(name, mu, nu, monge)
-    if kind == "inline":
-        mu = measure_from_dict(spec["mu"])
-        nu = mu if spec.get("nu", "same") == "same" else measure_from_dict(spec["nu"])
-        monge = _monge_from_dict(spec["monge"], mu.dim) if spec.get("monge") else None
-        if monge is None and spec.get("nu", "same") == "same":
-            monge = identity_map()
+        else:
+            monge = identity_map() if same else None
         return verify.Instance(name, mu, nu, monge)
     raise CliConfigError(f"unknown instance kind {kind!r}")
 
@@ -257,7 +251,7 @@ def run_experiment(config: ExperimentConfig, base_dir: Path):
             rec["context"]["seed"] = config.seed
             records.append(rec)
         if config.rate_fit:
-            spreads.append(solved.support_spread)
+            spreads.append(solved.support_extents[0])
         return solved.pot
 
     # mu != nu has no cold starts here: its first epsilon starts cold inside
@@ -382,8 +376,10 @@ def write_rate_svg(fit: verify.RateFit, path: Path) -> None:
 
 def _check_output_dir(path: Path) -> None:
     """Reject an output directory that cannot be made or written, without
-    creating it: its nearest existing ancestor (or itself) must be a
-    writable directory."""
+    creating it: it must name no NUL, and its nearest existing ancestor (or
+    itself) must be a writable directory."""
+    if "\0" in str(path):
+        raise CliConfigError(f"output_dir {str(path)!r} contains a NUL character")
     for existing in (path, *path.parents):
         if existing.exists():
             if not existing.is_dir():
@@ -470,6 +466,15 @@ def run_command(config_path: str, eps_override=None, tol_override=None) -> int:
     return EXIT_OK
 
 
+def _check_file_name(name) -> None:
+    """gen writes <name>.mu.json and <name>.instance.json into its output
+    directory and nowhere else: the name must be one plain path component."""
+    if not isinstance(name, str) or name in ("", ".", "..") or "\0" in name or any(
+        sep in name for sep in (os.sep, os.altsep) if sep
+    ):
+        raise CliConfigError(f"instance name {name!r} is not a plain file name")
+
+
 def generate(spec: dict, out_dir: Path) -> list[Path]:
     """Write instance JSON files (and standalone measure files) for the
     requested families."""
@@ -480,10 +485,13 @@ def generate(spec: dict, out_dir: Path) -> list[Path]:
         entries = SHIPPED_INSTANCES
     if not isinstance(entries, list):
         raise CliConfigError(f'instances must be "shipped" or a list of specs, got {entries!r}')
+    # every instance is built and named before the first file is written
+    instances = [build_instance(entry) for entry in entries]
+    for inst in instances:
+        _check_file_name(inst.name)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for entry in entries:
-        inst = build_instance(entry)
+    for inst in instances:
         mu_path = out_dir / f"{inst.name}.mu.json"
         save_measure(inst.mu, mu_path)
         written.append(mu_path)

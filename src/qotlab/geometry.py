@@ -50,13 +50,6 @@ class SpreadProfile:
     min_distance: float  # inf for one atom
     diameter: float      # 0.0 for one atom
 
-    def rho_at(self, r: float) -> float:
-        if r <= 0:
-            raise GeometryError("rho is defined for r > 0")
-        idx = int(np.searchsorted(self.radii, r, side="left")) - 1
-        idx = min(max(idx, 0), len(self.radii) - 1)
-        return float(self.rho_values[idx])
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("r,rho\n")

@@ -13,7 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-ATOM_CAP_DEFAULT = 200_000
+# the most lattice points uniform_ball_grid lays out
+GRID_ATOM_CAP = 200_000
 
 # Coordinates are compared after rounding to this many decimals.  Duplicate
 # detection and pushforward merging both use these keys, which makes them
@@ -151,7 +152,7 @@ def make_measure(atoms, weights) -> DiscreteMeasure:
     return DiscreteMeasure(atoms=_frozen(pts), weights=_frozen(w), dim=pts.shape[1])
 
 
-def uniform_ball_grid(d: int, h: float, atom_cap: int = ATOM_CAP_DEFAULT) -> DiscreteMeasure:
+def uniform_ball_grid(d: int, h: float) -> DiscreteMeasure:
     """Equal-weight lattice of spacing h inside the unit ball, centered at the
     origin so self-transport instances keep their analytic symmetry."""
     if d not in (1, 2, 3):
@@ -160,16 +161,15 @@ def uniform_ball_grid(d: int, h: float, atom_cap: int = ATOM_CAP_DEFAULT) -> Dis
         raise MeasureError(f"grid spacing must lie in (0, 1], got {h}")
     k = int(np.floor(1.0 / h + 1e-9))
     side = 2 * k + 1
-    if side**d > atom_cap:
+    # the ball's points are a subset of the side**d lattice
+    if side**d > GRID_ATOM_CAP:
         raise MeasureError(
-            f"grid with spacing {h} in d={d} would exceed the atom cap {atom_cap}"
+            f"grid with spacing {h} in d={d} would exceed the atom cap {GRID_ATOM_CAP}"
         )
     axes = np.meshgrid(*([np.arange(-k, k + 1)] * d), indexing="ij")
     lattice = np.stack([ax.ravel() for ax in axes], axis=1).astype(float) * h
     inside = np.sqrt((lattice**2).sum(-1)) <= 1.0 + BALL_SLACK
     pts = lattice[inside]
-    if len(pts) > atom_cap:
-        raise MeasureError(f"grid would exceed the atom cap {atom_cap}")
     w = np.full(len(pts), 1.0 / len(pts))
     return make_measure(pts, w)
 

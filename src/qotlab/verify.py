@@ -7,6 +7,8 @@ whose constants are universal-but-unspecified report the implied constant
 (measured left-hand side divided by the structural right-hand-side factor)
 and leave the flag unset; boundedness and trends across an epsilon sweep
 are judged by the sweep-level helpers.
+The self-transport checks walk the sparse support once per epsilon, for
+both the support spread and the GradEstimate barycenters.
 """
 from __future__ import annotations
 
@@ -143,7 +145,9 @@ class Instance:
 class SolvedInstance:
     """One solved (mu, nu, eps) pipeline state shared by the checkers: the
     instance and its per-epsilon state.  What several checkers read is
-    computed on first read and kept, once per epsilon."""
+    computed on first read and kept, once per epsilon: among it the support
+    extents, the spread and the barycenter deviation from one walk of the
+    support, which the self-transport checks and the rate fit share."""
 
     instance: Instance
     cfg: qot_solver.SolverConfig
@@ -184,10 +188,11 @@ class SolvedInstance:
         return star[: len(inst.nu)], star[len(inst.nu):]
 
     @functools.cached_property
-    def support_spread(self) -> float:
-        """Largest |x_i - y_j| over the support pairs, 0 on an empty support;
-        the self-transport checks and the rate fit both read it."""
-        return _support_spread(self)
+    def support_extents(self) -> tuple[float, float]:
+        """(spread, deviation) from one walk of the support (see
+        _support_extents): the self-transport checks read both, the rate fit
+        the spread."""
+        return _support_extents(self)
 
 
 def prepare_instance(
@@ -209,44 +214,25 @@ def prepare_instance(
     )
 
 
-def _support_spread(inst: SolvedInstance) -> float:
-    # the squared distance |x_i - y_j|^2 at the support entries, block of
-    # rows by block of rows, with the squared coordinate differences added
-    # one coordinate at a time (bitwise measures.sq_distances); sqrt is
-    # monotone, so the root of the largest square is the largest distance
-    cpl, X, Y = inst.coupling, inst.instance.mu.atoms, inst.instance.nu.atoms
-    worst = 0.0
-    for rows in measures.row_blocks(cpl.n_mu, cpl.n_nu):
-        lo, hi = cpl.indptr[rows.start], cpl.indptr[rows.stop]
-        if lo == hi:
-            continue
-        counts, jj = np.diff(cpl.indptr[rows.start:rows.stop + 1]), cpl.j_idx[lo:hi]
-        sq = None
-        for x, y in zip(X[rows].T, Y.T):
-            diff = x.repeat(counts)
-            diff -= y.take(jj)
-            diff *= diff
-            sq = diff if sq is None else np.add(sq, diff, out=sq)
-        worst = max(worst, float(sq.max()))
-    return math.sqrt(worst)
+def _support_extents(inst: SolvedInstance) -> tuple[float, float]:
+    """(spread, deviation): the largest |x_i - y_j| over the support pairs,
+    and the largest distance from a support atom y_j to the nu-barycenter of
+    its row's support atoms (GradEstimate's lhs); both 0 on an empty support.
 
-
-def _grad_estimate_lhs(inst: SolvedInstance) -> float:
-    """Largest distance from a support atom y_j to the nu-barycenter of its
-    row's support atoms, 0 on an empty support.
-
-    Per block of rows (measures.row_blocks), the block's support is scattered
-    as 1s into a reused 0/1 float buffer of at most one block's entries, and
-    one matrix product with the (m, d + 1) matrix [w, w * y] gives each row's
-    weight total and weighted coordinate sums; the distances are taken per
-    support entry, one coordinate at a time.
+    One pass over measures.row_blocks: each block's support is scattered as
+    1s into a reused 0/1 float buffer of at most one block's entries, and
+    one product with the (m, d + 1) matrix [w, w * y] gives each row's
+    weight total and weighted coordinate sums.  Each nu coordinate, gathered
+    at the block's entries once, adds its squared differences to both
+    squared distances (the spread's bitwise measures.sq_distances); sqrt is
+    monotone, so the roots of the largest squares are the largest distances.
     """
-    cpl, nu = inst.coupling, inst.instance.nu
+    cpl, X, nu = inst.coupling, inst.instance.mu.atoms, inst.instance.nu
     m = cpl.n_nu
     weighted = np.column_stack([nu.weights, nu.weights[:, None] * nu.atoms])
     blocks = list(measures.row_blocks(cpl.n_mu, m))
     mask = np.zeros((blocks[0].stop, m))
-    worst = 0.0
+    worst = np.zeros(2)
     for rows in blocks:
         lo, hi = cpl.indptr[rows.start], cpl.indptr[rows.stop]
         if lo == hi:
@@ -254,21 +240,26 @@ def _grad_estimate_lhs(inst: SolvedInstance) -> float:
         # the block's nonempty rows, renumbered from 0; entry (k, j) of the
         # row-major mask sits at k * m + j
         counts = np.diff(cpl.indptr[rows.start:rows.stop + 1])
-        counts = counts[counts > 0]
-        seg = np.repeat(np.arange(len(counts)), counts)
+        nonempty = counts > 0
+        k = np.count_nonzero(nonempty)
+        seg = np.repeat(np.arange(k), counts[nonempty])
         jj = cpl.j_idx[lo:hi].astype(np.intp)
-        block = mask[:len(counts)]
+        block = mask[:k]
         block.ravel()[seg * m + jj] = 1.0
         sums = block @ weighted
         block.fill(0.0)
-        sq = np.zeros(len(jj))
+        # each nonempty row's atom x_i and barycenter, coordinate by
+        # coordinate, read at the row's entries by take (fancy indexing is
+        # several times slower)
+        ends = np.stack([X[rows][nonempty].T, (sums[:, 1:] / sums[:, :1]).T], axis=1)
+        sq = None
         for c, coord in enumerate(nu.atoms.T):
-            diff = np.take(sums[:, c + 1] / sums[:, 0], seg)
-            diff -= np.take(coord, jj)
+            diff = ends[c].take(seg, axis=1)
+            diff -= coord.take(jj)
             diff *= diff
-            sq += diff
-        worst = max(worst, float(sq.max()))
-    return math.sqrt(worst)
+            sq = diff if sq is None else np.add(sq, diff, out=sq)
+        np.maximum(worst, sq.max(axis=1), out=worst)
+    return math.sqrt(worst[0]), math.sqrt(worst[1])
 
 
 def check_density_ub(inst: SolvedInstance) -> list[BoundReport]:
@@ -350,15 +341,15 @@ def check_concentration(inst: SolvedInstance) -> list[BoundReport]:
 
 def check_self_transport(inst: SolvedInstance) -> list[BoundReport]:
     """Support spread versus the improved-spread rate, the 4M square bound,
-    and the barycenter gradient estimate (mu = nu only)."""
+    and the barycenter gradient estimate (mu = nu only); the spread and the
+    barycenter deviation come from one walk of the support."""
     if not inst.instance.self_transport:
         raise VerifyError("self-transport checks require mu = nu")
-    spread = inst.support_spread
+    spread, worst_dev = inst.support_extents
     M = float(inst.pot.f_values.max())
     dst = geometry.delta_st(inst.instance.profile, inst.epsilon)
     diam = inst.instance.diameter
     scale = min(math.sqrt(dst), diam)
-    worst_dev = _grad_estimate_lhs(inst)
 
     ctx = inst.base_context()
     ctx.update(spread=spread, M=M, delta_st=float(dst), diam=float(diam))

@@ -34,8 +34,10 @@ time).
 
 The module also keeps what only the tests use of the library's old API:
 the dense view and marginals of a Coupling, the extension of f off the
-mu-atoms, and the Minty reflection map with its quadratic detachment
-inequality.
+mu-atoms, the Minty reflection map with its quadratic detachment
+inequality, a spread profile's rho at one radius, and GradEstimate's
+blocked mask product as a walk of its own (the library takes the support
+spread in the same walk).
 """
 from __future__ import annotations
 
@@ -47,7 +49,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from qotlab import measures, surrogate
-from qotlab.geometry import DIST_DECIMALS
+from qotlab.geometry import DIST_DECIMALS, GeometryError
 from qotlab.qot_solver import (
     Coupling,
     DualPotentials,
@@ -364,7 +366,8 @@ def loop_spread(mu, cost=None) -> tuple[np.ndarray, np.ndarray]:
 def coordinate_support_spread(inst) -> float:
     """Largest |x_i - y_j| over the support pairs of a SolvedInstance, 0 on
     an empty support, from the squared coordinate differences added one
-    coordinate at a time: the loop that verify._support_spread replaced."""
+    coordinate at a time: the loop that the blocked support walk
+    (verify._support_extents) replaced."""
     cpl = inst.coupling
     ii, jj = cpl.rows(), cpl.j_idx
     if not len(ii):
@@ -496,8 +499,8 @@ def bincount_grad_estimate(inst) -> float:
     """GradEstimate's lhs for a SolvedInstance from segment sums: np.bincount
     over the support entries gives each row's weight total and, one
     coordinate at a time, its weighted coordinate sums, each added in index
-    order, so bitwise the sums of loop_grad_estimate (the route that
-    verify._grad_estimate_lhs's blocked mask product replaced)."""
+    order, so bitwise the sums of loop_grad_estimate (the route that the
+    blocked mask product of mask_grad_estimate replaced)."""
     cpl, nu = inst.coupling, inst.instance.nu
     counts = np.diff(cpl.indptr)
     counts = counts[counts > 0]
@@ -517,12 +520,59 @@ def bincount_grad_estimate(inst) -> float:
     return math.sqrt(float(sq.max()))
 
 
+def mask_grad_estimate(inst) -> float:
+    """GradEstimate's lhs for a SolvedInstance from its own walk of the
+    support, 0 on an empty support: per block of rows (measures.row_blocks)
+    the block's support is scattered as 1s into a reused 0/1 float buffer,
+    one matrix product with [w, w * y] gives each row's weight total and
+    weighted coordinate sums, and the distances to the barycenters are taken
+    per support entry, one coordinate at a time.  The library's walk
+    (verify._support_extents) reads the spread in the same pass and takes
+    the same products, so the two agree bit for bit."""
+    cpl, nu = inst.coupling, inst.instance.nu
+    m = cpl.n_nu
+    weighted = np.column_stack([nu.weights, nu.weights[:, None] * nu.atoms])
+    blocks = list(measures.row_blocks(cpl.n_mu, m))
+    mask = np.zeros((blocks[0].stop, m))
+    worst = 0.0
+    for rows in blocks:
+        lo, hi = cpl.indptr[rows.start], cpl.indptr[rows.stop]
+        if lo == hi:
+            continue
+        counts = np.diff(cpl.indptr[rows.start:rows.stop + 1])
+        counts = counts[counts > 0]
+        seg = np.repeat(np.arange(len(counts)), counts)
+        jj = cpl.j_idx[lo:hi].astype(np.intp)
+        block = mask[:len(counts)]
+        block.ravel()[seg * m + jj] = 1.0
+        sums = block @ weighted
+        block.fill(0.0)
+        sq = np.zeros(len(jj))
+        for c, coord in enumerate(nu.atoms.T):
+            diff = np.take(sums[:, c + 1] / sums[:, 0], seg)
+            diff -= np.take(coord, jj)
+            diff *= diff
+            sq += diff
+        worst = max(worst, float(sq.max()))
+    return math.sqrt(worst)
+
+
+def rho_at(profile, r: float) -> float:
+    """The spread profile's rho at r > 0, read off its step function: the
+    value of the piece (radii[k], radii[k+1]] that holds r."""
+    if r <= 0:
+        raise GeometryError("rho is defined for r > 0")
+    idx = int(np.searchsorted(profile.radii, r, side="left")) - 1
+    idx = min(max(idx, 0), len(profile.radii) - 1)
+    return float(profile.rho_values[idx])
+
+
 def bisect_delta_st(profile, eps: float, iters: int = 200) -> float:
     """Bisection on the monotone map r -> r * rho(sqrt(r))."""
     lo, hi = 0.0, max(4.1, 1.01 * eps + 0.1)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if mid > 0 and mid * profile.rho_at(np.sqrt(mid)) > eps:
+        if mid > 0 and mid * rho_at(profile, np.sqrt(mid)) > eps:
             hi = mid
         else:
             lo = mid

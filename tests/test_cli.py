@@ -329,16 +329,16 @@ def test_diameter_computed_once_per_run(tmp_path, monkeypatch):
     assert {json.loads(line)["context"]["diam"] for line in lines} == {2.0}
 
 
-def test_support_spread_computed_once_per_eps(tmp_path, monkeypatch):
-    # the self-transport checks and the rate fit read one memoized value
+def test_support_extents_computed_once_per_eps(tmp_path, monkeypatch):
+    # the self-transport checks and the rate fit read one memoized walk
     calls = []
-    support_spread = verify._support_spread
+    support_extents = verify._support_extents
 
     def counted(inst):
         calls.append(inst.epsilon)
-        return support_spread(inst)
+        return support_extents(inst)
 
-    monkeypatch.setattr(verify, "_support_spread", counted)
+    monkeypatch.setattr(verify, "_support_extents", counted)
     eps_list = [10.0**-1, 10.0**-1.5, 10.0**-2, 10.0**-2.5]
     cfg = _write_config(
         tmp_path,
@@ -548,6 +548,37 @@ def test_gen_rejects_malformed_spec(tmp_path, capsys, spec):
     assert cli.main(["gen", "-s", str(path), "-o", str(tmp_path / "gen")]) == cli.EXIT_CONFIG
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "name", ["../escaped", "a\u0000b", "..", ""], ids=["parent-dir", "nul", "dot-dot", "empty"]
+)
+def test_gen_rejects_name_that_is_not_a_file_name(tmp_path, capsys, name):
+    # gen writes <name>.mu.json and <name>.instance.json under -o only: a
+    # name that would leave it, or that no file can carry, writes nothing
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps({"instances": [
+            {"name": "ok", "kind": "grid", "d": 1, "h": 0.5},
+            {"name": name, "kind": "grid", "d": 1, "h": 0.5},
+        ]})
+    )
+    assert cli.main(["gen", "-s", str(spec), "-o", str(tmp_path / "gen")]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+def test_run_rejects_output_dir_with_nul(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a rejected config must not reach the solver")
+
+    monkeypatch.setattr("qotlab.verify.qot_solver.solve", no_solve)
+    cfg = _write_config(tmp_path, output_dir="o\u0000x")
+    assert cli.main(["run", "-c", str(cfg)]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_affine_instance_shrinks_source_grid():

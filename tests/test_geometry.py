@@ -12,6 +12,7 @@ from oracles import (
     diameter,
     loop_spread,
     min_pairwise_distance,
+    rho_at,
     segment_boundary_distance,
 )
 from qotlab import measures, verify
@@ -45,14 +46,14 @@ def test_spread_singleton():
     mu = make_measure([0.0], [1.0])
     prof = build_spread(mu)
     for r in (1e-6, 0.5, 1.0, 5.0):
-        assert prof.rho_at(r) == 1.0
+        assert rho_at(prof, r) == 1.0
 
 
 def test_spread_two_point(two_point):
     prof = build_spread(two_point)
-    assert prof.rho_at(1e-9) == 0.5
-    assert prof.rho_at(2.0) == 0.5  # open balls: the far atom enters only past r = 2
-    assert prof.rho_at(2.0 + 1e-9) == 1.0
+    assert rho_at(prof, 1e-9) == 0.5
+    assert rho_at(prof, 2.0) == 0.5  # open balls: the far atom enters only past r = 2
+    assert rho_at(prof, 2.0 + 1e-9) == 1.0
 
 
 def test_spread_matches_brute_force_on_grid():
@@ -62,7 +63,7 @@ def test_spread_matches_brute_force_on_grid():
     expected = {0.25: 0.2, 0.75: 0.4, 1.25: 0.6, 1.75: 0.8, 2.5: 1.0}
     for r, rho in expected.items():
         assert brute_force_rho(mu, r) == pytest.approx(rho, abs=1e-12)
-        assert prof.rho_at(r) == pytest.approx(rho, abs=1e-12)
+        assert rho_at(prof, r) == pytest.approx(rho, abs=1e-12)
 
 
 def test_spread_matches_brute_force_random():
@@ -70,7 +71,7 @@ def test_spread_matches_brute_force_random():
     prof = build_spread(mu)
     mids = 0.5 * (prof.radii[1:] + prof.radii[:-1])
     for r in mids:
-        assert prof.rho_at(r) == pytest.approx(brute_force_rho(mu, r), abs=1e-12)
+        assert rho_at(prof, r) == pytest.approx(brute_force_rho(mu, r), abs=1e-12)
 
 
 def test_spread_floor_is_min_weight():
@@ -135,7 +136,7 @@ def test_delta_matches_bisection_oracle_random():
         lo, hi = 0.0, 5.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if mid > 0 and mid * prof.rho_at(mid) > eps:
+            if mid > 0 and mid * rho_at(prof, mid) > eps:
                 hi = mid
             else:
                 lo = mid

@@ -128,8 +128,6 @@ def test_grid_rejects_bad_dimension():
 def test_grid_atom_cap():
     with pytest.raises(MeasureError, match="200000"):
         uniform_ball_grid(3, 0.01)
-    with pytest.raises(MeasureError, match="10"):
-        uniform_ball_grid(1, 0.05, atom_cap=10)
 
 
 @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])

@@ -10,6 +10,7 @@ from oracles import (
     coordinate_support_spread,
     gathered_cost_support_spread,
     loop_grad_estimate,
+    mask_grad_estimate,
 )
 from qotlab import cli, geometry, measures, surrogate, verify
 from qotlab.measures import affine_map, identity_map, make_measure, pushforward, uniform_ball_grid
@@ -331,10 +332,40 @@ def test_self_transport_streams_match_per_row_reference(name, block, monkeypatch
     assert abs(by_id["GradEstimate"].lhs - worst_dev) <= _grad_estimate_tol(inst)
     # the solved instance is shared by every block size and keeps its first
     # spread, so the streamed spread is also computed afresh at this one
-    assert np.float64(verify._support_spread(inst)).tobytes() == np.float64(spread).tobytes()
-    assert np.float64(inst.support_spread).tobytes() == np.float64(spread).tobytes()
+    assert np.float64(verify._support_extents(inst)[0]).tobytes() == np.float64(spread).tobytes()
+    assert np.float64(inst.support_extents[0]).tobytes() == np.float64(spread).tobytes()
     assert np.float64(by_id["SymUB"].lhs).tobytes() == np.float64(spread).tobytes()
     assert by_id["GradEstimate"].holds is True
+
+
+@functools.lru_cache(maxsize=None)
+def _mu_ne_nu_solved():
+    # unequal weights on mu, a shrunk and shifted grid as nu, no map
+    mu = _inline_measure(2, 5)
+    grid = uniform_ball_grid(2, 0.15)
+    nu = make_measure(0.8 * grid.atoms + 0.1, grid.weights)
+    return prepare_instance(Instance("d2-mu-ne-nu", mu, nu), SolverConfig(epsilon=0.02))
+
+
+@pytest.mark.parametrize("block", [None, 5, 300])
+@pytest.mark.parametrize("name", sorted(SELF_TRANSPORT_CASES) + ["d2-mu-ne-nu"])
+def test_support_extents_match_oracles(name, block, monkeypatch):
+    # one walk of the support gives the spread bitwise as the coordinate loop
+    # and the dense cost matrix do, and the barycenter deviation bitwise as
+    # the mask product walking on its own, at every block size
+    if block is not None:
+        monkeypatch.setattr(measures, "BLOCK_ENTRIES", block)
+    if name in SELF_TRANSPORT_CASES:
+        inst = _self_transport_solved(name)
+    else:
+        inst = _mu_ne_nu_solved()
+        assert 0 < len(inst.coupling.masses) < inst.coupling.n_mu * inst.coupling.n_nu
+    spread, deviation = verify._support_extents(inst)
+    assert spread > 0.0
+    for want in (coordinate_support_spread(inst), gathered_cost_support_spread(inst)):
+        assert np.float64(spread).tobytes() == np.float64(want).tobytes()
+    assert np.float64(deviation).tobytes() == np.float64(mask_grad_estimate(inst)).tobytes()
+    assert abs(deviation - loop_grad_estimate(inst)) <= _grad_estimate_tol(inst)
 
 
 @pytest.mark.parametrize("d, h, eps", [(1, 0.05, 0.05), (2, 0.1, 0.03), (3, 0.25, 0.1)])
@@ -344,7 +375,7 @@ def test_support_spread_from_cost_matches_coordinate_loop(d, h, eps):
     assert 0 < len(inst.coupling.masses) < len(mu) ** 2
     want = coordinate_support_spread(inst)
     assert want > 0.0
-    assert np.float64(inst.support_spread).tobytes() == np.float64(want).tobytes()
+    assert np.float64(inst.support_extents[0]).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("shift", [False, True], ids=["self-transport", "mu-ne-nu"])
@@ -359,7 +390,7 @@ def test_support_spread_matches_dense_cost_oracle(d, h, eps, shift, monkeypatch)
     assert 0 < len(inst.coupling.masses) < len(mu) * len(nu)
     want = gathered_cost_support_spread(inst)
     assert want > 0.0
-    assert np.float64(verify._support_spread(inst)).tobytes() == np.float64(want).tobytes()
+    assert np.float64(verify._support_extents(inst)[0]).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("shift", [False, True], ids=["self-transport", "mu-ne-nu"])
